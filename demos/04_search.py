@@ -17,18 +17,18 @@ from girthmax import (
     ScalingStrategy,
     SearchConfig,
     construct_candidate,
-    factor_for_search,
     format_report,
     girth_bfs,
     search_r3,
     valid_shifts,
 )
+from girthmax.bounds import factorize_bk
 
 # The shift sweep: coprime to m, away from the ends.
 print("valid shifts for m=25, lower=5:", valid_shifts(25, 5))
 
-# Given a plain m, the factorization picks the largest square.
-print("factor m=50:", factor_for_search(50))
+# Given a plain m, the factorization picks the largest square k².
+print("factor m=50:", factorize_bk(50, 3))
 
 # A small search, end to end.
 cfg = SearchConfig(k=5, strategy=ScalingStrategy.INTERLEAVED, worker_count=min(4, os.cpu_count() or 1))

@@ -41,12 +41,10 @@ from .perm import (
     scale_up,
 )
 from .search import (
-    NoSquareFactor,
     NoValidShift,
     SearchConfig,
     SearchResult,
     construct_candidate,
-    factor_for_search,
     format_report,
     report_dict,
     search_r3,
@@ -65,7 +63,6 @@ __all__ = [
     "IncompatiblePermutations",
     "MalformedAlist",
     "MalformedDimacs",
-    "NoSquareFactor",
     "NotRegular",
     "NoValidShift",
     "Permutation",
@@ -79,7 +76,6 @@ __all__ = [
     "construct_candidate",
     "cycle_type",
     "enumerate_k_cycles",
-    "factor_for_search",
     "format_report",
     "girth_bfs",
     "girth_oracle",

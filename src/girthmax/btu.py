@@ -192,10 +192,6 @@ class Btu:
     def __setattr__(self, name, value):
         raise AttributeError("Btu is immutable")
 
-    @classmethod
-    def from_permutations(cls, perms: Iterable[Permutation]) -> "Btu":
-        return cls(tuple(perms))
-
     @property
     def m(self) -> int:
         return self.perms[0].size

@@ -11,7 +11,8 @@ Subcommands:
     convert  rewrite a matrix between alist / dimacs / dense
 
 Exit codes: 0 success, 1 runtime failure (message names the error),
-2 usage error. GIRTHMAX_JOBS sets the default worker count.
+2 usage error. GIRTHMAX_JOBS sets the default worker count; a value
+that is not a positive integer is a usage error.
 """
 
 from __future__ import annotations
@@ -58,17 +59,19 @@ def _k_value(text: str) -> int:
     return value
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("GIRTHMAX_JOBS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _jobs(text: str) -> int:
+    try:
+        return _positive_int(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"--jobs or GIRTHMAX_JOBS must be a positive integer, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a string default goes through the option's type, so a bad
+    # GIRTHMAX_JOBS is a usage error just like a bad --jobs
+    jobs = os.environ.get("GIRTHMAX_JOBS", "").strip() or "1"
     parser = argparse.ArgumentParser(
         prog="girthmax",
         description="Girth-maximum searches and girth bounds for regular bipartite graphs.",
@@ -93,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="require b*k < j < m - b*k",
     )
-    p_search.add_argument("--jobs", type=_positive_int, default=None, help="worker processes")
+    p_search.add_argument("--jobs", type=_jobs, default=jobs, help="worker processes")
     p_search.add_argument("--out", help="write the best graph to this path")
     p_search.add_argument("--format", choices=_FORMATS, default="alist")
     p_search.add_argument("--json", action="store_true", help="machine-readable report")
@@ -115,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of 1..5 (default: all)",
     )
     p_tables.add_argument("--max-k", type=_k_value, default=8, help="last k of table 1")
-    p_tables.add_argument("--jobs", type=_positive_int, default=None)
+    p_tables.add_argument("--jobs", type=_jobs, default=jobs)
 
     p_conv = sub.add_parser("convert", help="rewrite a matrix between formats")
     p_conv.add_argument("--in", dest="src", required=True)
@@ -188,7 +191,7 @@ def _run_search(args: argparse.Namespace) -> int:
         strategy=ScalingStrategy(args.strategy),
         fix_first=args.fix_first,
         j_range_filter=args.j_filter,
-        worker_count=args.jobs if args.jobs is not None else _default_jobs(),
+        worker_count=args.jobs,
     )
     result = search_r3(cfg, progress=_stderr_progress(cfg.k))
     if args.json:
@@ -235,11 +238,10 @@ def _run_tables(args: argparse.Namespace) -> int:
         raise ValueError(f"--which must be a comma-separated subset of 1..5, got {args.which!r}")
     if not which or any(t not in (1, 2, 3, 4, 5) for t in which):
         raise ValueError(f"--which must be a comma-separated subset of 1..5, got {args.which!r}")
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     chunks = []
     for t in which:
         if t == 1:
-            chunks.append("table 1: search results (r = 3)\n" + emit_table_1(args.max_k, jobs=jobs))
+            chunks.append("table 1: search results (r = 3)\n" + emit_table_1(args.max_k, jobs=args.jobs))
         elif t == 2:
             chunks.append("table 2: Moore bound n0(g,3)\n" + bounds_mod.moore_table_text())
         elif t == 3:

@@ -11,13 +11,17 @@ tie-broken by smallest j, then lexicographically smallest q1 image, so
 the result is reproducible for any worker count.
 
 Candidates are scanned j-major (ascending j, then lex-ascending q1),
-which is exactly the tie-break order. Pruning uses a shared advisory
-incumbent: a candidate is discarded only when a cycle of length
-<= incumbent - 2 is found, i.e. only when it is provably *strictly*
-below the final maximum, so pruning and parallel scheduling can never
-change the winner. Since scale_up of a (b*k)-cycle splits into k cycles
-of length b*k against the identity constituent, every candidate's girth
-is at most 2*b*k.
+which is exactly the tie-break order. The scan is cut into tasks of
+_CHUNK q1s under one shift; one worker function maps over them, in
+process or on a fork pool, and both maps return results in task order,
+so the merge keeps the first strictly larger girth. Pruning is always
+on and uses an advisory incumbent shared by all workers: a candidate is
+discarded only when a cycle of length <= incumbent - 2 is found, i.e.
+only when it is provably *strictly* below the final maximum, so
+pruning and scheduling can never change the winner (see `_scan`).
+Since scale_up of a (b*k)-cycle splits into k cycles of length b*k
+against the identity constituent, every candidate's girth is at most
+2*b*k.
 
 `fix_first` restricts q1 to image[0] = 1. That prunes the space to
 (b*k-2)! candidates but is lossy: the family has no relabeling symmetry
@@ -29,11 +33,13 @@ with the full enumeration under interleaved scaling.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import multiprocessing
 import time
 from dataclasses import dataclass
-from math import gcd, isqrt
-from typing import Callable, Iterator, Sequence
+from math import gcd
+from typing import Callable
 
 from .btu import Btu, IncompatiblePermutations
 from .girth import girth_bfs
@@ -51,11 +57,9 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "NoValidShift",
-    "NoSquareFactor",
     "valid_shifts",
     "construct_candidate",
     "search_r3",
-    "factor_for_search",
     "format_report",
     "report_dict",
 ]
@@ -65,10 +69,6 @@ _CHUNK = 512  # q1 candidates per worker task
 
 class NoValidShift(ValueError):
     """No circulant shift satisfies the coprimality/range constraints."""
-
-
-class NoSquareFactor(ValueError):
-    """m has no factorization b*k² with integer k >= 2."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ class SearchConfig:
     fix_first: bool = False
     j_range_filter: bool = True
     worker_count: int = 1
-    cutoff_pruning: bool = True
 
     def __post_init__(self):
         if self.k < 2:
@@ -129,24 +128,6 @@ def construct_candidate(q1: Permutation, j: int, cfg: SearchConfig) -> Btu:
     return Btu((scale_up(q1, cfg.k, cfg.strategy), identity(m), circulant(m, j)))
 
 
-def factor_for_search(m: int) -> tuple[int, int]:
-    """Factor m = b*k² with k >= 2 maximal (b minimal); (b, k)."""
-    if m < 4:
-        raise ValueError("m must be >= 4")
-    for k in range(isqrt(m), 1, -1):
-        if m % (k * k) == 0:
-            return m // (k * k), k
-    raise NoSquareFactor(f"m={m} is squarefree; pass b and k explicitly")
-
-
-def _shift_list(cfg: SearchConfig) -> list[int]:
-    m = cfg.m
-    lower = cfg.b * cfg.k if cfg.j_range_filter else 0
-    if m <= 2 * lower:
-        return []
-    return valid_shifts(m, lower)
-
-
 def _evaluate(q1: Permutation, j: int, cfg: SearchConfig, cutoff: int | None) -> int | None:
     """Exact girth of the candidate, or None when pruned (girth <= cutoff).
 
@@ -159,47 +140,46 @@ def _evaluate(q1: Permutation, j: int, cfg: SearchConfig, cutoff: int | None) ->
     return int(result.value)
 
 
-# (girth, shift_index, q1_index); higher girth wins, then earlier candidate
-_Key = tuple[int, int, int]
+# Per-search state (cfg, shifts, q1s, incumbent, lock) of a pool worker,
+# installed by the pool initializer; a serial scan passes it instead.
+_STATE: tuple = ()
 
 
-def _better(a: _Key | None, b: _Key | None) -> _Key | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a[0] != b[0]:
-        return a if a[0] > b[0] else b
-    return a if (a[1], a[2]) <= (b[1], b[2]) else b
+def _install(*state) -> None:
+    global _STATE
+    _STATE = state
 
 
-def _scan_range(
-    cfg: SearchConfig,
-    shifts: Sequence[int],
-    q1_images: Sequence[tuple[int, ...]],
-    j_idx: int,
-    lo: int,
-    hi: int,
-    incumbent_girth: Callable[[], int],
-    improve: Callable[[int], None],
-) -> tuple[_Key | None, int, int]:
-    """Evaluate candidates (q1_images[lo:hi], shifts[j_idx]); (best, evaluated, skipped)."""
+def _scan(task: tuple[int, int, int], state: tuple = ()) -> tuple[int, int, int, int]:
+    """Evaluate candidates (q1s[lo:hi], shifts[j_idx]) of one task.
+
+    Returns (girth, q_idx, evaluated, skipped): the largest exact girth
+    in the task with the index of the first q1 attaining it (girth 0
+    when no candidate got an exact girth), and the numbers of
+    evaluated and incompatible candidates.
+
+    Pruning never changes the winner. The incumbent only ever holds a
+    girth some candidate attains, so it never exceeds the final maximum
+    G. A candidate is cut off only when it has a cycle of length
+    <= incumbent - 2 < G, so every candidate of girth G gets its exact
+    girth. Hence a task holding a girth-G candidate reports G and its
+    first such candidate, and taking the first strictly larger girth
+    over the tasks in scan order yields the first girth-G candidate in
+    (j ascending, q1 lex) order, whatever the incumbent was when each
+    candidate ran.
+    """
+    cfg, shifts, q1s, incumbent, lock = state or _STATE
+    j_idx, lo, hi = task
     j = shifts[j_idx]
-    best: _Key | None = None
+    best_g, best_q = 0, lo
     evaluated = 0
     skipped = 0
     local_incumbent = 0
     for q_idx in range(lo, hi):
-        q1 = Permutation(q1_images[q_idx])
-        if cfg.cutoff_pruning:
-            known = incumbent_girth()
-            if known > local_incumbent:
-                local_incumbent = known
-            cutoff = local_incumbent - 2 if local_incumbent >= 6 else None
-        else:
-            cutoff = None
+        local_incumbent = max(local_incumbent, incumbent[0])
+        cutoff = local_incumbent - 2 if local_incumbent >= 6 else None
         try:
-            g = _evaluate(q1, j, cfg, cutoff)
+            g = _evaluate(q1s[q_idx], j, cfg, cutoff)
         except IncompatiblePermutations:
             skipped += 1
             continue
@@ -208,33 +188,12 @@ def _scan_range(
             continue
         if g > local_incumbent:
             local_incumbent = g
-            improve(g)
-        best = _better(best, (g, j_idx, q_idx))
-    return best, evaluated, skipped
-
-
-# Worker-side state, installed once per process by the pool initializer.
-_WORKER: tuple | None = None
-
-
-def _init_worker(cfg, shifts, q1_images, shared_incumbent):
-    global _WORKER
-    _WORKER = (cfg, shifts, q1_images, shared_incumbent)
-
-
-def _run_task(task: tuple[int, int, int]):
-    cfg, shifts, q1_images, shared = _WORKER
-    j_idx, lo, hi = task
-
-    def read() -> int:
-        return shared.value
-
-    def improve(g: int) -> None:
-        with shared.get_lock():
-            if g > shared.value:
-                shared.value = g
-
-    return _scan_range(cfg, shifts, q1_images, j_idx, lo, hi, read, improve)
+            with lock:
+                if g > incumbent[0]:
+                    incumbent[0] = g
+        if g > best_g:
+            best_g, best_q = g, q_idx
+    return best_g, best_q, evaluated, skipped
 
 
 def search_r3(
@@ -245,79 +204,59 @@ def search_r3(
 
     `progress`, when given, is called periodically with
     (candidates processed, total candidates, best girth so far).
-    Deterministic for a fixed cfg regardless of worker_count.
+    Deterministic for a fixed cfg regardless of worker_count. A worker
+    that dies raises concurrent.futures.process.BrokenProcessPool.
     """
     started = time.perf_counter()
-    shifts = _shift_list(cfg)
+    lower = cfg.b * cfg.k if cfg.j_range_filter else 0
+    shifts = valid_shifts(cfg.m, lower) if cfg.m > 2 * lower else []
     if not shifts:
         raise NoValidShift(
             f"no shift j with gcd(j, {cfg.m}) = 1 in the required range"
             + (" (try j_range_filter=False)" if cfg.j_range_filter else "")
         )
-    q1_images = [p.image for p in enumerate_k_cycles(cfg.b * cfg.k, cfg.fix_first)]
-    total = len(shifts) * len(q1_images)
+    q1s = list(enumerate_k_cycles(cfg.b * cfg.k, cfg.fix_first))
+    total = len(shifts) * len(q1s)
     tasks = [
-        (j_idx, lo, min(lo + _CHUNK, len(q1_images)))
+        (j_idx, lo, min(lo + _CHUNK, len(q1s)))
         for j_idx in range(len(shifts))
-        for lo in range(0, len(q1_images), _CHUNK)
+        for lo in range(0, len(q1s), _CHUNK)
     ]
+    workers = min(cfg.worker_count, len(tasks))
 
-    best: _Key | None = None
+    best_girth, best_j, best_q = 0, 0, 0
     evaluated = 0
     skipped = 0
-    if cfg.worker_count == 1:
-        incumbent = 0
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            state = (cfg, shifts, q1s, [0], contextlib.nullcontext())
+            results = map(functools.partial(_scan, state=state), tasks)
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-        def read() -> int:
-            return incumbent
-
-        def improve(g: int) -> None:
-            nonlocal incumbent
-            incumbent = max(incumbent, g)
-
-        for j_idx, lo, hi in tasks:
-            part, n_eval, n_skip = _scan_range(
-                cfg, shifts, q1_images, j_idx, lo, hi, read, improve
-            )
-            best = _better(best, part)
+            ctx = multiprocessing.get_context("fork")
+            state = (cfg, shifts, q1s, ctx.RawArray("q", 1), ctx.Lock())
+            pool = ProcessPoolExecutor(workers, mp_context=ctx, initializer=_install, initargs=state)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(_scan, tasks)
+        # results come in scan order, which is the tie-break order
+        for (j_idx, _, _), (g, q_idx, n_eval, n_skip) in zip(tasks, results):
+            if g > best_girth:
+                best_girth, best_j, best_q = g, j_idx, q_idx
             evaluated += n_eval
             skipped += n_skip
             if progress is not None:
-                progress(evaluated + skipped, total, best[0] if best else 0)
-    else:
-        ctx = multiprocessing.get_context("fork")
-        shared = ctx.Value("q", 0)
-        with ctx.Pool(
-            processes=cfg.worker_count,
-            initializer=_init_worker,
-            initargs=(cfg, shifts, q1_images, shared),
-        ) as pool:
-            for part, n_eval, n_skip in pool.imap_unordered(_run_task, tasks):
-                best = _better(best, part)
-                evaluated += n_eval
-                skipped += n_skip
-                if progress is not None:
-                    progress(evaluated + skipped, total, best[0] if best else 0)
-    if best is None:
+                progress(evaluated + skipped, total, best_girth)
+    if best_girth == 0:
         raise NoValidShift("every candidate pair was incompatible")
-    girth, j_idx, q_idx = best
     return SearchResult(
-        best_girth=girth,
-        witness_q1=Permutation(q1_images[q_idx]),
-        witness_j=shifts[j_idx],
+        best_girth=best_girth,
+        witness_q1=q1s[best_q],
+        witness_j=shifts[best_j],
         candidates_evaluated=evaluated,
         skipped_incompatible=skipped,
         elapsed=time.perf_counter() - started,
     )
-
-
-def candidate_space(cfg: SearchConfig) -> Iterator[tuple[Permutation, int]]:
-    """All (q1, j) pairs of a run, in evaluation (= tie-break) order."""
-    shifts = _shift_list(cfg)
-    q1s = list(enumerate_k_cycles(cfg.b * cfg.k, cfg.fix_first))
-    for j in shifts:
-        for q1 in q1s:
-            yield q1, j
 
 
 def report_dict(cfg: SearchConfig, result: SearchResult) -> dict:

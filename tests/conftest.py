@@ -3,7 +3,8 @@ import random
 import pytest
 
 from girthmax.btu import Btu
-from girthmax.perm import Permutation
+from girthmax.perm import Permutation, enumerate_k_cycles
+from girthmax.search import SearchConfig, valid_shifts
 
 
 def random_disjoint_permutation(rng: random.Random, m: int, forbidden: list[set[int]]) -> Permutation:
@@ -40,6 +41,21 @@ def random_btu(rng: random.Random, m: int, r: int) -> Btu:
         for i, v in enumerate(p.image):
             forbidden[i].add(v)
     return Btu(perms)
+
+
+def candidate_space(cfg: SearchConfig):
+    """All (q1, j) pairs of a search, in scan (= tie-break) order."""
+    lower = cfg.b * cfg.k if cfg.j_range_filter else 0
+    q1s = list(enumerate_k_cycles(cfg.b * cfg.k, cfg.fix_first))
+    for j in valid_shifts(cfg.m, lower):
+        for q1 in q1s:
+            yield q1, j
+
+
+def networkx_girth(btu: Btu):
+    """Girth of the BTU's graph by networkx, an implementation independent of girth_bfs."""
+    nx = pytest.importorskip("networkx")
+    return nx.girth(nx.Graph((("row", i), ("col", p[i])) for p in btu.perms for i in range(btu.m)))
 
 
 @pytest.fixture

@@ -21,9 +21,9 @@ from girthmax.cli import (
 )
 from girthmax.girth import girth_bfs, girth_oracle
 from girthmax.perm import Permutation, ScalingStrategy, circulant, identity, relative_cycle_type
-from girthmax.search import SearchConfig, candidate_space, construct_candidate, search_r3
+from girthmax.search import SearchConfig, construct_candidate, search_r3
 
-from conftest import random_btu
+from conftest import candidate_space, networkx_girth, random_btu
 
 WORKERS = max(1, min(4, os.cpu_count() or 1))
 
@@ -111,11 +111,26 @@ def test_criterion_3_published_girths(k):
     verdict(f"3 search girth k={k}", girth >= published, note)
 
 
+@pytest.mark.parametrize("k", [7, 8])
+def test_criterion_3_winner_girth_matches_networkx(k):
+    # rebuilt from the cached criterion-3 search, so no new search runs
+    result = run_search(k, ScalingStrategy.INTERLEAVED)
+    cfg = SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED)
+    winner = construct_candidate(result.witness_q1, result.witness_j, cfg)
+    ours = girth_bfs(winner.to_bipartite()).value
+    theirs = networkx_girth(winner)
+    verdict(
+        f"3 winner girth k={k} equals networkx",
+        ours == theirs == result.best_girth,
+        f"girth_bfs {ours}, networkx {theirs}, search {result.best_girth}",
+    )
+
+
 def test_criterion_4_family_ceiling_in_loop():
     # exact per-candidate assertion for k <= 5
     checked = 0
     for k in (3, 4, 5):
-        cfg = SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED, cutoff_pruning=False)
+        cfg = SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED)
         for q1, j in candidate_space(cfg):
             try:
                 b = construct_candidate(q1, j, cfg)

@@ -50,11 +50,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Btu([identity(2), circulant(2, 1), identity(2)])
 
-    def test_from_permutations_alias(self):
-        assert Btu.from_permutations([identity(3), circulant(3, 1)]) == Btu(
-            [identity(3), circulant(3, 1)]
-        )
-
     def test_order_sensitive_equality(self):
         a = Btu([identity(3), circulant(3, 1)])
         b = Btu([circulant(3, 1), identity(3)])

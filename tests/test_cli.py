@@ -237,3 +237,14 @@ class TestSearchCommand:
         monkeypatch.setenv("GIRTHMAX_JOBS", "2")
         assert main(["search", "--k", "4"]) == 0
         assert "best_girth:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_env_var_jobs_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GIRTHMAX_JOBS", value)
+        assert main(["search", "--k", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "GIRTHMAX_JOBS" in err and repr(value) in err
+        assert main(["tables", "--which", "2"]) == 2
+        capsys.readouterr()
+        # subcommands without --jobs do not read the variable
+        assert main(["bounds", "--table", "2"]) == 0

@@ -6,7 +6,7 @@ from girthmax.btu import BipartiteGraph, Btu
 from girthmax.girth import TooLarge, girth_bfs, girth_oracle
 from girthmax.perm import circulant, identity, relative_cycle_type
 
-from conftest import random_btu
+from conftest import networkx_girth, random_btu
 
 K33 = Btu([identity(3), circulant(3, 1), circulant(3, 2)]).to_bipartite()
 HEAWOOD = Btu([circulant(7, 0), circulant(7, 1), circulant(7, 3)]).to_bipartite()
@@ -69,6 +69,12 @@ class TestEnginesAgree:
             b = random_btu(rng, m, 2)
             expected = 2 * min(relative_cycle_type(b.perms[0], b.perms[1]))
             assert girth_bfs(b.to_bipartite()).value == expected
+
+    def test_networkx_on_larger_cubic(self, rng):
+        # beyond the oracle's size guard: networkx is the independent reference
+        for _ in range(50):
+            b = random_btu(rng, rng.randint(3, 100), 3)
+            assert girth_bfs(b.to_bipartite()).value == networkx_girth(b), b
 
     def test_values_even_or_infinite(self, rng):
         for _ in range(30):

@@ -1,18 +1,27 @@
+import concurrent.futures
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import girthmax.search
 from girthmax.btu import IncompatiblePermutations
 from girthmax.girth import girth_bfs, girth_oracle
 from girthmax.perm import Permutation, ScalingStrategy, one_based
 from girthmax.search import (
-    NoSquareFactor,
     NoValidShift,
     SearchConfig,
-    candidate_space,
     construct_candidate,
-    factor_for_search,
     search_r3,
     valid_shifts,
 )
+
+from conftest import candidate_space
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestValidShifts:
@@ -31,22 +40,6 @@ class TestValidShifts:
     def test_precondition(self):
         with pytest.raises(ValueError):
             valid_shifts(6, 3)
-
-
-class TestFactorForSearch:
-    def test_perfect_square(self):
-        assert factor_for_search(100) == (1, 10)
-
-    def test_square_divisor(self):
-        assert factor_for_search(12) == (3, 2)
-
-    def test_squarefree(self):
-        with pytest.raises(NoSquareFactor):
-            factor_for_search(30)
-
-    def test_minimum(self):
-        with pytest.raises(ValueError):
-            factor_for_search(3)
 
 
 class TestConstructCandidate:
@@ -112,9 +105,7 @@ class TestSearchSmall:
     def test_skipped_candidates_are_counted(self):
         # interleaved scaling without the j filter collides with C_j
         # whenever some q1 displacement equals j
-        cfg = SearchConfig(
-            k=3, strategy=ScalingStrategy.INTERLEAVED, j_range_filter=False, cutoff_pruning=False
-        )
+        cfg = SearchConfig(k=3, strategy=ScalingStrategy.INTERLEAVED, j_range_filter=False)
         result = search_r3(cfg)
         assert result.skipped_incompatible == 4
         total = sum(1 for _ in candidate_space(cfg))
@@ -155,30 +146,89 @@ class TestDeterminism:
                 base = snapshot
             assert snapshot == base
 
-    def test_pruning_invariance(self):
-        for strategy in ScalingStrategy:
-            with_pruning = search_r3(SearchConfig(k=5, strategy=strategy, cutoff_pruning=True))
-            without = search_r3(SearchConfig(k=5, strategy=strategy, cutoff_pruning=False))
-            assert with_pruning.best_girth == without.best_girth
-            assert with_pruning.witness_q1 == without.witness_q1
-            assert with_pruning.witness_j == without.witness_j
-
     def test_tie_break_is_smallest_j_then_lex_q1(self):
-        # the witness is the first candidate in (j ascending, q1 lex) order
-        # that attains the maximum girth
-        for k in (4, 5):
-            cfg = SearchConfig(k=k, cutoff_pruning=False)
+        # the witness of the pruned search is the first candidate in
+        # (j ascending, q1 lex) order whose uncut girth is the maximum
+        for k, strategy in itertools.product((4, 5), ScalingStrategy):
+            cfg = SearchConfig(k=k, strategy=strategy)
             result = search_r3(cfg)
-            first = None
+            uncut = []
             for q1, j in candidate_space(cfg):  # candidate_space is in scan order
                 try:
                     b = construct_candidate(q1, j, cfg)
                 except IncompatiblePermutations:
                     continue
-                if girth_bfs(b.to_bipartite()).value == result.best_girth:
-                    first = (j, q1)
-                    break
-            assert first == (result.witness_j, result.witness_q1)
+                uncut.append((girth_bfs(b.to_bipartite()).value, j, q1))
+            best = max(g for g, _, _ in uncut)
+            first = next((j, q1) for g, j, q1 in uncut if g == best)
+            assert (result.best_girth, result.witness_j, result.witness_q1) == (best, *first)
+
+
+class TestPool:
+    def test_workers_capped_at_task_count(self, monkeypatch):
+        # k=3 with fix_first has 1 q1 and 2 shifts: 2 tasks
+        seen = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        pooled = search_r3(SearchConfig(k=3, fix_first=True, worker_count=8))
+        assert seen == [2]
+        serial = search_r3(SearchConfig(k=3, fix_first=True))
+        assert (pooled.best_girth, pooled.witness_q1, pooled.witness_j) == (
+            serial.best_girth, serial.witness_q1, serial.witness_j
+        )
+
+    def test_concurrent_serial_searches_do_not_share_state(self):
+        cfgs = [SearchConfig(k=k, strategy=s) for k in (4, 5) for s in ScalingStrategy]
+        expected = [search_r3(cfg).witness_q1 for cfg in cfgs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(len(cfgs)) as threads:
+                got = [r.witness_q1 for r in threads.map(search_r3, cfgs)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert girthmax.search._STATE == ()
+
+    def test_serial_search_starts_no_pool(self):
+        code = (
+            "import sys, girthmax\n"
+            "girthmax.search_r3(girthmax.SearchConfig(k=4))\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.stdout.strip() == "False", proc.stderr
+
+    def test_killed_worker_raises_broken_pool(self):
+        # a hung pool fails the subprocess timeout instead of stalling the suite
+        code = (
+            "import os\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "import girthmax.search as search\n"
+            "parent, evaluate = os.getpid(), search._evaluate\n"
+            "def dying(*args):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(3)\n"
+            "    return evaluate(*args)\n"
+            "search._evaluate = dying\n"
+            "try:\n"
+            "    search.search_r3(search.SearchConfig(k=5, worker_count=2))\n"
+            "except BrokenProcessPool:\n"
+            "    print('BrokenProcessPool')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.stdout.strip() == "BrokenProcessPool", proc.stderr
 
 
 class TestConfig:
