@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
@@ -82,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--k", type=_k_value, required=True, help="scale factor; m = b*k^2")
     p_search.add_argument("--b", type=_positive_int, default=1)
     p_search.add_argument(
-        "--strategy", choices=[s.value for s in ScalingStrategy], default=ScalingStrategy.BLOCK.value
+        "--strategy", choices=[s.value for s in ScalingStrategy], default=ScalingStrategy.BLOCK.value,
+        help="scaling of q1 (the published Table 1 girths need interleaved, as in 'tables --which 1')",
     )
     p_search.add_argument(
         "--fix-first",
@@ -133,9 +135,7 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return build_parser().parse_args(list(argv))
 
 
-def _stderr_progress(k: int, interval: float = 5.0) -> Callable[[int, int, int], None] | None:
-    if k < 9:
-        return None
+def _stderr_progress(interval: float = 5.0) -> Callable[[int, int, int], None]:
     last = [time.monotonic()]
 
     def emit(done: int, total: int, best: int) -> None:
@@ -170,7 +170,7 @@ def emit_table_1(
             k=k, b=b, strategy=strategy, fix_first=fix_first, worker_count=jobs
         )
         try:
-            result = search_r3(cfg, progress=_stderr_progress(k))
+            result = search_r3(cfg, progress=_stderr_progress())
         except Exception as exc:  # a failed row must not kill the remaining rows
             print(f"table 1, k={k}: {type(exc).__name__}: {exc}", file=sys.stderr)
             continue
@@ -193,7 +193,7 @@ def _run_search(args: argparse.Namespace) -> int:
         j_range_filter=args.j_filter,
         worker_count=args.jobs,
     )
-    result = search_r3(cfg, progress=_stderr_progress(cfg.k))
+    result = search_r3(cfg, progress=_stderr_progress())
     if args.json:
         print(json.dumps(report_dict(cfg, result), indent=2))
     else:
@@ -285,7 +285,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return run(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, BrokenExecutor) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

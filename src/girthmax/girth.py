@@ -10,6 +10,8 @@ Two deliberately independent engines:
   its own vertices. Each BFS stops expanding once it can no longer beat
   the best cycle seen so far. In a bipartite graph every such walk has
   even length, so the result is even (or infinite on forests).
+  It is `flat_adjacency` plus the BFS core `shortest_cycle`, which the
+  search calls on permutation images without a `BipartiteGraph`.
 
 * `girth_oracle` - exhaustive DFS enumeration of simple cycles, pruned
   only by the best length found so far. Exponential; guarded to at most
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
+from typing import Iterable, Sequence
 
 from .btu import BipartiteGraph
 
-__all__ = ["GirthResult", "TooLarge", "girth_bfs", "girth_oracle"]
+__all__ = ["GirthResult", "TooLarge", "flat_adjacency", "shortest_cycle", "girth_bfs", "girth_oracle"]
 
 ORACLE_VERTEX_LIMIT = 32
 
@@ -53,27 +56,29 @@ class GirthResult:
         return self.value != inf
 
 
-def _flat_adjacency(g: BipartiteGraph) -> list[list[int]]:
-    n_left = g.n_left
-    adj: list[list[int]] = [[] for _ in range(n_left + g.n_right)]
-    for i, nbrs in enumerate(g.adjacency):
+def flat_adjacency(rows: Sequence[Sequence[int]], n_right: int) -> list[list[int]]:
+    """Adjacency lists of the bipartite graph whose left vertex i has the
+    right neighbours rows[i], in the flattened numbering (order kept)."""
+    n_left = len(rows)
+    adj: list[list[int]] = [[] for _ in range(n_left + n_right)]
+    for i, nbrs in enumerate(rows):
         adj[i] = [n_left + c for c in nbrs]
         for c in nbrs:
             adj[n_left + c].append(i)
     return adj
 
 
-def girth_bfs(
-    g: BipartiteGraph,
-    cutoff: int | None = None,
-    want_witness: bool = False,
+def shortest_cycle(
+    adj: list[list[int]], roots: Iterable[int], cutoff: int | None = None, want_witness: bool = False
 ) -> GirthResult:
-    """Exact girth of a simple bipartite graph by truncated BFS.
+    """Truncated BFS from each root over flat adjacency lists.
 
-    With `cutoff` set, returns early (flagged) as soon as any cycle of
-    length <= cutoff is seen; otherwise the returned value is exact.
+    The girth is exact when every cycle passes through some root (for a
+    bipartite graph, the left vertices suffice). With `cutoff` set,
+    returns early (flagged) as soon as any cycle of length <= cutoff is
+    seen. The verdict and the exact value do not depend on the order of
+    the roots or of the neighbour lists; the witness does.
     """
-    adj = _flat_adjacency(g)
     n = len(adj)
     seen = [0] * n
     dist = [0] * n
@@ -83,7 +88,7 @@ def girth_bfs(
     best_root = -1
     queue: list[int] = []
 
-    for root in range(g.n_left):
+    for root in roots:
         stamp += 1
         queue.clear()
         queue.append(root)
@@ -124,11 +129,20 @@ def girth_bfs(
     return GirthResult(int(best), witness=_bfs_witness(adj, best_root, int(best)))
 
 
+def girth_bfs(g: BipartiteGraph, cutoff: int | None = None, want_witness: bool = False) -> GirthResult:
+    """Exact girth of a simple bipartite graph by truncated BFS.
+
+    With `cutoff` set, returns early (flagged) as soon as any cycle of
+    length <= cutoff is seen; otherwise the returned value is exact.
+    """
+    adj = flat_adjacency(g.adjacency, g.n_right)
+    return shortest_cycle(adj, range(g.n_left), cutoff, want_witness)
+
+
 def _bfs_witness(adj: list[list[int]], root: int, girth: int) -> tuple[int, ...]:
     # Re-run the BFS from the winning root and extract the two tree paths
     # behind the first non-tree edge that achieves the girth. Their only
     # shared vertex is the root (otherwise a shorter cycle would exist).
-    n = len(adj)
     dist = {root: 0}
     parent = {root: -1}
     queue = [root]
@@ -171,7 +185,7 @@ def girth_oracle(g: BipartiteGraph) -> GirthResult:
     n = g.n_left + g.n_right
     if n > ORACLE_VERTEX_LIMIT:
         raise TooLarge(f"{n} vertices exceeds the oracle guard of {ORACLE_VERTEX_LIMIT}")
-    adj = _flat_adjacency(g)
+    adj = flat_adjacency(g.adjacency, g.n_right)
     best: int | float = inf
     best_witness: tuple[int, ...] | None = None
     on_path = [False] * n

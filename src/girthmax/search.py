@@ -11,14 +11,16 @@ tie-broken by smallest j, then lexicographically smallest q1 image, so
 the result is reproducible for any worker count.
 
 Candidates are scanned j-major (ascending j, then lex-ascending q1),
-which is exactly the tie-break order. The scan is cut into tasks of
-_CHUNK q1s under one shift; one worker function maps over them, in
-process or on a fork pool, and both maps return results in task order,
-so the merge keeps the first strictly larger girth. Pruning is always
-on and uses an advisory incumbent shared by all workers: a candidate is
-discarded only when a cycle of length <= incumbent - 2 is found, i.e.
-only when it is provably *strictly* below the final maximum, so
-pruning and scheduling can never change the winner (see `_scan`).
+which is exactly the tie-break order. Each shift j is one task; one
+worker function maps over the shifts, in process or on a fork pool,
+and both maps return results in shift order, so the merge keeps the
+first strictly larger girth. A task scores each candidate straight
+from the permutation images (no `Btu` or `BipartiteGraph` is built).
+Pruning is always on and uses an advisory incumbent shared by all
+workers: a candidate is discarded only when a cycle of length
+<= incumbent - 2 is found, i.e. only when it is provably *strictly*
+below the final maximum, so pruning and scheduling can never change
+the winner (see `_scan`).
 Since scale_up of a (b*k)-cycle splits into k cycles of length b*k
 against the identity constituent, every candidate's girth is at most
 2*b*k.
@@ -42,29 +44,14 @@ from math import gcd
 from typing import Callable
 
 from .btu import Btu, IncompatiblePermutations
-from .girth import girth_bfs
-from .perm import (
-    Permutation,
-    ScalingStrategy,
-    circulant,
-    enumerate_k_cycles,
-    identity,
-    one_based,
-    scale_up,
-)
+from .girth import flat_adjacency, shortest_cycle
+from .perm import (Permutation, ScalingStrategy, circulant, enumerate_k_cycles, identity,
+                   one_based, scale_up)
 
 __all__ = [
-    "SearchConfig",
-    "SearchResult",
-    "NoValidShift",
-    "valid_shifts",
-    "construct_candidate",
-    "search_r3",
-    "format_report",
-    "report_dict",
+    "SearchConfig", "SearchResult", "NoValidShift", "valid_shifts",
+    "construct_candidate", "search_r3", "format_report", "report_dict",
 ]
-
-_CHUNK = 512  # q1 candidates per worker task
 
 
 class NoValidShift(ValueError):
@@ -129,18 +116,27 @@ def construct_candidate(q1: Permutation, j: int, cfg: SearchConfig) -> Btu:
 
 
 def _evaluate(q1: Permutation, j: int, cfg: SearchConfig, cutoff: int | None) -> int | None:
-    """Exact girth of the candidate, or None when pruned (girth <= cutoff).
+    """Exact girth of candidate (q1, j), or None when pruned (girth <= cutoff).
 
-    Raises IncompatiblePermutations when p1 collides with a constituent.
+    Works on the images of (p1, I, C_j): left i is adjacent to right
+    p1[i], i and i + j mod m. Raises IncompatiblePermutations exactly
+    where `construct_candidate` does: at the first i with p1[i] = i or
+    p1[i] = i + j mod m. I and C_j never collide, since i = i + j mod m
+    would need j = 0 mod m, and 0 < j < m.
     """
-    graph = construct_candidate(q1, j, cfg).to_bipartite()
-    result = girth_bfs(graph, cutoff=cutoff)
-    if result.at_or_below_cutoff:
-        return None
-    return int(result.value)
+    p1 = scale_up(q1, cfg.k, cfg.strategy).image
+    m = len(p1)
+    rows = []
+    for i, v in enumerate(p1):
+        c = (i + j) % m
+        if v == i or v == c:
+            raise IncompatiblePermutations(i, 0, 1 if v == i else 2)
+        rows.append((v, i, c))
+    result = shortest_cycle(flat_adjacency(rows, m), range(m), cutoff)
+    return None if result.at_or_below_cutoff else int(result.value)
 
 
-# Per-search state (cfg, shifts, q1s, incumbent, lock) of a pool worker,
+# Per-search state (cfg, q1s, incumbent, lock) of a pool worker,
 # installed by the pool initializer; a serial scan passes it instead.
 _STATE: tuple = ()
 
@@ -150,13 +146,13 @@ def _install(*state) -> None:
     _STATE = state
 
 
-def _scan(task: tuple[int, int, int], state: tuple = ()) -> tuple[int, int, int, int]:
-    """Evaluate candidates (q1s[lo:hi], shifts[j_idx]) of one task.
+def _scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
+    """Evaluate the candidates (q1, j) of one shift j, for every q1.
 
     Returns (girth, q_idx, evaluated, skipped): the largest exact girth
-    in the task with the index of the first q1 attaining it (girth 0
-    when no candidate got an exact girth), and the numbers of
-    evaluated and incompatible candidates.
+    under j with the index of the first q1 attaining it (girth 0 when
+    no candidate got an exact girth), and the numbers of evaluated and
+    incompatible candidates.
 
     Pruning never changes the winner. The incumbent only ever holds a
     girth some candidate attains, so it never exceeds the final maximum
@@ -168,18 +164,14 @@ def _scan(task: tuple[int, int, int], state: tuple = ()) -> tuple[int, int, int,
     (j ascending, q1 lex) order, whatever the incumbent was when each
     candidate ran.
     """
-    cfg, shifts, q1s, incumbent, lock = state or _STATE
-    j_idx, lo, hi = task
-    j = shifts[j_idx]
-    best_g, best_q = 0, lo
-    evaluated = 0
-    skipped = 0
-    local_incumbent = 0
-    for q_idx in range(lo, hi):
+    cfg, q1s, incumbent, lock = state or _STATE
+    best_g = best_q = local_incumbent = 0
+    evaluated = skipped = 0
+    for q_idx, q1 in enumerate(q1s):
         local_incumbent = max(local_incumbent, incumbent[0])
         cutoff = local_incumbent - 2 if local_incumbent >= 6 else None
         try:
-            g = _evaluate(q1s[q_idx], j, cfg, cutoff)
+            g = _evaluate(q1, j, cfg, cutoff)
         except IncompatiblePermutations:
             skipped += 1
             continue
@@ -202,7 +194,7 @@ def search_r3(
 ) -> SearchResult:
     """Exhaustive scan of the (q1, j) candidate space for r = 3.
 
-    `progress`, when given, is called periodically with
+    `progress`, when given, is called after each shift j with
     (candidates processed, total candidates, best girth so far).
     Deterministic for a fixed cfg regardless of worker_count. A worker
     that dies raises concurrent.futures.process.BrokenProcessPool.
@@ -217,32 +209,26 @@ def search_r3(
         )
     q1s = list(enumerate_k_cycles(cfg.b * cfg.k, cfg.fix_first))
     total = len(shifts) * len(q1s)
-    tasks = [
-        (j_idx, lo, min(lo + _CHUNK, len(q1s)))
-        for j_idx in range(len(shifts))
-        for lo in range(0, len(q1s), _CHUNK)
-    ]
-    workers = min(cfg.worker_count, len(tasks))
+    workers = min(cfg.worker_count, len(shifts))
 
     best_girth, best_j, best_q = 0, 0, 0
-    evaluated = 0
-    skipped = 0
+    evaluated = skipped = 0
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            state = (cfg, shifts, q1s, [0], contextlib.nullcontext())
-            results = map(functools.partial(_scan, state=state), tasks)
+            state = (cfg, q1s, [0], contextlib.nullcontext())
+            results = map(functools.partial(_scan, state=state), shifts)
         else:
             from concurrent.futures import ProcessPoolExecutor
 
             ctx = multiprocessing.get_context("fork")
-            state = (cfg, shifts, q1s, ctx.RawArray("q", 1), ctx.Lock())
+            state = (cfg, q1s, ctx.RawArray("q", 1), ctx.Lock())
             pool = ProcessPoolExecutor(workers, mp_context=ctx, initializer=_install, initargs=state)
             stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(_scan, tasks)
+            results = pool.map(_scan, shifts)
         # results come in scan order, which is the tie-break order
-        for (j_idx, _, _), (g, q_idx, n_eval, n_skip) in zip(tasks, results):
+        for j, (g, q_idx, n_eval, n_skip) in zip(shifts, results):
             if g > best_girth:
-                best_girth, best_j, best_q = g, j_idx, q_idx
+                best_girth, best_j, best_q = g, j, q_idx
             evaluated += n_eval
             skipped += n_skip
             if progress is not None:
@@ -252,7 +238,7 @@ def search_r3(
     return SearchResult(
         best_girth=best_girth,
         witness_q1=q1s[best_q],
-        witness_j=shifts[best_j],
+        witness_j=best_j,
         candidates_evaluated=evaluated,
         skipped_incompatible=skipped,
         elapsed=time.perf_counter() - started,

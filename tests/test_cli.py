@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from girthmax.btu import Btu, write_alist
-from girthmax.cli import emit_table_1, main, parse_args
+from girthmax.cli import _stderr_progress, emit_table_1, main, parse_args
 from girthmax.perm import circulant, identity
+from girthmax.search import SearchConfig, search_r3
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TABLE_2 = """\
 g   n0(g,3)
@@ -248,3 +255,32 @@ class TestSearchCommand:
         capsys.readouterr()
         # subcommands without --jobs do not read the variable
         assert main(["bounds", "--table", "2"]) == 0
+
+    def test_crashed_worker_is_runtime_error(self):
+        # a hung pool fails the subprocess timeout instead of stalling the suite
+        code = (
+            "import os, sys\n"
+            "import girthmax.search as search\n"
+            "from girthmax.cli import main\n"
+            "parent, evaluate = os.getpid(), search._evaluate\n"
+            "def dying(*args):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(3)\n"
+            "    return evaluate(*args)\n"
+            "search._evaluate = dying\n"
+            "sys.exit(main(['search', '--k', '5', '--jobs', '2']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: BrokenProcessPool: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_progress_reported_for_any_k(capsys):
+    search_r3(SearchConfig(k=4), progress=_stderr_progress(interval=0.0))
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith("progress: ") for line in lines)
+    assert lines[-1] == "progress: 24/24 candidates, best girth 6"

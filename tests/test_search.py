@@ -72,6 +72,41 @@ class TestConstructCandidate:
             construct_candidate(Permutation([1, 0]), 4, SearchConfig(k=3))
 
 
+class TestEvaluate:
+    @pytest.mark.parametrize("k, b", [(3, 1), (4, 1), (5, 1), (3, 2)])
+    def test_matches_girth_bfs_on_every_candidate(self, k, b):
+        # the image path against the public path: same prune verdict,
+        # same exact girth, same IncompatiblePermutations
+        incompatible = 0
+        for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
+            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+            for q1, j in candidate_space(cfg):
+                try:
+                    graph = construct_candidate(q1, j, cfg).to_bipartite()
+                except IncompatiblePermutations as exc:
+                    incompatible += 1
+                    for cutoff in (None, 4, 6, 8):
+                        with pytest.raises(IncompatiblePermutations) as got:
+                            girthmax.search._evaluate(q1, j, cfg, cutoff)
+                        assert got.value.args == exc.args
+                    continue
+                for cutoff in (None, 4, 6, 8):
+                    want = girth_bfs(graph, cutoff)
+                    got = girthmax.search._evaluate(q1, j, cfg, cutoff)
+                    assert got == (None if want.at_or_below_cutoff else want.value), (q1, j, cutoff)
+        assert incompatible > 0
+
+    def test_fixed_point_collides_with_identity(self):
+        # search q1s are cycles, so only a hand-made q1 reaches this case
+        cfg = SearchConfig(k=3)
+        q1 = Permutation([0, 2, 1])
+        with pytest.raises(IncompatiblePermutations) as want:
+            construct_candidate(q1, 4, cfg)
+        with pytest.raises(IncompatiblePermutations) as got:
+            girthmax.search._evaluate(q1, 4, cfg, None)
+        assert got.value.args == want.value.args
+
+
 class TestSearchSmall:
     def test_k3_exhaustive_against_oracle(self):
         # 1 q1 x 2 shifts with fix_first; check the maximum by hand
