@@ -80,8 +80,8 @@ class BipartiteGraph:
     """Adjacency view: for each left vertex, the sorted right neighbors.
 
     Vertices are addressed per side (left 0..n_left-1, right
-    0..n_right-1); `girth.flat_adjacency` flattens the rows to a single
-    numbering left i -> i, right c -> n_left + c, used by cycle witnesses.
+    0..n_right-1); the girth module flattens them to a single numbering
+    left i -> i, right c -> n_left + c when it reports cycle witnesses.
     """
 
     __slots__ = ("n_left", "n_right", "adjacency")

@@ -10,8 +10,6 @@ Two deliberately independent engines:
   its own vertices. Each BFS stops expanding once it can no longer beat
   the best cycle seen so far. In a bipartite graph every such walk has
   even length, so the result is even (or infinite on forests).
-  It is `flat_adjacency` plus the BFS core `shortest_cycle`, which the
-  search calls on permutation images without a `BipartiteGraph`.
 
 * `girth_oracle` - exhaustive DFS enumeration of simple cycles, pruned
   only by the best length found so far. Exponential; guarded to at most
@@ -25,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .btu import BipartiteGraph
 
-__all__ = ["GirthResult", "TooLarge", "flat_adjacency", "shortest_cycle", "girth_bfs", "girth_oracle"]
+__all__ = ["GirthResult", "TooLarge", "girth_bfs", "girth_oracle"]
 
 ORACLE_VERTEX_LIMIT = 32
 
@@ -56,9 +54,8 @@ class GirthResult:
         return self.value != inf
 
 
-def flat_adjacency(rows: Sequence[Sequence[int]], n_right: int) -> list[list[int]]:
-    """Adjacency lists of the bipartite graph whose left vertex i has the
-    right neighbours rows[i], in the flattened numbering (order kept)."""
+def _flat_adjacency(rows: Sequence[Sequence[int]], n_right: int) -> list[list[int]]:
+    # left i -> i, right c -> len(rows) + c; neighbour order is kept
     n_left = len(rows)
     adj: list[list[int]] = [[] for _ in range(n_left + n_right)]
     for i, nbrs in enumerate(rows):
@@ -68,17 +65,20 @@ def flat_adjacency(rows: Sequence[Sequence[int]], n_right: int) -> list[list[int
     return adj
 
 
-def shortest_cycle(
-    adj: list[list[int]], roots: Iterable[int], cutoff: int | None = None, want_witness: bool = False
+def girth_bfs(
+    g: BipartiteGraph,
+    cutoff: int | None = None,
+    want_witness: bool = False,
 ) -> GirthResult:
-    """Truncated BFS from each root over flat adjacency lists.
+    """Exact girth of a simple bipartite graph by truncated BFS.
 
-    The girth is exact when every cycle passes through some root (for a
-    bipartite graph, the left vertices suffice). With `cutoff` set,
-    returns early (flagged) as soon as any cycle of length <= cutoff is
-    seen. The verdict and the exact value do not depend on the order of
-    the roots or of the neighbour lists; the witness does.
+    With `cutoff` set, returns early (flagged) as soon as any cycle of
+    length <= cutoff is seen; otherwise the returned value is exact.
+    Only `g.adjacency` (one row of right neighbours per left vertex, in
+    any order) and `g.n_right` are read. The verdict and the value do
+    not depend on the order within a row; the witness does.
     """
+    adj = _flat_adjacency(g.adjacency, g.n_right)
     n = len(adj)
     seen = [0] * n
     dist = [0] * n
@@ -88,7 +88,7 @@ def shortest_cycle(
     best_root = -1
     queue: list[int] = []
 
-    for root in roots:
+    for root in range(len(g.adjacency)):
         stamp += 1
         queue.clear()
         queue.append(root)
@@ -127,16 +127,6 @@ def shortest_cycle(
     if not want_witness:
         return GirthResult(int(best))
     return GirthResult(int(best), witness=_bfs_witness(adj, best_root, int(best)))
-
-
-def girth_bfs(g: BipartiteGraph, cutoff: int | None = None, want_witness: bool = False) -> GirthResult:
-    """Exact girth of a simple bipartite graph by truncated BFS.
-
-    With `cutoff` set, returns early (flagged) as soon as any cycle of
-    length <= cutoff is seen; otherwise the returned value is exact.
-    """
-    adj = flat_adjacency(g.adjacency, g.n_right)
-    return shortest_cycle(adj, range(g.n_left), cutoff, want_witness)
 
 
 def _bfs_witness(adj: list[list[int]], root: int, girth: int) -> tuple[int, ...]:
@@ -185,7 +175,7 @@ def girth_oracle(g: BipartiteGraph) -> GirthResult:
     n = g.n_left + g.n_right
     if n > ORACLE_VERTEX_LIMIT:
         raise TooLarge(f"{n} vertices exceeds the oracle guard of {ORACLE_VERTEX_LIMIT}")
-    adj = flat_adjacency(g.adjacency, g.n_right)
+    adj = _flat_adjacency(g.adjacency, g.n_right)
     best: int | float = inf
     best_witness: tuple[int, ...] | None = None
     on_path = [False] * n

@@ -14,13 +14,11 @@ Candidates are scanned j-major (ascending j, then lex-ascending q1),
 which is exactly the tie-break order. Each shift j is one task; one
 worker function maps over the shifts, in process or on a fork pool,
 and both maps return results in shift order, so the merge keeps the
-first strictly larger girth. A task scores each candidate straight
-from the permutation images (no `Btu` or `BipartiteGraph` is built).
-Pruning is always on and uses an advisory incumbent shared by all
-workers: a candidate is discarded only when a cycle of length
-<= incumbent - 2 is found, i.e. only when it is provably *strictly*
-below the final maximum, so pruning and scheduling can never change
-the winner (see `_scan`).
+first strictly larger girth. Pruning is always on and uses an advisory
+incumbent shared by all workers: a candidate is discarded only when a
+cycle of length <= incumbent - 2 is found, i.e. only when it is
+provably *strictly* below the final maximum, so pruning and scheduling
+can never change the winner (see `_scan`).
 Since scale_up of a (b*k)-cycle splits into k cycles of length b*k
 against the identity constituent, every candidate's girth is at most
 2*b*k.
@@ -41,16 +39,30 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 from math import gcd
+from types import SimpleNamespace
 from typing import Callable
 
 from .btu import Btu, IncompatiblePermutations
-from .girth import flat_adjacency, shortest_cycle
-from .perm import (Permutation, ScalingStrategy, circulant, enumerate_k_cycles, identity,
-                   one_based, scale_up)
+from .girth import girth_bfs
+from .perm import (
+    Permutation,
+    ScalingStrategy,
+    circulant,
+    enumerate_k_cycles,
+    identity,
+    one_based,
+    scale_up,
+)
 
 __all__ = [
-    "SearchConfig", "SearchResult", "NoValidShift", "valid_shifts",
-    "construct_candidate", "search_r3", "format_report", "report_dict",
+    "SearchConfig",
+    "SearchResult",
+    "NoValidShift",
+    "valid_shifts",
+    "construct_candidate",
+    "search_r3",
+    "format_report",
+    "report_dict",
 ]
 
 
@@ -118,11 +130,11 @@ def construct_candidate(q1: Permutation, j: int, cfg: SearchConfig) -> Btu:
 def _evaluate(q1: Permutation, j: int, cfg: SearchConfig, cutoff: int | None) -> int | None:
     """Exact girth of candidate (q1, j), or None when pruned (girth <= cutoff).
 
-    Works on the images of (p1, I, C_j): left i is adjacent to right
-    p1[i], i and i + j mod m. Raises IncompatiblePermutations exactly
-    where `construct_candidate` does: at the first i with p1[i] = i or
-    p1[i] = i + j mod m. I and C_j never collide, since i = i + j mod m
-    would need j = 0 mod m, and 0 < j < m.
+    `girth_bfs` scores the rows (p1[i], i, i + j mod m) of (p1, I, C_j);
+    no `Btu` or `BipartiteGraph` is built. Raises IncompatiblePermutations
+    exactly where `construct_candidate` does: at the first i with
+    p1[i] = i or p1[i] = i + j mod m. I and C_j never collide, since
+    i = i + j mod m would need j = 0 mod m, and 0 < j < m.
     """
     p1 = scale_up(q1, cfg.k, cfg.strategy).image
     m = len(p1)
@@ -132,7 +144,7 @@ def _evaluate(q1: Permutation, j: int, cfg: SearchConfig, cutoff: int | None) ->
         if v == i or v == c:
             raise IncompatiblePermutations(i, 0, 1 if v == i else 2)
         rows.append((v, i, c))
-    result = shortest_cycle(flat_adjacency(rows, m), range(m), cutoff)
+    result = girth_bfs(SimpleNamespace(adjacency=rows, n_right=m), cutoff)
     return None if result.at_or_below_cutoff else int(result.value)
 
 
@@ -165,11 +177,11 @@ def _scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
     candidate ran.
     """
     cfg, q1s, incumbent, lock = state or _STATE
-    best_g = best_q = local_incumbent = 0
-    evaluated = skipped = 0
+    best_g, best_q = 0, 0
+    evaluated = 0
+    skipped = 0
     for q_idx, q1 in enumerate(q1s):
-        local_incumbent = max(local_incumbent, incumbent[0])
-        cutoff = local_incumbent - 2 if local_incumbent >= 6 else None
+        cutoff = incumbent[0] - 2 if incumbent[0] >= 6 else None
         try:
             g = _evaluate(q1, j, cfg, cutoff)
         except IncompatiblePermutations:
@@ -178,8 +190,7 @@ def _scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
         evaluated += 1
         if g is None:
             continue
-        if g > local_incumbent:
-            local_incumbent = g
+        if g > incumbent[0]:
             with lock:
                 if g > incumbent[0]:
                     incumbent[0] = g
@@ -212,7 +223,8 @@ def search_r3(
     workers = min(cfg.worker_count, len(shifts))
 
     best_girth, best_j, best_q = 0, 0, 0
-    evaluated = skipped = 0
+    evaluated = 0
+    skipped = 0
     with contextlib.ExitStack() as stack:
         if workers == 1:
             state = (cfg, q1s, [0], contextlib.nullcontext())

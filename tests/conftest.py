@@ -1,10 +1,28 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from girthmax.btu import Btu
 from girthmax.perm import Permutation, enumerate_k_cycles
 from girthmax.search import SearchConfig, valid_shifts
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# makes every pool worker exit at its first candidate
+_DYING_WORKERS = (
+    "import os, sys\n"
+    "import girthmax.search as search\n"
+    "parent, evaluate = os.getpid(), search._evaluate\n"
+    "def dying(*args):\n"
+    "    if os.getpid() != parent:\n"
+    "        os._exit(3)\n"
+    "    return evaluate(*args)\n"
+    "search._evaluate = dying\n"
+)
 
 
 def random_disjoint_permutation(rng: random.Random, m: int, forbidden: list[set[int]]) -> Permutation:
@@ -56,6 +74,19 @@ def networkx_girth(btu: Btu):
     """Girth of the BTU's graph by networkx, an implementation independent of girth_bfs."""
     nx = pytest.importorskip("networkx")
     return nx.girth(nx.Graph((("row", i), ("col", p[i])) for p in btu.perms for i in range(btu.m)))
+
+
+def run_python(code: str, dying_workers: bool = False) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter on this checkout's sources.
+
+    With `dying_workers`, `search._evaluate` is patched first so that
+    every pool worker dies. The timeout fails a hung pool instead of
+    stalling the suite.
+    """
+    if dying_workers:
+        code = _DYING_WORKERS + code
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
 
 
 @pytest.fixture

@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -11,7 +7,7 @@ from girthmax.cli import _stderr_progress, emit_table_1, main, parse_args
 from girthmax.perm import circulant, identity
 from girthmax.search import SearchConfig, search_r3
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from conftest import run_python
 
 TABLE_2 = """\
 g   n0(g,3)
@@ -257,23 +253,8 @@ class TestSearchCommand:
         assert main(["bounds", "--table", "2"]) == 0
 
     def test_crashed_worker_is_runtime_error(self):
-        # a hung pool fails the subprocess timeout instead of stalling the suite
-        code = (
-            "import os, sys\n"
-            "import girthmax.search as search\n"
-            "from girthmax.cli import main\n"
-            "parent, evaluate = os.getpid(), search._evaluate\n"
-            "def dying(*args):\n"
-            "    if os.getpid() != parent:\n"
-            "        os._exit(3)\n"
-            "    return evaluate(*args)\n"
-            "search._evaluate = dying\n"
-            "sys.exit(main(['search', '--k', '5', '--jobs', '2']))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
-        )
+        code = "from girthmax.cli import main\nsys.exit(main(['search', '--k', '5', '--jobs', '2']))\n"
+        proc = run_python(code, dying_workers=True)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: BrokenProcessPool: "), proc.stderr
         assert "Traceback" not in proc.stderr

@@ -1,9 +1,6 @@
 import concurrent.futures
 import itertools
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -19,9 +16,7 @@ from girthmax.search import (
     valid_shifts,
 )
 
-from conftest import candidate_space
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from conftest import candidate_space, run_python
 
 
 class TestValidShifts:
@@ -236,33 +231,18 @@ class TestPool:
             "girthmax.search_r3(girthmax.SearchConfig(k=4))\n"
             "print('concurrent.futures' in sys.modules)\n"
         )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
-        )
+        proc = run_python(code)
         assert proc.stdout.strip() == "False", proc.stderr
 
     def test_killed_worker_raises_broken_pool(self):
-        # a hung pool fails the subprocess timeout instead of stalling the suite
         code = (
-            "import os\n"
             "from concurrent.futures.process import BrokenProcessPool\n"
-            "import girthmax.search as search\n"
-            "parent, evaluate = os.getpid(), search._evaluate\n"
-            "def dying(*args):\n"
-            "    if os.getpid() != parent:\n"
-            "        os._exit(3)\n"
-            "    return evaluate(*args)\n"
-            "search._evaluate = dying\n"
             "try:\n"
             "    search.search_r3(search.SearchConfig(k=5, worker_count=2))\n"
             "except BrokenProcessPool:\n"
             "    print('BrokenProcessPool')\n"
         )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
-        )
+        proc = run_python(code, dying_workers=True)
         assert proc.stdout.strip() == "BrokenProcessPool", proc.stderr
 
 
