@@ -131,13 +131,15 @@ def gmax_upper(m: int, r: int) -> int:
 
 
 def gmax_report(m: int, r: int) -> BoundReport:
+    """factorize_bk(m, r) and the claimed ceiling gmax_upper(m, r) (r >= 3)."""
+    ceiling = gmax_upper(m, r)
     f = factorize_bk(m, r)
     return BoundReport(
         query=(("m", m), ("r", r)),
         entries=(
             BoundEntry("b", f.b, "claimed", "girth"),
             BoundEntry("k", f.k, "claimed", "girth"),
-            BoundEntry("claimed_ceiling", 2 * f.k - 2, "claimed", "girth"),
+            BoundEntry("claimed_ceiling", ceiling, "claimed", "girth"),
         ),
     )
 

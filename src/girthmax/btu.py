@@ -18,11 +18,12 @@ index lists, see `write_alist`), DIMACS edge format (left vertices
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .perm import Permutation, compose, identity, inverse
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Btu",
@@ -153,6 +154,8 @@ class BinaryMatrix:
 
     def to_array(self) -> np.ndarray:
         """Dense numpy uint8 view."""
+        import numpy as np
+
         a = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
         for i, r in enumerate(self.rows):
             a[i, list(r)] = 1
@@ -355,10 +358,13 @@ def read_alist(text: str) -> BinaryMatrix:
 def btu_from_matrix(mat: BinaryMatrix) -> Btu:
     """Recover a permutation decomposition of a regular square matrix.
 
-    Peels off perfect matchings greedily (augmenting-path matching, rows
-    in ascending order), so any r-regular square matrix decomposes; the
-    constituent order is the greedy extraction order, which need not be
-    the order some original BTU was built with. Raises
+    Peels off perfect matchings greedily, so any r-regular square matrix
+    decomposes (an r-regular bipartite graph has a perfect matching, and
+    removing it leaves an (r-1)-regular one). Each matching is grown row
+    by row in ascending order along a shortest augmenting path, found
+    breadth-first over alternating edges, so the chain length costs no
+    stack. The constituent order is the greedy extraction order, which
+    need not be the order some original BTU was built with. Raises
     DecompositionFailed for non-square or irregular matrices.
     """
     m = mat.n_rows
@@ -373,23 +379,29 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
     perms = []
     for _ in range(r):
         match_of_col = [-1] * m  # col -> row
-
-        def try_assign(row: int, banned: set[int]) -> bool:
-            for c in remaining[row]:
-                if c in banned:
-                    continue
-                banned.add(c)
-                if match_of_col[c] == -1 or try_assign(match_of_col[c], banned):
-                    match_of_col[c] = row
-                    return True
-            return False
-
+        image = [-1] * m  # row -> col
         for row in range(m):
-            if not try_assign(row, set()):
+            via: dict[int, int] = {}  # column -> the row it was reached from
+            frontier = [row]
+            free = -1
+            for x in frontier:  # grows while it is walked: breadth-first
+                for c in remaining[x]:
+                    if c not in via:
+                        via[c] = x
+                        if match_of_col[c] == -1:
+                            free = c
+                            break
+                        frontier.append(match_of_col[c])
+                if free != -1:
+                    break
+            if free == -1:
                 raise DecompositionFailed(f"no perfect matching found at extraction {len(perms)}")
-        image = [0] * m
-        for c, row in enumerate(match_of_col):
-            image[row] = c
+            while free != -1:  # flip the path back to `row`, whose old column is -1
+                x = via[free]
+                previous = image[x]
+                image[x] = free
+                match_of_col[free] = x
+                free = previous
         perms.append(Permutation(image))
         for row in range(m):
             remaining[row].remove(image[row])
@@ -418,10 +430,11 @@ def read_dimacs(text: str) -> BinaryMatrix:
     """Parse DIMACS edge text written by write_dimacs back into a matrix.
 
     Expects the bipartite convention above: an even vertex count 2m with
-    every edge joining 1..m to m+1..2m.
+    every edge joining 1..m to m+1..2m, each edge listed once (in either
+    orientation).
     """
     n_vertices = None
-    edges = []
+    edges: dict[tuple[int, int], int] = {}  # (low, high) endpoint -> line
     declared_edges = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -435,7 +448,10 @@ def read_dimacs(text: str) -> BinaryMatrix:
         elif fields[0] == "e":
             if len(fields) != 3:
                 raise MalformedDimacs(f"line {lineno}: bad edge line {raw!r}")
-            edges.append((int(fields[1]), int(fields[2])))
+            edge = tuple(sorted((int(fields[1]), int(fields[2]))))
+            if edge in edges:
+                raise MalformedDimacs(f"line {lineno}: edge {edge} repeats line {edges[edge]}")
+            edges[edge] = lineno
         else:
             raise MalformedDimacs(f"line {lineno}: unknown record {fields[0]!r}")
     if n_vertices is None:
@@ -447,8 +463,6 @@ def read_dimacs(text: str) -> BinaryMatrix:
     m = n_vertices // 2
     rows: list[list[int]] = [[] for _ in range(m)]
     for u, v in edges:
-        if u > v:
-            u, v = v, u
         if not (1 <= u <= m < v <= 2 * m):
             raise MalformedDimacs(f"edge ({u}, {v}) does not join left 1..{m} to right {m + 1}..{2 * m}")
         rows[u - 1].append(v - m - 1)
@@ -462,8 +476,13 @@ def read_dimacs(text: str) -> BinaryMatrix:
 def write_dense(x: "Btu | BinaryMatrix") -> str:
     """Debug view: one line of '0'/'1' characters per matrix row."""
     mat = _as_matrix(x)
-    a = mat.to_array()
-    return "\n".join("".join("1" if v else "0" for v in row) for row in a) + "\n"
+    lines = []
+    for row in mat.rows:
+        cells = ["0"] * mat.n_cols
+        for c in row:
+            cells[c] = "1"
+        lines.append("".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def read_dense(text: str) -> BinaryMatrix:

@@ -147,13 +147,7 @@ def _stderr_progress(interval: float = 5.0) -> Callable[[int, int, int], None]:
     return emit
 
 
-def emit_table_1(
-    max_k: int,
-    b: int = 1,
-    strategy: ScalingStrategy = ScalingStrategy.INTERLEAVED,
-    fix_first: bool = False,
-    jobs: int = 1,
-) -> str:
+def emit_table_1(max_k: int, jobs: int = 1) -> str:
     """Search results table: rows (k, m, r, girth) for k = 5..max_k.
 
     Always recomputed by running the search (interleaved scaling, full
@@ -166,9 +160,7 @@ def emit_table_1(
     headers = ["k", "m", "r", "girth"]
     rows = []
     for k in range(5, max_k + 1):
-        cfg = SearchConfig(
-            k=k, b=b, strategy=strategy, fix_first=fix_first, worker_count=jobs
-        )
+        cfg = SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED, worker_count=jobs)
         try:
             result = search_r3(cfg, progress=_stderr_progress())
         except Exception as exc:  # a failed row must not kill the remaining rows

@@ -9,7 +9,8 @@ Two deliberately independent engines:
   exactly the girth, because the shortest cycle is detected from any of
   its own vertices. Each BFS stops expanding once it can no longer beat
   the best cycle seen so far. In a bipartite graph every such walk has
-  even length, so the result is even (or infinite on forests).
+  even length, so the result is even (or infinite on forests). The
+  witness is read off the BFS tree of the same pass.
 
 * `girth_oracle` - exhaustive DFS enumeration of simple cycles, pruned
   only by the best length found so far. Exponential; guarded to at most
@@ -76,7 +77,10 @@ def girth_bfs(
     length <= cutoff is seen; otherwise the returned value is exact.
     Only `g.adjacency` (one row of right neighbours per left vertex, in
     any order) and `g.n_right` are read. The verdict and the value do
-    not depend on the order within a row; the witness does.
+    not depend on the order within a row; the witness does. With
+    `want_witness` (and no early return) the witness is the cycle closed
+    by the edge that last lowered the best length: the two BFS-tree
+    paths from that root to the edge's ends, joined by the edge.
     """
     adj = _flat_adjacency(g.adjacency, g.n_right)
     n = len(adj)
@@ -85,7 +89,7 @@ def girth_bfs(
     parent = [-1] * n
     stamp = 0
     best: int | float = inf
-    best_root = -1
+    witness: list[int] = []
     queue: list[int] = []
 
     for root in range(len(g.adjacency)):
@@ -117,50 +121,27 @@ def girth_bfs(
                     cycle_len = du + dist[w] + 1
                     if cycle_len < best:
                         best = cycle_len
-                        best_root = root
                         if cutoff is not None and best <= cutoff:
                             return GirthResult(int(best), at_or_below_cutoff=True)
+                        if want_witness:
+                            # root..u, then w..(just before root); at the last
+                            # improvement the two tree paths share only the
+                            # root, or a shorter cycle would exist
+                            witness.clear()
+                            x = u
+                            while x != -1:
+                                witness.append(x)
+                                x = parent[x]
+                            witness.reverse()
+                            x = w
+                            while x != root:
+                                witness.append(x)
+                                x = parent[x]
         if best == 4:
             break  # simple bipartite graphs have girth >= 4
     if best == inf:
         return GirthResult(inf)
-    if not want_witness:
-        return GirthResult(int(best))
-    return GirthResult(int(best), witness=_bfs_witness(adj, best_root, int(best)))
-
-
-def _bfs_witness(adj: list[list[int]], root: int, girth: int) -> tuple[int, ...]:
-    # Re-run the BFS from the winning root and extract the two tree paths
-    # behind the first non-tree edge that achieves the girth. Their only
-    # shared vertex is the root (otherwise a shorter cycle would exist).
-    dist = {root: 0}
-    parent = {root: -1}
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        du = dist[u]
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = du + 1
-                parent[w] = u
-                if (du + 1) * 2 <= girth:
-                    queue.append(w)
-            elif w != parent[u] and du + dist[w] + 1 == girth:
-                path_u = []
-                x = u
-                while x != -1:
-                    path_u.append(x)
-                    x = parent[x]
-                path_w = []
-                x = w
-                while x != -1:
-                    path_w.append(x)
-                    x = parent[x]
-                # root..u then w..(just before root)
-                return tuple(reversed(path_u)) + tuple(path_w[:-1])
-    raise AssertionError(f"no cycle of length {girth} re-found from root {root}")
+    return GirthResult(int(best), witness=tuple(witness) if want_witness else None)
 
 
 def girth_oracle(g: BipartiteGraph) -> GirthResult:

@@ -56,6 +56,8 @@ class TestGmax:
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
             gmax_upper(25, 2)
+        with pytest.raises(ValueError, match="r >= 3"):
+            gmax_report(49, 2)
 
     def test_report(self):
         rep = gmax_report(49, 3)

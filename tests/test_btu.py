@@ -22,7 +22,7 @@ from girthmax.btu import (
 from girthmax.girth import girth_oracle
 from girthmax.perm import Permutation, circulant, identity, relative_cycle_type
 
-from conftest import random_btu
+from conftest import random_btu, run_python
 
 HEAWOOD = Btu([circulant(7, 0), circulant(7, 1), circulant(7, 3)])
 ALL_ONES_3 = Btu([identity(3), circulant(3, 1), circulant(3, 2)])
@@ -210,6 +210,14 @@ class TestAlist:
         with pytest.raises(DecompositionFailed):
             btu_from_matrix(mat)
 
+    def test_recovery_at_large_m(self):
+        # long augmenting chains: a recursive matcher overflowed the stack here
+        m = 1200
+        for perms in ([identity(m), circulant(m, 1)], [identity(m), circulant(m, 1), circulant(m, 3)]):
+            b = Btu(perms)
+            rec = btu_from_matrix(b.matrix())
+            assert rec.matrix() == b.matrix()
+
 
 class TestDimacs:
     def test_matching_lines(self):
@@ -242,6 +250,12 @@ class TestDimacs:
         with pytest.raises(MalformedDimacs):
             read_dimacs("e 1 2\n")
 
+    def test_rejects_duplicate_edge(self):
+        text = write_dimacs(ALL_ONES_3).replace("p edge 6 9", "p edge 6 10")
+        for repeat in ("e 1 4", "e 4 1"):
+            with pytest.raises(MalformedDimacs, match="line 11: edge \\(1, 4\\) repeats line 2"):
+                read_dimacs(text + repeat + "\n")
+
 
 class TestDense:
     def test_write(self):
@@ -259,3 +273,13 @@ class TestDense:
     def test_to_array(self):
         a = ALL_ONES_3.to_array()
         assert a.shape == (3, 3) and a.sum() == 9
+
+    def test_import_search_and_dense_leave_numpy_unloaded(self):
+        proc = run_python(
+            "import sys, girthmax\n"
+            "girthmax.search_r3(girthmax.SearchConfig(k=4, strategy='interleaved'))\n"
+            "girthmax.write_dense(girthmax.Btu([girthmax.identity(3)]))\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from girthmax import cli
 from girthmax.btu import Btu, write_alist
 from girthmax.cli import _stderr_progress, emit_table_1, main, parse_args
 from girthmax.perm import circulant, identity
@@ -100,6 +101,13 @@ class TestBoundsCommand:
         assert main(["bounds", "--gmax", "25", "3"]) == 0
         assert "claimed_ceiling: 8" in capsys.readouterr().out
 
+    def test_gmax_rejects_r2(self, capsys):
+        # [I_49, C_1] has girth 98, so a 2k - 2 = 96 ceiling would be false
+        assert main(["bounds", "--gmax", "49", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: ValueError: the girth ceiling is only claimed for r >= 3" in captured.err
+
     def test_byte_identical_across_runs(self, capsys):
         main(["bounds", "--table", "5"])
         first = capsys.readouterr().out
@@ -138,14 +146,13 @@ class TestEmitTable1:
         assert lines[1].split() == ["5", "25", "3", "8"]
         assert lines[2].split() == ["6", "36", "3", "8"]
 
-    def test_block_strategy_flagged(self, capsys):
-        # with block scaling k=5 stays below the published value; the row
-        # is still emitted and a note goes to stderr
-        from girthmax.perm import ScalingStrategy
-
-        text = emit_table_1(5, strategy=ScalingStrategy.BLOCK)
-        assert text.splitlines()[1].split() == ["5", "25", "3", "6"]
-        assert "differs from published" in capsys.readouterr().err
+    def test_block_strategy_flagged(self, capsys, monkeypatch):
+        # a computed girth that differs from the published one is still
+        # emitted, and a note goes to stderr
+        monkeypatch.setitem(cli.TABLE_GIRTHS, 5, 10)
+        text = emit_table_1(5)
+        assert text.splitlines()[1].split() == ["5", "25", "3", "8"]
+        assert "differs from published 10" in capsys.readouterr().err
 
     def test_max_k_validation(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,13 @@ class TestWitnesses:
             res = girth_bfs(graph, want_witness=True)
             if res.is_finite:
                 check_witness(graph, res.witness, res.value)
+        # beyond the oracle's size guard: networkx checks the value
+        for _ in range(30):
+            b = random_btu(rng, rng.randint(3, 100), 3)
+            graph = b.to_bipartite()
+            res = girth_bfs(graph, want_witness=True)
+            assert res.value == networkx_girth(b), b
+            check_witness(graph, res.witness, res.value)
 
     def test_oracle_witness_valid_and_canonical(self, rng):
         for _ in range(25):
