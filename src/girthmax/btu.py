@@ -429,11 +429,13 @@ def write_dimacs(x: "Btu | BinaryMatrix") -> str:
 def read_dimacs(text: str) -> BinaryMatrix:
     """Parse DIMACS edge text written by write_dimacs back into a matrix.
 
-    Expects the bipartite convention above: an even vertex count 2m with
-    every edge joining 1..m to m+1..2m, each edge listed once (in either
-    orientation).
+    Expects the bipartite convention above: one problem line, an even
+    vertex count 2m with every edge joining 1..m to m+1..2m, each edge
+    listed once (in either orientation). Anything else, a non-integer
+    field included, raises MalformedDimacs.
     """
     n_vertices = None
+    problem_line = 0
     edges: dict[tuple[int, int], int] = {}  # (low, high) endpoint -> line
     declared_edges = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -444,11 +446,21 @@ def read_dimacs(text: str) -> BinaryMatrix:
         if fields[0] == "p":
             if len(fields) != 4 or fields[1] != "edge":
                 raise MalformedDimacs(f"line {lineno}: bad problem line {raw!r}")
-            n_vertices, declared_edges = int(fields[2]), int(fields[3])
+            if problem_line:
+                raise MalformedDimacs(f"line {lineno}: second problem line (first on line {problem_line})")
+            try:
+                n_vertices, declared_edges = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise MalformedDimacs(f"line {lineno}: non-integer field in {raw!r}") from None
+            problem_line = lineno
         elif fields[0] == "e":
             if len(fields) != 3:
                 raise MalformedDimacs(f"line {lineno}: bad edge line {raw!r}")
-            edge = tuple(sorted((int(fields[1]), int(fields[2]))))
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise MalformedDimacs(f"line {lineno}: non-integer field in {raw!r}") from None
+            edge = (u, v) if u < v else (v, u)
             if edge in edges:
                 raise MalformedDimacs(f"line {lineno}: edge {edge} repeats line {edges[edge]}")
             edges[edge] = lineno

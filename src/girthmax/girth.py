@@ -2,15 +2,30 @@
 
 Two deliberately independent engines:
 
-* `girth_bfs` - BFS from every left vertex (every cycle alternates
-  sides, so left roots suffice). From a root, a non-tree edge between
-  vertices at depths d1 and d2 closes a closed walk of length
-  d1 + d2 + 1 through the root; the minimum over all roots and edges is
-  exactly the girth, because the shortest cycle is detected from any of
-  its own vertices. Each BFS stops expanding once it can no longer beat
-  the best cycle seen so far. In a bipartite graph every such walk has
-  even length, so the result is even (or infinite on forests). The
-  witness is read off the BFS tree of the same pass.
+* `girth_bfs` - truncated BFS from every left vertex (every cycle
+  alternates sides, so left roots suffice), cut by two reductions, each
+  exact for the reason given:
+
+  - *Depth bound.* A BFS expands depth d only while 2d + 2 < best.
+    Until it sees its first non-tree edge, every edge between depths
+    d - 1 and d is a tree edge, so the first non-tree edge, seen from
+    depth d, goes to depth d + 1 (depth d is on the same side) and
+    closes a walk of length exactly 2d + 2 through the root. Nothing
+    shorter can follow, so that BFS ends there. A shortest cycle C, of
+    length 2L, through the root lies within depth L and has an edge
+    that is not a tree edge; that edge is seen from some depth
+    d <= L - 1, so the BFS closes a walk of length <= 2L unless best is
+    already <= 2L.
+  - *Root deletion.* A finished left root is deleted from a private
+    copy of the right side's lists (the input is not touched). After
+    its BFS, best <= every cycle through it, so later roots lose
+    nothing: the smallest left vertex on a shortest cycle still sees
+    the whole cycle. A walk closed in the smaller graph is one of the
+    full graph and contains a cycle, so best never drops below the
+    girth.
+
+  The result is therefore exactly the girth: even, or infinite on
+  forests. The witness is read off the BFS tree of the same pass.
 
 * `girth_oracle` - exhaustive DFS enumeration of simple cycles, pruned
   only by the best length found so far. Exponential; guarded to at most
@@ -42,8 +57,9 @@ class GirthResult:
     """Shortest-cycle length; inf when the graph is acyclic.
 
     When `at_or_below_cutoff` is set the search stopped early: `value`
-    is the length of some cycle that is <= the requested cutoff (an
-    upper bound on the true girth, sufficient for search pruning).
+    is the length of some closed walk that is <= the requested cutoff
+    and contains a cycle (an upper bound on the true girth, sufficient
+    for search pruning).
     """
 
     value: int | float
@@ -55,15 +71,66 @@ class GirthResult:
         return self.value != inf
 
 
+def _columns(rows: Sequence[Sequence[int]], n_right: int) -> list[list[int]]:
+    # left neighbours of each right vertex, in row order
+    cols: list[list[int]] = [[] for _ in range(n_right)]
+    for i, nbrs in enumerate(rows):
+        for c in nbrs:
+            cols[c].append(i)
+    return cols
+
+
 def _flat_adjacency(rows: Sequence[Sequence[int]], n_right: int) -> list[list[int]]:
     # left i -> i, right c -> len(rows) + c; neighbour order is kept
     n_left = len(rows)
-    adj: list[list[int]] = [[] for _ in range(n_left + n_right)]
-    for i, nbrs in enumerate(rows):
-        adj[i] = [n_left + c for c in nbrs]
-        for c in nbrs:
-            adj[n_left + c].append(i)
-    return adj
+    return [[n_left + c for c in nbrs] for nbrs in rows] + _columns(rows, n_right)
+
+
+def _first_closing_edge(
+    adj: tuple[Sequence[Sequence[int]], list[list[int]]],
+    seen: tuple[list[int], list[int]],
+    parent: tuple[list[int], list[int]],
+    root: int,
+    best: int | float,
+) -> tuple[int, int, int] | None:
+    """BFS from left `root`, expanding depth d only while 2d + 2 < best.
+
+    `adj`, `seen` and `parent` are (left, right) pairs of per-side lists;
+    depth d lies on side d % 2. Returns (d, u, w) for the first non-tree
+    edge u-w, seen from u at depth d, or None.
+    """
+    stamp = root + 1
+    seen[0][root] = stamp
+    parent[0][root] = -1
+    frontier = [root]
+    depth = 0
+    while frontier and depth + depth + 2 < best:
+        side = depth & 1
+        nbrs, up = adj[side], parent[side]
+        seen_next, down = seen[side ^ 1], parent[side ^ 1]
+        nxt = []
+        for u in frontier:
+            pu = up[u]
+            for w in nbrs[u]:
+                if seen_next[w] != stamp:
+                    seen_next[w] = stamp
+                    down[w] = u
+                    nxt.append(w)
+                elif w != pu:
+                    return depth, u, w
+        frontier = nxt
+        depth += 1
+    return None
+
+
+def _tree_path(parent: tuple[list[int], list[int]], x: int, side: int, n_left: int) -> list[int]:
+    # flat vertices from x on `side` up to the root of the BFS tree
+    path = []
+    while x != -1:
+        path.append(x + side * n_left)
+        x = parent[side][x]
+        side ^= 1
+    return path
 
 
 def girth_bfs(
@@ -76,72 +143,42 @@ def girth_bfs(
     With `cutoff` set, returns early (flagged) as soon as any cycle of
     length <= cutoff is seen; otherwise the returned value is exact.
     Only `g.adjacency` (one row of right neighbours per left vertex, in
-    any order) and `g.n_right` are read. The verdict and the value do
-    not depend on the order within a row; the witness does. With
-    `want_witness` (and no early return) the witness is the cycle closed
-    by the edge that last lowered the best length: the two BFS-tree
-    paths from that root to the edge's ends, joined by the edge.
+    any order) and `g.n_right` are read, and neither is changed. The
+    verdict and the value do not depend on the order within a row; the
+    witness does. Each BFS is cut at the depth bound and each finished
+    root is deleted from a private copy (module docstring: both keep the
+    result exact). With `want_witness` (and no early return) the witness
+    is the cycle closed by the edge that last lowered the best length:
+    the two BFS-tree paths from that root to the edge's ends, joined by
+    the edge. They share only the root, or a shorter cycle would exist.
     """
-    adj = _flat_adjacency(g.adjacency, g.n_right)
-    n = len(adj)
-    seen = [0] * n
-    dist = [0] * n
-    parent = [-1] * n
-    stamp = 0
+    rows = g.adjacency
+    n_left = len(rows)
+    cols = _columns(rows, g.n_right)
+    adj = (rows, cols)
+    seen = ([0] * n_left, [0] * g.n_right)
+    parent = ([-1] * n_left, [-1] * g.n_right)
     best: int | float = inf
-    witness: list[int] = []
-    queue: list[int] = []
+    witness = None
 
-    for root in range(len(g.adjacency)):
-        stamp += 1
-        queue.clear()
-        queue.append(root)
-        seen[root] = stamp
-        dist[root] = 0
-        parent[root] = -1
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            if du + du + 2 > best:
-                # any cycle detected from here on is longer than best
-                break
-            pu = parent[u]
-            for w in adj[u]:
-                if seen[w] != stamp:
-                    seen[w] = stamp
-                    dw = du + 1
-                    dist[w] = dw
-                    parent[w] = u
-                    # vertices deeper than (best-2)/2 cannot start a better cycle
-                    if dw + dw < best:
-                        queue.append(w)
-                elif w != pu:
-                    cycle_len = du + dist[w] + 1
-                    if cycle_len < best:
-                        best = cycle_len
-                        if cutoff is not None and best <= cutoff:
-                            return GirthResult(int(best), at_or_below_cutoff=True)
-                        if want_witness:
-                            # root..u, then w..(just before root); at the last
-                            # improvement the two tree paths share only the
-                            # root, or a shorter cycle would exist
-                            witness.clear()
-                            x = u
-                            while x != -1:
-                                witness.append(x)
-                                x = parent[x]
-                            witness.reverse()
-                            x = w
-                            while x != root:
-                                witness.append(x)
-                                x = parent[x]
-        if best == 4:
-            break  # simple bipartite graphs have girth >= 4
-    if best == inf:
-        return GirthResult(inf)
-    return GirthResult(int(best), witness=tuple(witness) if want_witness else None)
+    for root in range(n_left):
+        closed = _first_closing_edge(adj, seen, parent, root, best)
+        if closed is not None:
+            depth, u, w = closed
+            best = depth + depth + 2
+            if cutoff is not None and best <= cutoff:
+                return GirthResult(best, at_or_below_cutoff=True)
+            if want_witness:
+                # root..u, then w..(just before root)
+                side = depth & 1
+                there = _tree_path(parent, u, side, n_left)
+                back = _tree_path(parent, w, side ^ 1, n_left)
+                witness = tuple(there[::-1] + back[:-1])
+            if best == 4:
+                break  # simple bipartite graphs have girth >= 4
+        for c in rows[root]:
+            cols[c].remove(root)
+    return GirthResult(best, witness=witness)
 
 
 def girth_oracle(g: BipartiteGraph) -> GirthResult:

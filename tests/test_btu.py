@@ -256,6 +256,15 @@ class TestDimacs:
             with pytest.raises(MalformedDimacs, match="line 11: edge \\(1, 4\\) repeats line 2"):
                 read_dimacs(text + repeat + "\n")
 
+    def test_rejects_second_problem_line(self):
+        with pytest.raises(MalformedDimacs, match="line 3: second problem line \\(first on line 1\\)"):
+            read_dimacs("p edge 6 1\ne 1 4\np edge 4 1\n")
+
+    def test_non_integer_field_names_line(self):
+        for text, lineno in (("p edge 6 x\n", 1), ("p edge 6 1\nc note\ne 1 x\n", 3)):
+            with pytest.raises(MalformedDimacs, match=f"line {lineno}: non-integer field"):
+                read_dimacs(text)
+
 
 class TestDense:
     def test_write(self):

@@ -1,4 +1,5 @@
 from math import inf
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,21 @@ def check_witness(graph: BipartiteGraph, witness, length):
         left, right = (a, b) if a < n_left else (b, a)
         assert left < n_left <= right, "vertices must alternate sides"
         assert (right - n_left) in graph.adjacency[left]
+
+
+def union(*graphs: BipartiteGraph) -> BipartiteGraph:
+    """Disjoint union; left and right vertices keep the order given."""
+    rows: list[list[int]] = []
+    n_right = 0
+    for g in graphs:
+        rows.extend([n_right + c for c in nbrs] for nbrs in g.adjacency)
+        n_right += g.n_right
+    return BipartiteGraph(len(rows), n_right, rows)
+
+
+def ring(m: int) -> BipartiteGraph:
+    """[I_m, C_1]: one 2m-cycle."""
+    return Btu([identity(m), circulant(m, 1)]).to_bipartite()
 
 
 class TestKnownGraphs:
@@ -131,9 +147,59 @@ class TestCutoff:
                 else:
                     assert res.value == exact
 
+    def test_cutoff_just_below_girth_is_exact(self, rng):
+        # beyond the oracle's size guard too: networkx is the reference
+        for _ in range(40):
+            b = random_btu(rng, rng.randint(3, 80), 3)
+            girth = networkx_girth(b)
+            graph = b.to_bipartite()
+            below = girth_bfs(graph, cutoff=girth - 2)
+            assert (below.value, below.at_or_below_cutoff) == (girth, False), b
+            at = girth_bfs(graph, cutoff=girth)
+            assert (at.value, at.at_or_below_cutoff) == (girth, True), b
+
     def test_no_cutoff_never_flags(self, rng):
         b = random_btu(rng, 8, 3)
         assert not girth_bfs(b.to_bipartite()).at_or_below_cutoff
+
+
+class TestWorkingCopy:
+    def test_input_rows_untouched(self, rng):
+        for _ in range(20):
+            b = random_btu(rng, rng.randint(3, 60), 3)
+            rows = [list(nbrs) for nbrs in b.to_bipartite().adjacency]
+            graph = SimpleNamespace(adjacency=rows, n_right=b.m)
+            before = [list(nbrs) for nbrs in rows]
+            for cutoff in (None, 4, 6, 8):
+                girth_bfs(graph, cutoff, want_witness=True)
+                assert graph.adjacency is rows and rows == before
+
+    def test_shortest_cycles_avoid_left_zero(self):
+        # left 0 lies on a longer cycle, or in a component with none
+        matching = Btu([identity(3)]).to_bipartite()
+        for graph, expected in (
+            (union(ring(4), HEAWOOD), 6),
+            (union(ring(5), matching, HEAWOOD, ring(3)), 6),
+            (union(ring(20), ring(20), HEAWOOD), 6),
+            (union(matching, ring(4), K33), 4),
+        ):
+            res = girth_bfs(graph, want_witness=True)
+            assert res.value == expected
+            check_witness(graph, res.witness, expected)
+            if graph.n_left + graph.n_right <= 32:
+                assert girth_oracle(graph).value == expected
+
+    def test_disjoint_unions(self, rng):
+        for _ in range(20):
+            parts = [random_btu(rng, rng.randint(3, 40), rng.randint(2, 3)) for _ in range(rng.randint(2, 4))]
+            graph = union(*(b.to_bipartite() for b in parts))
+            expected = min(networkx_girth(b) for b in parts)
+            res = girth_bfs(graph, want_witness=True)
+            assert res.value == expected, parts
+            check_witness(graph, res.witness, expected)
+            for cutoff in (expected - 2, expected):
+                cut = girth_bfs(graph, cutoff)
+                assert (cut.value, cut.at_or_below_cutoff) == (expected, cutoff == expected)
 
 
 class TestOracleGuard:
