@@ -452,6 +452,8 @@ def read_dimacs(text: str) -> BinaryMatrix:
                 n_vertices, declared_edges = int(fields[2]), int(fields[3])
             except ValueError:
                 raise MalformedDimacs(f"line {lineno}: non-integer field in {raw!r}") from None
+            if n_vertices < 0 or declared_edges < 0:
+                raise MalformedDimacs(f"line {lineno}: negative count in {raw!r}")
             problem_line = lineno
         elif fields[0] == "e":
             if len(fields) != 3:

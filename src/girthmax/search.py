@@ -12,13 +12,23 @@ the result is reproducible for any worker count.
 
 Candidates are scanned j-major (ascending j, then lex-ascending q1),
 which is exactly the tie-break order. Each shift j is one task; one
-worker function maps over the shifts, in process or on a fork pool,
-and both maps return results in shift order, so the merge keeps the
-first strictly larger girth. Pruning is always on and uses an advisory
-incumbent shared by all workers: a candidate is discarded only when a
-cycle of length <= incumbent - 2 is found, i.e. only when it is
-provably *strictly* below the final maximum, so pruning and scheduling
-can never change the winner (see `_scan`).
+worker function maps over the shifts, in process or, for searches
+large enough to repay it (`_POOL_MIN_PAIRS`), on a fork pool, and both
+maps return results in shift order, so the merge keeps the first
+strictly larger girth. There are two worker functions:
+
+* `_level_scan`, the level engine, for searches of at least
+  `_LEVEL_MIN_CANDIDATES` candidates. It gets every candidate's exact
+  girth from batched non-backtracking walks and keeps no incumbent.
+  The engine is the private module `_levels`, which holds its proofs;
+  it loads numpy and is imported only when a search uses it.
+* `_scan` for smaller searches, which do not repay numpy's import. It
+  runs `girth_bfs` per candidate with an advisory incumbent, the best
+  girth its process has seen: a candidate is discarded only when a
+  cycle of length <= incumbent - 2 is found, i.e. only when it is
+  provably *strictly* below the final maximum, so pruning and
+  scheduling can never change the winner.
+
 Since scale_up of a (b*k)-cycle splits into k cycles of length b*k
 against the identity constituent, every candidate's girth is at most
 2*b*k.
@@ -148,8 +158,9 @@ def _evaluate(q1: Permutation, j: int, cfg: SearchConfig, cutoff: int | None) ->
     return None if result.at_or_below_cutoff else int(result.value)
 
 
-# Per-search state (cfg, q1s, incumbent, lock) of a pool worker,
-# installed by the pool initializer; a serial scan passes it instead.
+# Per-search state of a pool worker, installed by the pool initializer;
+# a serial scan passes it instead. (cfg, q1s, incumbent) for `_scan`,
+# (cfg, p, pinv, scratch) for `_level_scan`.
 _STATE: tuple = ()
 
 
@@ -176,7 +187,7 @@ def _scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
     (j ascending, q1 lex) order, whatever the incumbent was when each
     candidate ran.
     """
-    cfg, q1s, incumbent, lock = state or _STATE
+    cfg, q1s, incumbent = state or _STATE
     best_g, best_q = 0, 0
     evaluated = 0
     skipped = 0
@@ -190,13 +201,57 @@ def _scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
         evaluated += 1
         if g is None:
             continue
-        if g > incumbent[0]:
-            with lock:
-                if g > incumbent[0]:
-                    incumbent[0] = g
+        incumbent[0] = max(incumbent[0], g)
         if g > best_g:
             best_g, best_q = g, q_idx
     return best_g, best_q, evaluated, skipped
+
+
+# Searches of at least this many candidates run on the level engine.
+# Measured with each search in a fresh interpreter, imports included,
+# 1 worker, on a 2-vCPU Xeon (Python 3.11, numpy 2.4): numpy's import
+# costs the engine about 0.17 s, which BFS overtakes at about 3,000
+# candidates under interleaved scaling (1,440: BFS 0.11 s, engine
+# 0.19 s; 3,600: 0.22 s and 0.19 s) and about 1,400 under block scaling
+# (1,440: 0.23 s and 0.22 s). Table 1 rows k <= 6 (at most 960
+# candidates, 1,440 without the j filter) stay on BFS; k = 7 (21,600)
+# runs on the engine.
+_LEVEL_MIN_CANDIDATES = 2000
+
+# Searches of at least this many (candidate, root) pairs run on a pool
+# of cfg.worker_count processes, smaller ones in process. A pair is the
+# level engine's unit of work: a candidate has b*k roots under
+# interleaved scaling and m under block scaling. Starting the pool costs
+# more than it saves below this. Measured with each search in a fresh
+# interpreter, 1 worker against 2, on the host of the threshold above:
+# k = 7 block (1.06 million pairs) 0.27 s against 0.27 s, k = 8
+# interleaved (0.97 million) 0.37 s against 0.36 s, k = 8 block (7.7
+# million) 1.07 s against 0.82 s, k = 9 interleaved (15.2 million) 4.76 s
+# against 2.79 s. Every Table 1 search (k <= 8) thus runs in process.
+_POOL_MIN_PAIRS = 4_000_000
+
+
+def _root_count(cfg: SearchConfig) -> int:
+    """Roots per candidate of the level engine; `_levels.shift_girths` has the proof."""
+    return cfg.b * cfg.k if cfg.strategy is ScalingStrategy.INTERLEAVED else cfg.m
+
+
+def _level_scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
+    """Score every candidate (q1, j) of one shift j with the level engine.
+
+    Returns (girth, q_idx, evaluated, skipped) as `_scan` does. Every
+    candidate gets its exact girth, so q_idx is the first q1 of the
+    largest girth and no incumbent is needed.
+    """
+    import numpy as np
+
+    from . import _levels
+
+    cfg, p, pinv, scratch = state or _STATE
+    girths = _levels.shift_girths(cfg, p, pinv, j, scratch)
+    best_q = int(girths.argmax())
+    evaluated = int(np.count_nonzero(girths))
+    return int(girths[best_q]), best_q, evaluated, len(girths) - evaluated
 
 
 def search_r3(
@@ -220,23 +275,28 @@ def search_r3(
         )
     q1s = list(enumerate_k_cycles(cfg.b * cfg.k, cfg.fix_first))
     total = len(shifts) * len(q1s)
-    workers = min(cfg.worker_count, len(shifts))
+    workers = min(cfg.worker_count, len(shifts)) if total * _root_count(cfg) >= _POOL_MIN_PAIRS else 1
+
+    if total >= _LEVEL_MIN_CANDIDATES:
+        from . import _levels
+
+        scan, state = _level_scan, (cfg, *_levels.images(cfg, q1s), _levels.Scratch())
+    else:
+        scan, state = _scan, (cfg, q1s, [0])
 
     best_girth, best_j, best_q = 0, 0, 0
     evaluated = 0
     skipped = 0
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            state = (cfg, q1s, [0], contextlib.nullcontext())
-            results = map(functools.partial(_scan, state=state), shifts)
+            results = map(functools.partial(scan, state=state), shifts)
         else:
             from concurrent.futures import ProcessPoolExecutor
 
             ctx = multiprocessing.get_context("fork")
-            state = (cfg, q1s, ctx.RawArray("q", 1), ctx.Lock())
             pool = ProcessPoolExecutor(workers, mp_context=ctx, initializer=_install, initargs=state)
             stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(_scan, shifts)
+            results = pool.map(scan, shifts)
         # results come in scan order, which is the tie-break order
         for j, (g, q_idx, n_eval, n_skip) in zip(shifts, results):
             if g > best_girth:

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict
-lines; the extended k=9,10 searches need `-m extended`.
+lines; the extended k=10 search needs `-m extended`.
 """
 
 import io
@@ -12,6 +12,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+import girthmax.search
 from girthmax.btu import Btu, btu_from_matrix, read_alist, write_alist
 from girthmax.bounds import hoory_lower
 from girthmax.cli import (
@@ -45,6 +46,14 @@ TABLE_5 = (
     "10     11     1320  2  3\n"
     "12     13     2184  2  3\n"
 )
+
+# (best girth, witness j, witness q1 image, 0-based) of the interleaved
+# full-enumeration searches: the tie-break winner, not only its girth
+WITNESSES = {
+    8: (10, 9, (1, 6, 3, 0, 5, 2, 7, 4)),
+    9: (10, 10, (4, 0, 6, 2, 8, 3, 7, 1, 5)),
+    10: (10, 11, (1, 4, 3, 6, 5, 8, 7, 0, 9, 2)),
+}
 
 _search_cache: dict[tuple[int, ScalingStrategy], object] = {}
 
@@ -109,6 +118,19 @@ def test_criterion_3_published_girths(k):
     if girth > published:
         note += " [exceeds published value]"
     verdict(f"3 search girth k={k}", girth >= published, note)
+
+
+def check_witness(k: int, workers: int = WORKERS) -> None:
+    result = run_search(k, ScalingStrategy.INTERLEAVED, workers)
+    got = (result.best_girth, result.witness_j, result.witness_q1.image)
+    published = TABLE_GIRTHS[k]
+    note = f"k={k}: (girth, j, q1) {got}, published girth {published}, {result.elapsed:.1f} s"
+    verdict(f"3 pinned witness k={k}", got == WITNESSES[k] and got[0] >= published, note)
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_criterion_3_pinned_witness(k):
+    check_witness(k)
 
 
 @pytest.mark.parametrize("k", [7, 8])
@@ -194,7 +216,9 @@ def test_criterion_6_known_fixtures():
     verdict("6 known-graph fixtures", ok)
 
 
-def test_criterion_7_determinism_across_workers():
+def test_criterion_7_determinism_across_workers(monkeypatch):
+    # a pool for every search, so that the two runs differ in kind
+    monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
     reports = []
     for workers in (1, WORKERS + 1):
         cfg = SearchConfig(k=6, strategy=ScalingStrategy.INTERLEAVED, worker_count=workers)
@@ -227,11 +251,6 @@ def test_criterion_8_serialization_and_relabel_invariance():
 
 
 @pytest.mark.extended
-@pytest.mark.parametrize("k", [9, 10])
+@pytest.mark.parametrize("k", [10])
 def test_criterion_3_extended(k):
-    result = run_search(k, ScalingStrategy.INTERLEAVED, workers=max(WORKERS, os.cpu_count() or 1))
-    published = TABLE_GIRTHS[k]
-    note = f"k={k}: girth {result.best_girth}, published {published}, {result.elapsed:.0f} s"
-    if result.best_girth > published:
-        note += " [exceeds published value]"
-    verdict(f"3x extended search k={k}", result.best_girth >= published, note)
+    check_witness(k, workers=max(WORKERS, os.cpu_count() or 1))

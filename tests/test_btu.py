@@ -265,6 +265,11 @@ class TestDimacs:
             with pytest.raises(MalformedDimacs, match=f"line {lineno}: non-integer field"):
                 read_dimacs(text)
 
+    def test_negative_count_names_line(self):
+        for text in ("c neg\np edge -4 0\n", "c neg\np edge 6 -1\n"):
+            with pytest.raises(MalformedDimacs, match="line 2: negative count"):
+                read_dimacs(text)
+
 
 class TestDense:
     def test_write(self):

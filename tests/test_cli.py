@@ -266,6 +266,14 @@ class TestSearchCommand:
         assert proc.stderr.startswith("error: BrokenProcessPool: "), proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_crashed_engine_worker_is_runtime_error(self):
+        # k = 7 (21,600 candidates) runs on the level engine
+        code = "from girthmax.cli import main\nsys.exit(main(['search', '--k', '7', '--jobs', '2']))\n"
+        proc = run_python(code, dying_workers=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: BrokenProcessPool: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 def test_progress_reported_for_any_k(capsys):
     search_r3(SearchConfig(k=4), progress=_stderr_progress(interval=0.0))

@@ -1,13 +1,18 @@
 import concurrent.futures
 import itertools
+import random
 import sys
+from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import girthmax.search
+from girthmax import _levels
 from girthmax.btu import IncompatiblePermutations
 from girthmax.girth import girth_bfs, girth_oracle
-from girthmax.perm import Permutation, ScalingStrategy, one_based
+from girthmax.perm import Permutation, ScalingStrategy, enumerate_k_cycles, one_based
 from girthmax.search import (
     NoValidShift,
     SearchConfig,
@@ -102,6 +107,88 @@ class TestEvaluate:
         assert got.value.args == want.value.args
 
 
+def bfs_girth(q1: Permutation, j: int, cfg: SearchConfig) -> int:
+    """girth_bfs of the built candidate, 0 where it is incompatible."""
+    try:
+        return girth_bfs(construct_candidate(q1, j, cfg).to_bipartite()).value
+    except IncompatiblePermutations:
+        return 0
+
+
+def engine_girth(q1: Permutation, j: int, cfg: SearchConfig) -> int:
+    p, pinv = _levels.images(cfg, [q1])
+    return int(_levels.shift_girths(cfg, p, pinv, j)[0])
+
+
+def snapshot(result):
+    return (
+        result.best_girth,
+        result.witness_j,
+        result.witness_q1,
+        result.candidates_evaluated,
+        result.skipped_incompatible,
+    )
+
+
+class TestLevelEngine:
+    @pytest.mark.parametrize("k, b", [(3, 1), (4, 1), (5, 1), (6, 1), (3, 2)])
+    def test_girths_match_girth_bfs_on_every_candidate(self, k, b):
+        incompatible = 0
+        for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
+            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+            q1s = list(enumerate_k_cycles(b * k, fix_first=False))
+            p, pinv = _levels.images(cfg, q1s)
+            for j in valid_shifts(cfg.m, b * k if j_filter else 0):
+                want = [bfs_girth(q1, j, cfg) for q1 in q1s]
+                assert _levels.shift_girths(cfg, p, pinv, j).tolist() == want, (strategy, j)
+                incompatible += want.count(0)
+        assert incompatible > 0
+
+    @pytest.mark.parametrize("k, b", [(3, 1), (4, 1), (5, 1), (6, 1), (3, 2)])
+    def test_forced_engine_search_equals_bfs_search(self, k, b, monkeypatch):
+        for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
+            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+            monkeypatch.setattr(girthmax.search, "_LEVEL_MIN_CANDIDATES", 10**12)
+            bfs = search_r3(cfg)
+            monkeypatch.setattr(girthmax.search, "_LEVEL_MIN_CANDIDATES", 0)
+            assert snapshot(search_r3(cfg)) == snapshot(bfs), (strategy, j_filter)
+
+    def test_forced_engine_on_two_workers(self, monkeypatch):
+        monkeypatch.setattr(girthmax.search, "_LEVEL_MIN_CANDIDATES", 0)
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        for strategy in ScalingStrategy:
+            serial = search_r3(SearchConfig(k=5, strategy=strategy))
+            pooled = search_r3(SearchConfig(k=5, strategy=strategy, worker_count=2))
+            assert snapshot(pooled) == snapshot(serial)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_candidates(self, data):
+        # any q1, not only (b*k)-cycles, and any shift 0 <= j < m
+        b = data.draw(st.sampled_from([1, 2]), label="b")
+        k = data.draw(st.integers(2, 9 if b == 1 else 6), label="k")
+        strategy = data.draw(st.sampled_from(list(ScalingStrategy)), label="strategy")
+        q1 = Permutation(data.draw(st.permutations(range(b * k)), label="q1"))
+        cfg = SearchConfig(k=k, b=b, strategy=strategy)
+        j = data.draw(st.integers(0, cfg.m - 1), label="j")
+        assert engine_girth(q1, j, cfg) == bfs_girth(q1, j, cfg)
+
+    def test_wide_images(self):
+        # m = 289 > 256 takes uint16 images and five 64-vertex mask words
+        rng = random.Random(17)
+        for strategy in ScalingStrategy:
+            cfg = SearchConfig(k=17, strategy=strategy)
+            for _ in range(3):
+                q1 = Permutation(rng.sample(range(17), 17))
+                j = rng.randrange(1, cfg.m)
+                assert engine_girth(q1, j, cfg) == bfs_girth(q1, j, cfg), (strategy, q1, j)
+
+    def test_threshold_splits_table_1(self):
+        # k <= 6 (at most 1,440 candidates, j filter on or off) stays on
+        # BFS; k = 7 (21,600) runs on the engine
+        assert 1_440 < girthmax.search._LEVEL_MIN_CANDIDATES <= 21_600
+
+
 class TestSearchSmall:
     def test_k3_exhaustive_against_oracle(self):
         # 1 q1 x 2 shifts with fix_first; check the maximum by hand
@@ -160,7 +247,8 @@ class TestSearchSmall:
 
 
 class TestDeterminism:
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
         base = None
         for workers in (1, 2, 3):
             cfg = SearchConfig(k=5, strategy=ScalingStrategy.INTERLEAVED, worker_count=workers)
@@ -205,12 +293,42 @@ class TestPool:
                 super().__init__(max_workers, *args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
         pooled = search_r3(SearchConfig(k=3, fix_first=True, worker_count=8))
         assert seen == [2]
         serial = search_r3(SearchConfig(k=3, fix_first=True))
         assert (pooled.best_girth, pooled.witness_q1, pooled.witness_j) == (
             serial.best_girth, serial.witness_q1, serial.witness_j
         )
+
+    def test_small_search_starts_no_pool(self, monkeypatch):
+        # k = 7 on the engine: 21,600 candidates * 7 roots, below the
+        # pool threshold, so a second worker is not started
+        seen = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                seen.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        cfg = SearchConfig(k=7, strategy=ScalingStrategy.INTERLEAVED)
+        serial = search_r3(cfg)
+        two = search_r3(SearchConfig(k=7, strategy=ScalingStrategy.INTERLEAVED, worker_count=2))
+        assert seen == []
+        assert snapshot(two) == snapshot(serial)
+
+    def test_pool_threshold_splits_searches(self):
+        # (candidate, root) pairs: every Table 1 search (k <= 8, both
+        # strategies) runs in process; block k = 8 and interleaved k = 9
+        # run on the pool
+        def pairs(k, roots):
+            m = k * k
+            shifts = sum(1 for j in range(k + 1, m - k) if gcd(j, m) == 1)
+            return shifts * factorial(k - 1) * roots
+
+        threshold = girthmax.search._POOL_MIN_PAIRS
+        assert max(pairs(8, 8), pairs(7, 49)) < threshold <= min(pairs(8, 64), pairs(9, 9))
 
     def test_concurrent_serial_searches_do_not_share_state(self):
         cfgs = [SearchConfig(k=k, strategy=s) for k in (4, 5) for s in ScalingStrategy]
@@ -237,6 +355,18 @@ class TestPool:
     def test_killed_worker_raises_broken_pool(self):
         code = (
             "from concurrent.futures.process import BrokenProcessPool\n"
+            "try:\n"
+            "    search.search_r3(search.SearchConfig(k=5, worker_count=2))\n"
+            "except BrokenProcessPool:\n"
+            "    print('BrokenProcessPool')\n"
+        )
+        proc = run_python(code, dying_workers=True)
+        assert proc.stdout.strip() == "BrokenProcessPool", proc.stderr
+
+    def test_killed_engine_worker_raises_broken_pool(self):
+        code = (
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "search._LEVEL_MIN_CANDIDATES = 0\n"
             "try:\n"
             "    search.search_r3(search.SearchConfig(k=5, worker_count=2))\n"
             "except BrokenProcessPool:\n"
