@@ -6,9 +6,9 @@ roots level by level, as numpy gathers shared by a chunk of q1 rows,
 and a candidate's girth is twice the first level at which two walks
 from one root meet. This reads girth off closed non-backtracking
 walks, the view of Fossorier, "Quasi-cyclic LDPC codes from circulant
-permutation matrices" (IEEE Trans. IT 50(8), 2004). The proofs are in
-the docstrings of `chunk_girths` (the level test) and `shift_girths`
-(the roots).
+permutation matrices" (IEEE Trans. IT 50(8), 2004). `chunk_girths`
+proves the level test; the roots that suffice are the search's choice
+(`search._root_count` proves them) and the scaling is `perm._scale_map`.
 
 This module loads numpy; `search` imports it only for searches large
 enough to repay that (`search._LEVEL_MIN_CANDIDATES`).
@@ -20,8 +20,7 @@ import math
 
 import numpy as np
 
-from .perm import Permutation, ScalingStrategy
-from .search import SearchConfig, _root_count
+from .perm import Permutation, ScalingStrategy, _scale_map
 
 # (q1 row, root) pairs per `chunk_girths` call
 CHUNK_ROOTS = 4096
@@ -53,22 +52,18 @@ class Scratch:
         return flat[:size].reshape(shape)
 
 
-def images(cfg: SearchConfig, q1s: list[Permutation]):
-    """Images of p1 = scale_up(q1) and of p1^-1 for every q1, one row each.
+def images(q1s: list[Permutation], k: int, strategy: ScalingStrategy):
+    """Images of p1 = scale_up(q1, k, strategy) and of p1^-1, one row per q1.
 
     numpy arrays of shape (len(q1s), m), uint8 while m <= 256, else
-    uint16. The formulas are `scale_up`'s; since scale_up(q1)^-1 =
+    uint16. The rows apply `perm._scale_map`; since scale_up(q1)^-1 =
     scale_up(q1^-1), the inverse rows scale the inverse q1 rows.
     """
-    k, m, n = cfg.k, cfg.m, cfg.b * cfg.k
-    dtype = np.uint8 if m <= 256 else np.uint16
+    n = len(q1s[0])
+    dtype = np.uint8 if n * k <= 256 else np.uint16
     q = np.array([q1.image for q1 in q1s], dtype)
-    x = np.arange(m)
-    if cfg.strategy is ScalingStrategy.BLOCK:
-        src, offset, factor = x // k, x % k, k
-    else:
-        src, offset, factor = x % n, x - x % n, 1
-    offset = offset.astype(dtype)
+    src, offset, factor = _scale_map(n, k, strategy)
+    offset = np.array(offset, dtype)
     return tuple(rows[:, src] * factor + offset for rows in (q, q.argsort(axis=1).astype(dtype)))
 
 
@@ -146,21 +141,18 @@ def chunk_girths(p, pinv, j: int, roots, scratch: Scratch):
         level += 1
 
 
-def shift_girths(cfg: SearchConfig, p, pinv, j: int, scratch: Scratch | None = None):
-    """Girth of every candidate (q1, j), one per row of p; 0 if incompatible.
+def shift_girths(p, pinv, j: int, roots: int, scratch: Scratch | None = None):
+    """Girth of every candidate (p[i], I, C_j), one per row of p; 0 if incompatible.
 
-    Roots (`search._root_count`): block scaling uses all m left
-    vertices. Interleaved scaling uses the n = b*k left vertices
-    0..n-1: there p1 maps i + t*n to q1[i] + t*n, so x -> x + n mod m
-    (on both sides) commutes with p1, I and C_j and is an automorphism
-    of the graph. It moves any shortest cycle, or double edge, through
-    a left vertex x onto one through x mod n. Rows go through `chunk_girths` in chunks of about
-    `CHUNK_ROOTS` (row, root) pairs; pass one `scratch` to every shift
-    of a search, so that its work arrays are allocated once.
+    Walks start at the left vertices 0..roots-1, which must meet every
+    shortest cycle and double edge (`search._root_count`). Rows go
+    through `chunk_girths` in chunks of about `CHUNK_ROOTS` (row, root)
+    pairs; pass one `scratch` to every shift of a search, so that its
+    work arrays are allocated once.
     """
-    roots = np.arange(_root_count(cfg))
-    rows = max(1, CHUNK_ROOTS // len(roots))
+    rows = max(1, CHUNK_ROOTS // roots)
+    starts = np.arange(roots)
     scratch = Scratch() if scratch is None else scratch
     return np.concatenate([
-        chunk_girths(p[i : i + rows], pinv[i : i + rows], j, roots, scratch) for i in range(0, len(p), rows)
+        chunk_girths(p[i : i + rows], pinv[i : i + rows], j, starts, scratch) for i in range(0, len(p), rows)
     ])

@@ -123,15 +123,18 @@ def gmax_upper(m: int, r: int) -> int:
     k comes from factorize_bk; girth is even and the claim is the strict
     inequality girth < 2k, hence the largest even value 2k - 2. This is
     a claim about the search family, not a proven universal graph
-    invariant; it is reported with direction "claimed".
+    invariant; it is reported with direction "claimed". There is no
+    (m, r) BTU with r > m, so that query is an error too.
     """
     if r < 3:
         raise ValueError("the girth ceiling is only claimed for r >= 3")
+    if r > m:
+        raise ValueError(f"no ({m}, {r}) BTU exists: r = {r} exceeds m = {m}")
     return 2 * factorize_bk(m, r).k - 2
 
 
 def gmax_report(m: int, r: int) -> BoundReport:
-    """factorize_bk(m, r) and the claimed ceiling gmax_upper(m, r) (r >= 3)."""
+    """factorize_bk(m, r) and the claimed ceiling gmax_upper(m, r) (3 <= r <= m)."""
     ceiling = gmax_upper(m, r)
     f = factorize_bk(m, r)
     return BoundReport(

@@ -476,9 +476,11 @@ def read_dimacs(text: str) -> BinaryMatrix:
         raise MalformedDimacs(f"declared {declared_edges} edges, found {len(edges)}")
     m = n_vertices // 2
     rows: list[list[int]] = [[] for _ in range(m)]
-    for u, v in edges:
+    for (u, v), lineno in edges.items():
         if not (1 <= u <= m < v <= 2 * m):
-            raise MalformedDimacs(f"edge ({u}, {v}) does not join left 1..{m} to right {m + 1}..{2 * m}")
+            raise MalformedDimacs(
+                f"line {lineno}: edge ({u}, {v}) does not join left 1..{m} to right {m + 1}..{2 * m}"
+            )
         rows[u - 1].append(v - m - 1)
     return BinaryMatrix(m, m, rows)
 
@@ -500,12 +502,12 @@ def write_dense(x: "Btu | BinaryMatrix") -> str:
 
 
 def read_dense(text: str) -> BinaryMatrix:
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise ValueError("empty dense matrix")
-    width = len(lines[0])
+    width = len(lines[0][1])
     rows = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         if len(line) != width:
             raise ValueError(f"line {lineno}: ragged row ({len(line)} != {width})")
         if set(line) - {"0", "1"}:

@@ -87,12 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scaling of q1 (the published Table 1 girths need interleaved, as in 'tables --which 1')",
     )
     p_search.add_argument(
-        "--fix-first",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="restrict q1 to image[0]=1 (lossy; misses maxima for some k)",
-    )
-    p_search.add_argument(
         "--j-filter",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -181,7 +175,6 @@ def _run_search(args: argparse.Namespace) -> int:
         k=args.k,
         b=args.b,
         strategy=ScalingStrategy(args.strategy),
-        fix_first=args.fix_first,
         j_range_filter=args.j_filter,
         worker_count=args.jobs,
     )

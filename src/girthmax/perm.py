@@ -15,7 +15,6 @@ girth module).
 from __future__ import annotations
 
 from enum import Enum
-from math import gcd
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -147,43 +146,46 @@ def relative_cycle_type(p: Permutation, q: Permutation) -> CycleType:
     return cycle_type(compose(p, inverse(q)))
 
 
+def _scale_map(n: int, k: int, strategy: ScalingStrategy) -> tuple[list[int], list[int], int]:
+    """The scaling formula as maps (src, offset, factor) on the n*k positions.
+
+    Position x of the scaled permutation goes to q[src[x]] * factor + offset[x]:
+
+    block:        x = i*k + t  ->  q[i]*k + t   (t is the low digit)
+    interleaved:  x = i + t*n  ->  q[i] + t*n   (t is the high digit)
+
+    `scale_up` applies it to one permutation and the search's level
+    engine to a whole array of q rows at once.
+    """
+    xs = range(n * k)
+    if ScalingStrategy(strategy) is ScalingStrategy.BLOCK:
+        return [x // k for x in xs], [x % k for x in xs], k
+    return [x % n for x in xs], [x - x % n for x in xs], 1
+
+
 def scale_up(q: Permutation, k: int, strategy: ScalingStrategy = ScalingStrategy.BLOCK) -> Permutation:
     """Lift q from n to n*k elements by replicating it across k offset classes.
 
-    block:        position i*k + t  ->  q[i]*k + t   (t is the low digit)
-    interleaved:  position i + t*n  ->  q[i] + t*n   (t is the high digit)
-
-    Either way each cycle of q is replicated k times, so the cycle type
-    of the result is k copies of each part of cycle_type(q). Scaling by
-    k=1 returns q itself.
+    Block scaling puts the copy index in the low digit of a position,
+    interleaved scaling in the high digit (`_scale_map` has the
+    formula). Either way each cycle of q is replicated k times, so the
+    cycle type of the result is k copies of each part of cycle_type(q).
+    Scaling by k=1 returns q itself.
     """
     if k < 1:
         raise ValueError("scale factor k must be >= 1")
     strategy = ScalingStrategy(strategy)
-    n = q.size
     if k == 1:
         return q
-    image = [0] * (n * k)
-    if strategy is ScalingStrategy.BLOCK:
-        for i, v in enumerate(q.image):
-            base_src = i * k
-            base_dst = v * k
-            for t in range(k):
-                image[base_src + t] = base_dst + t
-    else:
-        for i, v in enumerate(q.image):
-            for t in range(k):
-                image[i + t * n] = v + t * n
-    return Permutation(image)
+    src, offset, factor = _scale_map(q.size, k, strategy)
+    image = q.image
+    return Permutation([image[s] * factor + o for s, o in zip(src, offset)])
 
 
-def enumerate_k_cycles(k: int, fix_first: bool = True) -> Iterator[Permutation]:
-    """Yield the permutations of S_k that are a single k-cycle.
+def enumerate_k_cycles(k: int) -> Iterator[Permutation]:
+    """Yield the (k-1)! permutations of S_k that are a single k-cycle.
 
-    Emitted in lexicographic order of the image sequence; with fix_first
-    the stream is restricted to image[0] = 1 (one representative per
-    relabeling class of the second element). Counts are (k-2)! with
-    fix_first and (k-1)! without.
+    Emitted in lexicographic order of the image sequence.
     """
     if k < 2:
         raise ValueError("k must be >= 2 for a k-cycle")
@@ -205,11 +207,7 @@ def enumerate_k_cycles(k: int, fix_first: bool = True) -> Iterator[Permutation]:
         if i == k:
             yield Permutation(image)
             return
-        if i == 0 and fix_first:
-            candidates: Iterable[int] = (1,)
-        else:
-            candidates = (v for v in range(k) if not used[v])
-        for v in candidates:
+        for v in range(k):
             if used[v] or closes_short_cycle(i, v):
                 continue
             image[i] = v

@@ -15,13 +15,14 @@ which is exactly the tie-break order. Each shift j is one task; one
 worker function maps over the shifts, in process or, for searches
 large enough to repay it (`_POOL_MIN_PAIRS`), on a fork pool, and both
 maps return results in shift order, so the merge keeps the first
-strictly larger girth. There are two worker functions:
+strictly larger girth. There are two worker functions; both read the
+p1 images that `search_r3` scales once per search, not per candidate:
 
 * `_level_scan`, the level engine, for searches of at least
   `_LEVEL_MIN_CANDIDATES` candidates. It gets every candidate's exact
   girth from batched non-backtracking walks and keeps no incumbent.
-  The engine is the private module `_levels`, which holds its proofs;
-  it loads numpy and is imported only when a search uses it.
+  The engine is the private module `_levels`; it loads numpy and is
+  imported only when a search uses it.
 * `_scan` for smaller searches, which do not repay numpy's import. It
   runs `girth_bfs` per candidate with an advisory incumbent, the best
   girth its process has seen: a candidate is discarded only when a
@@ -33,12 +34,11 @@ Since scale_up of a (b*k)-cycle splits into k cycles of length b*k
 against the identity constituent, every candidate's girth is at most
 2*b*k.
 
-`fix_first` restricts q1 to image[0] = 1. That prunes the space to
-(b*k-2)! candidates but is lossy: the family has no relabeling symmetry
-acting on q1 (conjugating q1 does not fix the circulant constituent),
-and for several k every maximum-girth q1 has image[0] != 1. It is off
-by default; the published k=5..8 girths (8, 8, 10, 10) are attained
-with the full enumeration under interleaved scaling.
+Every (b*k)-cycle q1 is scanned, since the family has no relabeling
+symmetry acting on q1 (conjugating q1 does not fix the circulant
+constituent): fixing image[0] = 1 would lose the maximum at k = 5 and
+7. The published k=5..8 girths (8, 8, 10, 10) are attained under
+interleaved scaling.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class SearchConfig:
     k: int
     b: int = 1
     strategy: ScalingStrategy = ScalingStrategy.BLOCK
-    fix_first: bool = False
     j_range_filter: bool = True
     worker_count: int = 1
 
@@ -137,16 +136,15 @@ def construct_candidate(q1: Permutation, j: int, cfg: SearchConfig) -> Btu:
     return Btu((scale_up(q1, cfg.k, cfg.strategy), identity(m), circulant(m, j)))
 
 
-def _evaluate(q1: Permutation, j: int, cfg: SearchConfig, cutoff: int | None) -> int | None:
-    """Exact girth of candidate (q1, j), or None when pruned (girth <= cutoff).
+def _evaluate(p1: tuple[int, ...], j: int, cutoff: int | None) -> int | None:
+    """Exact girth of candidate (p1, I, C_j), or None when pruned (girth <= cutoff).
 
-    `girth_bfs` scores the rows (p1[i], i, i + j mod m) of (p1, I, C_j);
-    no `Btu` or `BipartiteGraph` is built. Raises IncompatiblePermutations
-    exactly where `construct_candidate` does: at the first i with
-    p1[i] = i or p1[i] = i + j mod m. I and C_j never collide, since
-    i = i + j mod m would need j = 0 mod m, and 0 < j < m.
+    p1 is the image of scale_up(q1); `girth_bfs` scores the rows
+    (p1[i], i, i + j mod m), and no `Btu` or `BipartiteGraph` is built.
+    Raises IncompatiblePermutations exactly where `construct_candidate`
+    does: at the first i with p1[i] = i or p1[i] = i + j mod m. I and
+    C_j never collide: i = i + j mod m would need j = 0 mod m, and 0 < j < m.
     """
-    p1 = scale_up(q1, cfg.k, cfg.strategy).image
     m = len(p1)
     rows = []
     for i, v in enumerate(p1):
@@ -159,8 +157,8 @@ def _evaluate(q1: Permutation, j: int, cfg: SearchConfig, cutoff: int | None) ->
 
 
 # Per-search state of a pool worker, installed by the pool initializer;
-# a serial scan passes it instead. (cfg, q1s, incumbent) for `_scan`,
-# (cfg, p, pinv, scratch) for `_level_scan`.
+# a serial scan passes it instead. (p1s, incumbent) for `_scan`,
+# (p, pinv, roots, scratch) for `_level_scan`.
 _STATE: tuple = ()
 
 
@@ -187,14 +185,14 @@ def _scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
     (j ascending, q1 lex) order, whatever the incumbent was when each
     candidate ran.
     """
-    cfg, q1s, incumbent = state or _STATE
+    p1s, incumbent = state or _STATE
     best_g, best_q = 0, 0
     evaluated = 0
     skipped = 0
-    for q_idx, q1 in enumerate(q1s):
+    for q_idx, p1 in enumerate(p1s):
         cutoff = incumbent[0] - 2 if incumbent[0] >= 6 else None
         try:
-            g = _evaluate(q1, j, cfg, cutoff)
+            g = _evaluate(p1, j, cutoff)
         except IncompatiblePermutations:
             skipped += 1
             continue
@@ -232,7 +230,15 @@ _POOL_MIN_PAIRS = 4_000_000
 
 
 def _root_count(cfg: SearchConfig) -> int:
-    """Roots per candidate of the level engine; `_levels.shift_girths` has the proof."""
+    """Roots per candidate, left vertices 0..count-1, of the level engine and the pool rule.
+
+    They must meet every shortest cycle and double edge. Block scaling
+    takes all m. Interleaved scaling takes n = b*k: there p1 maps
+    i + t*n to q1[i] + t*n, so x -> x + n mod m (on both sides)
+    commutes with p1, I and C_j and is an automorphism of the graph.
+    It moves any shortest cycle, or double edge, through a left vertex
+    x onto one through x mod n.
+    """
     return cfg.b * cfg.k if cfg.strategy is ScalingStrategy.INTERLEAVED else cfg.m
 
 
@@ -247,8 +253,8 @@ def _level_scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
 
     from . import _levels
 
-    cfg, p, pinv, scratch = state or _STATE
-    girths = _levels.shift_girths(cfg, p, pinv, j, scratch)
+    p, pinv, roots, scratch = state or _STATE
+    girths = _levels.shift_girths(p, pinv, j, roots, scratch)
     best_q = int(girths.argmax())
     evaluated = int(np.count_nonzero(girths))
     return int(girths[best_q]), best_q, evaluated, len(girths) - evaluated
@@ -273,16 +279,19 @@ def search_r3(
             f"no shift j with gcd(j, {cfg.m}) = 1 in the required range"
             + (" (try j_range_filter=False)" if cfg.j_range_filter else "")
         )
-    q1s = list(enumerate_k_cycles(cfg.b * cfg.k, cfg.fix_first))
+    q1s = list(enumerate_k_cycles(cfg.b * cfg.k))
     total = len(shifts) * len(q1s)
-    workers = min(cfg.worker_count, len(shifts)) if total * _root_count(cfg) >= _POOL_MIN_PAIRS else 1
+    roots = _root_count(cfg)
+    workers = min(cfg.worker_count, len(shifts)) if total * roots >= _POOL_MIN_PAIRS else 1
 
     if total >= _LEVEL_MIN_CANDIDATES:
         from . import _levels
 
-        scan, state = _level_scan, (cfg, *_levels.images(cfg, q1s), _levels.Scratch())
+        p, pinv = _levels.images(q1s, cfg.k, cfg.strategy)
+        scan, state = _level_scan, (p, pinv, roots, _levels.Scratch())
     else:
-        scan, state = _scan, (cfg, q1s, [0])
+        p1s = [scale_up(q1, cfg.k, cfg.strategy).image for q1 in q1s]
+        scan, state = _scan, (p1s, [0])
 
     best_girth, best_j, best_q = 0, 0, 0
     evaluated = 0

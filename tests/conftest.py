@@ -73,7 +73,7 @@ def random_btu(rng: random.Random, m: int, r: int) -> Btu:
 def candidate_space(cfg: SearchConfig):
     """All (q1, j) pairs of a search, in scan (= tie-break) order."""
     lower = cfg.b * cfg.k if cfg.j_range_filter else 0
-    q1s = list(enumerate_k_cycles(cfg.b * cfg.k, cfg.fix_first))
+    q1s = list(enumerate_k_cycles(cfg.b * cfg.k))
     for j in valid_shifts(cfg.m, lower):
         for q1 in q1s:
             yield q1, j

@@ -59,6 +59,15 @@ class TestGmax:
         with pytest.raises(ValueError, match="r >= 3"):
             gmax_report(49, 2)
 
+    def test_rejects_r_above_m(self):
+        # no (m, r) BTU has more than m ones in a row
+        for m, r in ((1, 3), (3, 4)):
+            with pytest.raises(ValueError, match=f"r = {r} exceeds m = {m}"):
+                gmax_upper(m, r)
+            with pytest.raises(ValueError, match=f"r = {r} exceeds m = {m}"):
+                gmax_report(m, r)
+        assert gmax_upper(3, 3) == 0
+
     def test_report(self):
         rep = gmax_report(49, 3)
         assert rep.value("claimed_ceiling") == 12

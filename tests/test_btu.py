@@ -243,8 +243,9 @@ class TestDimacs:
             assert read_dimacs(write_dimacs(b)) == b.matrix()
 
     def test_rejects_non_bipartite_convention(self):
-        with pytest.raises(MalformedDimacs):
-            read_dimacs("p edge 4 1\ne 1 2\n")
+        for text, lineno in (("p edge 4 1\ne 1 2\n", 2), ("p edge 4 2\ne 1 3\n\ne 1 2\n", 4)):
+            with pytest.raises(MalformedDimacs, match=f"line {lineno}: edge \\(1, 2\\) does not join left"):
+                read_dimacs(text)
         with pytest.raises(MalformedDimacs):
             read_dimacs("p edge 5 0\n")
         with pytest.raises(MalformedDimacs):
@@ -283,6 +284,12 @@ class TestDense:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             read_dense("10\n1\n")
+
+    def test_line_numbers_count_blank_lines(self):
+        with pytest.raises(ValueError, match="line 3: ragged row"):
+            read_dense("101\n\n01\n")
+        with pytest.raises(ValueError, match="line 4: characters other than 0/1"):
+            read_dense("\n10\n01\n1x\n")
 
     def test_to_array(self):
         a = ALL_ONES_3.to_array()

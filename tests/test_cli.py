@@ -59,7 +59,6 @@ class TestParseArgs:
         assert args.command == "search"
         assert args.k == 7 and args.b == 1
         assert args.strategy == "block"
-        assert args.fix_first is False
         assert args.j_filter is True
 
     def test_bounds_table(self):
@@ -107,6 +106,12 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: ValueError: the girth ceiling is only claimed for r >= 3" in captured.err
+
+    def test_gmax_rejects_r_above_m(self, capsys):
+        assert main(["bounds", "--gmax", "1", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: ValueError: no (1, 3) BTU exists: r = 3 exceeds m = 1" in captured.err
 
     def test_byte_identical_across_runs(self, capsys):
         main(["bounds", "--table", "5"])

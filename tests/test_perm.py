@@ -169,38 +169,32 @@ class TestScaleUp:
 
 
 class TestEnumerateKCycles:
-    def test_k3_fixed(self):
-        assert [p.image for p in enumerate_k_cycles(3, fix_first=True)] == [(1, 2, 0)]
+    def test_k3(self):
+        assert [p.image for p in enumerate_k_cycles(3)] == [(1, 2, 0), (2, 0, 1)]
 
     def test_k2(self):
-        assert [p.image for p in enumerate_k_cycles(2, fix_first=True)] == [(1, 0)]
+        assert [p.image for p in enumerate_k_cycles(2)] == [(1, 0)]
 
     def test_counts(self):
         for k in range(2, 8):
-            assert sum(1 for _ in enumerate_k_cycles(k, True)) == factorial(k - 2)
-            assert sum(1 for _ in enumerate_k_cycles(k, False)) == factorial(k - 1)
+            assert sum(1 for _ in enumerate_k_cycles(k)) == factorial(k - 1)
 
-    @pytest.mark.parametrize("fix_first", [True, False])
-    def test_matches_brute_force_in_lex_order(self, fix_first):
+    def test_matches_brute_force_in_lex_order(self):
         # itertools.permutations is lexicographic, so equality checks both
         # membership and ordering
         for k in range(2, 8):
-            got = [p.image for p in enumerate_k_cycles(k, fix_first)]
-            want = [
-                img
-                for img in itertools.permutations(range(k))
-                if cycle_type(Permutation(img)) == (k,) and (not fix_first or img[0] == 1)
-            ]
+            got = [p.image for p in enumerate_k_cycles(k)]
+            want = [img for img in itertools.permutations(range(k)) if cycle_type(Permutation(img)) == (k,)]
             assert got == want
 
     def test_all_are_full_cycles_no_duplicates(self):
         for k in (5, 6):
             seen = set()
-            for p in enumerate_k_cycles(k, False):
+            for p in enumerate_k_cycles(k):
                 assert cycle_type(p) == (k,)
                 assert p.image not in seen
                 seen.add(p.image)
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
-            list(enumerate_k_cycles(1, True))
+            list(enumerate_k_cycles(1))

@@ -12,7 +12,7 @@ import girthmax.search
 from girthmax import _levels
 from girthmax.btu import IncompatiblePermutations
 from girthmax.girth import girth_bfs, girth_oracle
-from girthmax.perm import Permutation, ScalingStrategy, enumerate_k_cycles, one_based
+from girthmax.perm import Permutation, ScalingStrategy, enumerate_k_cycles, one_based, scale_up
 from girthmax.search import (
     NoValidShift,
     SearchConfig,
@@ -81,18 +81,19 @@ class TestEvaluate:
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
             for q1, j in candidate_space(cfg):
+                p1 = scale_up(q1, cfg.k, cfg.strategy).image
                 try:
                     graph = construct_candidate(q1, j, cfg).to_bipartite()
                 except IncompatiblePermutations as exc:
                     incompatible += 1
                     for cutoff in (None, 4, 6, 8):
                         with pytest.raises(IncompatiblePermutations) as got:
-                            girthmax.search._evaluate(q1, j, cfg, cutoff)
+                            girthmax.search._evaluate(p1, j, cutoff)
                         assert got.value.args == exc.args
                     continue
                 for cutoff in (None, 4, 6, 8):
                     want = girth_bfs(graph, cutoff)
-                    got = girthmax.search._evaluate(q1, j, cfg, cutoff)
+                    got = girthmax.search._evaluate(p1, j, cutoff)
                     assert got == (None if want.at_or_below_cutoff else want.value), (q1, j, cutoff)
         assert incompatible > 0
 
@@ -103,7 +104,7 @@ class TestEvaluate:
         with pytest.raises(IncompatiblePermutations) as want:
             construct_candidate(q1, 4, cfg)
         with pytest.raises(IncompatiblePermutations) as got:
-            girthmax.search._evaluate(q1, 4, cfg, None)
+            girthmax.search._evaluate(scale_up(q1, cfg.k, cfg.strategy).image, 4, None)
         assert got.value.args == want.value.args
 
 
@@ -116,8 +117,8 @@ def bfs_girth(q1: Permutation, j: int, cfg: SearchConfig) -> int:
 
 
 def engine_girth(q1: Permutation, j: int, cfg: SearchConfig) -> int:
-    p, pinv = _levels.images(cfg, [q1])
-    return int(_levels.shift_girths(cfg, p, pinv, j)[0])
+    p, pinv = _levels.images([q1], cfg.k, cfg.strategy)
+    return int(_levels.shift_girths(p, pinv, j, girthmax.search._root_count(cfg))[0])
 
 
 def snapshot(result):
@@ -136,11 +137,12 @@ class TestLevelEngine:
         incompatible = 0
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
-            q1s = list(enumerate_k_cycles(b * k, fix_first=False))
-            p, pinv = _levels.images(cfg, q1s)
+            q1s = list(enumerate_k_cycles(b * k))
+            p, pinv = _levels.images(q1s, k, strategy)
+            roots = girthmax.search._root_count(cfg)
             for j in valid_shifts(cfg.m, b * k if j_filter else 0):
                 want = [bfs_girth(q1, j, cfg) for q1 in q1s]
-                assert _levels.shift_girths(cfg, p, pinv, j).tolist() == want, (strategy, j)
+                assert _levels.shift_girths(p, pinv, j, roots).tolist() == want, (strategy, j)
                 incompatible += want.count(0)
         assert incompatible > 0
 
@@ -191,13 +193,13 @@ class TestLevelEngine:
 
 class TestSearchSmall:
     def test_k3_exhaustive_against_oracle(self):
-        # 1 q1 x 2 shifts with fix_first; check the maximum by hand
-        cfg = SearchConfig(k=3, fix_first=True)
+        # 2 q1 x 2 shifts; check the maximum by hand
+        cfg = SearchConfig(k=3)
         by_oracle = {
             (q1.image, j): girth_oracle(construct_candidate(q1, j, cfg).to_bipartite()).value
             for q1, j in candidate_space(cfg)
         }
-        assert len(by_oracle) == 2
+        assert len(by_oracle) == 4
         result = search_r3(cfg)
         assert result.best_girth == max(by_oracle.values()) == 6
         assert result.witness_j == 4
@@ -212,6 +214,21 @@ class TestSearchSmall:
             result = search_r3(cfg)
             rebuilt = construct_candidate(result.witness_q1, result.witness_j, cfg)
             assert girth_bfs(rebuilt.to_bipartite()).value == result.best_girth
+
+    def test_each_q1_scaled_once(self, monkeypatch):
+        # k = 5 interleaved runs on BFS: 24 q1 from the enumeration and
+        # one scaled p1 each, none per (q1, j) candidate (288 of them)
+        built = []
+        init = Permutation.__init__
+
+        def spy(self, image):
+            built.append(1)
+            init(self, image)
+
+        monkeypatch.setattr(Permutation, "__init__", spy)
+        result = search_r3(SearchConfig(k=5, strategy=ScalingStrategy.INTERLEAVED))
+        assert result.candidates_evaluated == 288
+        assert len(built) <= 2 * 24
 
     def test_candidate_count_invariant(self):
         cfg = SearchConfig(k=4)
@@ -284,7 +301,7 @@ class TestDeterminism:
 
 class TestPool:
     def test_workers_capped_at_task_count(self, monkeypatch):
-        # k=3 with fix_first has 1 q1 and 2 shifts: 2 tasks
+        # k=3 has 2 q1 and 2 shifts: 2 tasks
         seen = []
 
         class Spy(concurrent.futures.ProcessPoolExecutor):
@@ -294,9 +311,9 @@ class TestPool:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
         monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
-        pooled = search_r3(SearchConfig(k=3, fix_first=True, worker_count=8))
+        pooled = search_r3(SearchConfig(k=3, worker_count=8))
         assert seen == [2]
-        serial = search_r3(SearchConfig(k=3, fix_first=True))
+        serial = search_r3(SearchConfig(k=3))
         assert (pooled.best_girth, pooled.witness_q1, pooled.witness_j) == (
             serial.best_girth, serial.witness_q1, serial.witness_j
         )
@@ -403,5 +420,5 @@ class TestProgress:
 
 
 def test_one_based_rendering_in_reports():
-    result = search_r3(SearchConfig(k=3, fix_first=True))
+    result = search_r3(SearchConfig(k=3))
     assert one_based(result.witness_q1) == "2 3 1"
