@@ -48,6 +48,7 @@ for trial in range(5):
     assert fast.value == slow.value
 
 # With a cutoff the engine may stop as soon as the graph is provably no
-# better than the cutoff; used by the search to discard candidates.
+# better than the cutoff, for callers that only need to know whether a
+# graph beats a given girth.
 res = girth_bfs(k33.to_bipartite(), cutoff=6)
 print("with cutoff 6:", res.value, "flagged:", res.at_or_below_cutoff)

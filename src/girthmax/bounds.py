@@ -23,9 +23,9 @@ The calculators:
   q*(q^2 - 1).
 * factorize_bk / gmax_upper / optimal_partitions - the factorization
   m = b*k^(r-1) with b minimal, the claimed girth ceiling 2k - 2
-  attached to it, and the partition shapes (k^(r-1-i) parts of size
-  b*k^i) that the search family realizes between consecutive
-  constituents.
+  attached to it (k >= 4 only), and the partition shapes (k^(r-1-i)
+  parts of size b*k^i) that the search family realizes between
+  consecutive constituents.
 
 The renderers at the bottom produce the fixed-layout reference tables
 the CLI prints; their output is byte-stable.
@@ -125,16 +125,24 @@ def gmax_upper(m: int, r: int) -> int:
     a claim about the search family, not a proven universal graph
     invariant; it is reported with direction "claimed". There is no
     (m, r) BTU with r > m, so that query is an error too.
+
+    The claim is false for k <= 3, so those queries are errors as well.
+    A BTU has no double edge, so its girth is at least 4 > 2k - 2 for
+    k <= 2, and [C_0, C_1, C_3] at m = 9 and [C_0, C_1, C_3, C_9] at
+    m = 27 (both k = 3) have girth 6 > 4.
     """
     if r < 3:
         raise ValueError("the girth ceiling is only claimed for r >= 3")
     if r > m:
         raise ValueError(f"no ({m}, {r}) BTU exists: r = {r} exceeds m = {m}")
-    return 2 * factorize_bk(m, r).k - 2
+    f = factorize_bk(m, r)
+    if f.k <= 3:
+        raise ValueError(f"the girth ceiling is only claimed for k >= 4; m = {m} = {f.b}*{f.k}^{r - 1}")
+    return 2 * f.k - 2
 
 
 def gmax_report(m: int, r: int) -> BoundReport:
-    """factorize_bk(m, r) and the claimed ceiling gmax_upper(m, r) (3 <= r <= m)."""
+    """factorize_bk(m, r) and the claimed ceiling gmax_upper(m, r) (3 <= r <= m, k >= 4)."""
     ceiling = gmax_upper(m, r)
     f = factorize_bk(m, r)
     return BoundReport(

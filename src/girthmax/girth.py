@@ -59,7 +59,7 @@ class GirthResult:
     When `at_or_below_cutoff` is set the search stopped early: `value`
     is the length of some closed walk that is <= the requested cutoff
     and contains a cycle (an upper bound on the true girth, sufficient
-    for search pruning).
+    to rule the graph out at that cutoff).
     """
 
     value: int | float

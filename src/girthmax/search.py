@@ -15,20 +15,18 @@ which is exactly the tie-break order. Each shift j is one task; one
 worker function maps over the shifts, in process or, for searches
 large enough to repay it (`_POOL_MIN_PAIRS`), on a fork pool, and both
 maps return results in shift order, so the merge keeps the first
-strictly larger girth. There are two worker functions; both read the
-p1 images that `search_r3` scales once per search, not per candidate:
+strictly larger girth. Both worker functions give every candidate its
+exact girth:
 
 * `_level_scan`, the level engine, for searches of at least
-  `_LEVEL_MIN_CANDIDATES` candidates. It gets every candidate's exact
-  girth from batched non-backtracking walks and keeps no incumbent.
-  The engine is the private module `_levels`; it loads numpy and is
-  imported only when a search uses it.
-* `_scan` for smaller searches, which do not repay numpy's import. It
-  runs `girth_bfs` per candidate with an advisory incumbent, the best
-  girth its process has seen: a candidate is discarded only when a
-  cycle of length <= incumbent - 2 is found, i.e. only when it is
-  provably *strictly* below the final maximum, so pruning and
-  scheduling can never change the winner.
+  `_LEVEL_MIN_CANDIDATES` candidates, every k >= 5 among them. It reads
+  the girths off batched non-backtracking walks over the p1 images,
+  which `search_r3` scales once per search. The engine is the private
+  module `_levels`; it loads numpy and is imported only when a search
+  uses it.
+* `_scan` for the tiny searches below that, which do not repay numpy's
+  import. It scores each candidate by its definition, `girth_bfs` of
+  `construct_candidate(q1, j, cfg)`.
 
 Since scale_up of a (b*k)-cycle splits into k cycles of length b*k
 against the identity constituent, every candidate's girth is at most
@@ -49,7 +47,6 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 from math import gcd
-from types import SimpleNamespace
 from typing import Callable
 
 from .btu import Btu, IncompatiblePermutations
@@ -136,28 +133,8 @@ def construct_candidate(q1: Permutation, j: int, cfg: SearchConfig) -> Btu:
     return Btu((scale_up(q1, cfg.k, cfg.strategy), identity(m), circulant(m, j)))
 
 
-def _evaluate(p1: tuple[int, ...], j: int, cutoff: int | None) -> int | None:
-    """Exact girth of candidate (p1, I, C_j), or None when pruned (girth <= cutoff).
-
-    p1 is the image of scale_up(q1); `girth_bfs` scores the rows
-    (p1[i], i, i + j mod m), and no `Btu` or `BipartiteGraph` is built.
-    Raises IncompatiblePermutations exactly where `construct_candidate`
-    does: at the first i with p1[i] = i or p1[i] = i + j mod m. I and
-    C_j never collide: i = i + j mod m would need j = 0 mod m, and 0 < j < m.
-    """
-    m = len(p1)
-    rows = []
-    for i, v in enumerate(p1):
-        c = (i + j) % m
-        if v == i or v == c:
-            raise IncompatiblePermutations(i, 0, 1 if v == i else 2)
-        rows.append((v, i, c))
-    result = girth_bfs(SimpleNamespace(adjacency=rows, n_right=m), cutoff)
-    return None if result.at_or_below_cutoff else int(result.value)
-
-
 # Per-search state of a pool worker, installed by the pool initializer;
-# a serial scan passes it instead. (p1s, incumbent) for `_scan`,
+# a serial scan passes it instead. (q1s, cfg) for `_scan`,
 # (p, pinv, roots, scratch) for `_level_scan`.
 _STATE: tuple = ()
 
@@ -168,53 +145,39 @@ def _install(*state) -> None:
 
 
 def _scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
-    """Evaluate the candidates (q1, j) of one shift j, for every q1.
+    """Score every candidate (q1, j) of one shift j by its definition.
 
     Returns (girth, q_idx, evaluated, skipped): the largest exact girth
     under j with the index of the first q1 attaining it (girth 0 when
-    no candidate got an exact girth), and the numbers of evaluated and
+    every candidate is incompatible), and the numbers of evaluated and
     incompatible candidates.
-
-    Pruning never changes the winner. The incumbent only ever holds a
-    girth some candidate attains, so it never exceeds the final maximum
-    G. A candidate is cut off only when it has a cycle of length
-    <= incumbent - 2 < G, so every candidate of girth G gets its exact
-    girth. Hence a task holding a girth-G candidate reports G and its
-    first such candidate, and taking the first strictly larger girth
-    over the tasks in scan order yields the first girth-G candidate in
-    (j ascending, q1 lex) order, whatever the incumbent was when each
-    candidate ran.
     """
-    p1s, incumbent = state or _STATE
+    q1s, cfg = state or _STATE
     best_g, best_q = 0, 0
-    evaluated = 0
     skipped = 0
-    for q_idx, p1 in enumerate(p1s):
-        cutoff = incumbent[0] - 2 if incumbent[0] >= 6 else None
+    for q_idx, q1 in enumerate(q1s):
         try:
-            g = _evaluate(p1, j, cutoff)
+            g = girth_bfs(construct_candidate(q1, j, cfg).to_bipartite()).value
         except IncompatiblePermutations:
             skipped += 1
             continue
-        evaluated += 1
-        if g is None:
-            continue
-        incumbent[0] = max(incumbent[0], g)
         if g > best_g:
             best_g, best_q = g, q_idx
-    return best_g, best_q, evaluated, skipped
+    return best_g, best_q, len(q1s) - skipped, skipped
 
 
-# Searches of at least this many candidates run on the level engine.
-# Measured with each search in a fresh interpreter, imports included,
-# 1 worker, on a 2-vCPU Xeon (Python 3.11, numpy 2.4): numpy's import
-# costs the engine about 0.17 s, which BFS overtakes at about 3,000
-# candidates under interleaved scaling (1,440: BFS 0.11 s, engine
-# 0.19 s; 3,600: 0.22 s and 0.19 s) and about 1,400 under block scaling
-# (1,440: 0.23 s and 0.22 s). Table 1 rows k <= 6 (at most 960
-# candidates, 1,440 without the j filter) stay on BFS; k = 7 (21,600)
-# runs on the engine.
-_LEVEL_MIN_CANDIDATES = 2000
+# Searches of at least this many candidates run on the level engine,
+# smaller ones on `_scan`. Measured on a 2-vCPU Xeon (Python 3.11,
+# numpy 2.4), 1 worker, interleaved unless noted. Warm, with numpy
+# loaded, the engine wins at every size: k = 4 (24 candidates) 0.3 ms
+# against 1.2 ms, k = 4 block without the j filter (48) 0.6 against
+# 2.7 ms, b = 2, k = 3 (240) 0.6 against 13 ms, k = 5 (288) 1.1 against
+# 22 ms. Cold, in a fresh interpreter, the engine first pays numpy's
+# import, about 0.09 s, which no k <= 4 search (at most 48 candidates,
+# 23 ms with imports on `_scan`) repays. So k <= 4 stays on `_scan` and
+# loads no numpy, while b = 2, k = 3 and every k >= 5 (288 candidates
+# and up) run on the engine: a lone cold k = 5 search takes about 0.1 s.
+_LEVEL_MIN_CANDIDATES = 100
 
 # Searches of at least this many (candidate, root) pairs run on a pool
 # of cfg.worker_count processes, smaller ones in process. A pair is the
@@ -245,9 +208,7 @@ def _root_count(cfg: SearchConfig) -> int:
 def _level_scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
     """Score every candidate (q1, j) of one shift j with the level engine.
 
-    Returns (girth, q_idx, evaluated, skipped) as `_scan` does. Every
-    candidate gets its exact girth, so q_idx is the first q1 of the
-    largest girth and no incumbent is needed.
+    Returns (girth, q_idx, evaluated, skipped) as `_scan` does.
     """
     import numpy as np
 
@@ -290,8 +251,7 @@ def search_r3(
         p, pinv = _levels.images(q1s, cfg.k, cfg.strategy)
         scan, state = _level_scan, (p, pinv, roots, _levels.Scratch())
     else:
-        p1s = [scale_up(q1, cfg.k, cfg.strategy).image for q1 in q1s]
-        scan, state = _scan, (p1s, [0])
+        scan, state = _scan, (q1s, cfg)
 
     best_girth, best_j, best_q = 0, 0, 0
     evaluated = 0

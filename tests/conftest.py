@@ -13,22 +13,22 @@ from girthmax.search import SearchConfig, valid_shifts
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # puts every search with more than one worker on the pool, whatever its
-# size, and makes every pool worker exit at its first candidate (BFS
-# path) or at its first shift (level engine); the patched functions are
-# top-level so that the pool can pickle the engine's by name
+# size, and makes every pool worker exit at its first shift, on either
+# path; the patched functions are top-level so that the pool can pickle
+# them by name
 _DYING_WORKERS = (
     "import os, sys\n"
     "import girthmax.search as search\n"
-    "parent, evaluate, level_scan = os.getpid(), search._evaluate, search._level_scan\n"
-    "def dying(*args):\n"
+    "parent, scan, level_scan = os.getpid(), search._scan, search._level_scan\n"
+    "def dying_scan(*args, **kwargs):\n"
     "    if os.getpid() != parent:\n"
     "        os._exit(3)\n"
-    "    return evaluate(*args)\n"
+    "    return scan(*args, **kwargs)\n"
     "def dying_level_scan(*args, **kwargs):\n"
     "    if os.getpid() != parent:\n"
     "        os._exit(3)\n"
     "    return level_scan(*args, **kwargs)\n"
-    "search._evaluate = dying\n"
+    "search._scan = dying_scan\n"
     "search._level_scan = dying_level_scan\n"
     "search._POOL_MIN_PAIRS = 0\n"
 )
@@ -88,7 +88,7 @@ def networkx_girth(btu: Btu):
 def run_python(code: str, dying_workers: bool = False) -> subprocess.CompletedProcess:
     """Run `code` in a fresh interpreter on this checkout's sources.
 
-    With `dying_workers`, `search._evaluate` and `search._level_scan`
+    With `dying_workers`, `search._scan` and `search._level_scan`
     are patched first so that every pool worker dies, and every search
     with more than one worker starts a pool. The timeout fails a hung
     pool instead of stalling the suite.

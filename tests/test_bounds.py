@@ -21,6 +21,10 @@ from girthmax.bounds import (
     ramanujan_table_text,
     report_text,
 )
+from girthmax.btu import Btu
+from girthmax.girth import girth_bfs
+from girthmax.perm import ScalingStrategy, circulant
+from girthmax.search import SearchConfig, search_r3
 
 
 def is_prime(n):
@@ -51,7 +55,7 @@ class TestGmax:
     def test_values(self):
         assert gmax_upper(25, 3) == 8
         assert gmax_upper(49, 3) == 12
-        assert gmax_upper(8, 4) == 2
+        assert gmax_upper(64, 4) == 6
 
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
@@ -66,7 +70,23 @@ class TestGmax:
                 gmax_upper(m, r)
             with pytest.raises(ValueError, match=f"r = {r} exceeds m = {m}"):
                 gmax_report(m, r)
-        assert gmax_upper(3, 3) == 0
+        with pytest.raises(ValueError, match="k >= 4"):
+            gmax_upper(3, 3)
+
+    @pytest.mark.parametrize("m, shifts", [(9, (0, 1, 3)), (4, (0, 1, 2)), (10, (0, 1, 3)), (27, (0, 1, 3, 9))])
+    def test_rejects_k_below_4(self, m, shifts):
+        # 2k - 2 is refuted there: each of these circulant BTUs beats it
+        r = len(shifts)
+        btu = Btu([circulant(m, s) for s in shifts])
+        assert girth_bfs(btu.to_bipartite()).value > 2 * factorize_bk(m, r).k - 2
+        for query in (gmax_upper, gmax_report):
+            with pytest.raises(ValueError, match="k >= 4"):
+                query(m, r)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_ceiling_holds_over_the_search(self, k):
+        for strategy in ScalingStrategy:
+            assert gmax_upper(k * k, 3) >= search_r3(SearchConfig(k=k, strategy=strategy)).best_girth
 
     def test_report(self):
         rep = gmax_report(49, 3)

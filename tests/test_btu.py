@@ -298,7 +298,10 @@ class TestDense:
     def test_import_search_and_dense_leave_numpy_unloaded(self):
         proc = run_python(
             "import sys, girthmax\n"
-            "girthmax.search_r3(girthmax.SearchConfig(k=4, strategy='interleaved'))\n"
+            "for strategy in ('block', 'interleaved'):\n"
+            "    for j_filter in (True, False):\n"
+            "        cfg = girthmax.SearchConfig(k=4, strategy=strategy, j_range_filter=j_filter)\n"
+            "        girthmax.search_r3(cfg)\n"
             "girthmax.write_dense(girthmax.Btu([girthmax.identity(3)]))\n"
             "print('numpy' in sys.modules)\n"
         )

@@ -107,6 +107,13 @@ class TestBoundsCommand:
         assert captured.out == ""
         assert "error: ValueError: the girth ceiling is only claimed for r >= 3" in captured.err
 
+    def test_gmax_rejects_k_below_4(self, capsys):
+        # Btu([C_0, C_1, C_3]) at m = 9 has girth 6, above 2k - 2 = 4
+        assert main(["bounds", "--gmax", "9", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: ValueError: the girth ceiling is only claimed for k >= 4; m = 9 = 1*3^2" in captured.err
+
     def test_gmax_rejects_r_above_m(self, capsys):
         assert main(["bounds", "--gmax", "1", "3"]) == 1
         captured = capsys.readouterr()

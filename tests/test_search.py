@@ -12,7 +12,7 @@ import girthmax.search
 from girthmax import _levels
 from girthmax.btu import IncompatiblePermutations
 from girthmax.girth import girth_bfs, girth_oracle
-from girthmax.perm import Permutation, ScalingStrategy, enumerate_k_cycles, one_based, scale_up
+from girthmax.perm import Permutation, ScalingStrategy, enumerate_k_cycles, one_based
 from girthmax.search import (
     NoValidShift,
     SearchConfig,
@@ -70,42 +70,6 @@ class TestConstructCandidate:
     def test_wrong_q1_size(self):
         with pytest.raises(ValueError):
             construct_candidate(Permutation([1, 0]), 4, SearchConfig(k=3))
-
-
-class TestEvaluate:
-    @pytest.mark.parametrize("k, b", [(3, 1), (4, 1), (5, 1), (3, 2)])
-    def test_matches_girth_bfs_on_every_candidate(self, k, b):
-        # the image path against the public path: same prune verdict,
-        # same exact girth, same IncompatiblePermutations
-        incompatible = 0
-        for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
-            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
-            for q1, j in candidate_space(cfg):
-                p1 = scale_up(q1, cfg.k, cfg.strategy).image
-                try:
-                    graph = construct_candidate(q1, j, cfg).to_bipartite()
-                except IncompatiblePermutations as exc:
-                    incompatible += 1
-                    for cutoff in (None, 4, 6, 8):
-                        with pytest.raises(IncompatiblePermutations) as got:
-                            girthmax.search._evaluate(p1, j, cutoff)
-                        assert got.value.args == exc.args
-                    continue
-                for cutoff in (None, 4, 6, 8):
-                    want = girth_bfs(graph, cutoff)
-                    got = girthmax.search._evaluate(p1, j, cutoff)
-                    assert got == (None if want.at_or_below_cutoff else want.value), (q1, j, cutoff)
-        assert incompatible > 0
-
-    def test_fixed_point_collides_with_identity(self):
-        # search q1s are cycles, so only a hand-made q1 reaches this case
-        cfg = SearchConfig(k=3)
-        q1 = Permutation([0, 2, 1])
-        with pytest.raises(IncompatiblePermutations) as want:
-            construct_candidate(q1, 4, cfg)
-        with pytest.raises(IncompatiblePermutations) as got:
-            girthmax.search._evaluate(scale_up(q1, cfg.k, cfg.strategy).image, 4, None)
-        assert got.value.args == want.value.args
 
 
 def bfs_girth(q1: Permutation, j: int, cfg: SearchConfig) -> int:
@@ -186,9 +150,16 @@ class TestLevelEngine:
                 assert engine_girth(q1, j, cfg) == bfs_girth(q1, j, cfg), (strategy, q1, j)
 
     def test_threshold_splits_table_1(self):
-        # k <= 6 (at most 1,440 candidates, j filter on or off) stays on
-        # BFS; k = 7 (21,600) runs on the engine
-        assert 1_440 < girthmax.search._LEVEL_MIN_CANDIDATES <= 21_600
+        # every search up to k = 4 (at most 48 candidates, j filter on or
+        # off) stays on the reference path; b = 2, k = 3 (240) and every
+        # Table 1 row (k >= 5, 288 and up) run on the engine
+        def size(**kwargs):
+            return sum(1 for _ in candidate_space(SearchConfig(**kwargs)))
+
+        small = max(size(k=k, j_range_filter=f) for k in (3, 4) for f in (True, False))
+        large = min(size(k=3, b=2), size(k=5))
+        assert (small, large) == (48, 240)
+        assert small < girthmax.search._LEVEL_MIN_CANDIDATES <= large
 
 
 class TestSearchSmall:
@@ -216,8 +187,8 @@ class TestSearchSmall:
             assert girth_bfs(rebuilt.to_bipartite()).value == result.best_girth
 
     def test_each_q1_scaled_once(self, monkeypatch):
-        # k = 5 interleaved runs on BFS: 24 q1 from the enumeration and
-        # one scaled p1 each, none per (q1, j) candidate (288 of them)
+        # k = 5 interleaved runs on the engine: 24 q1 from the
+        # enumeration, none per (q1, j) candidate (288 of them)
         built = []
         init = Permutation.__init__
 
@@ -282,8 +253,9 @@ class TestDeterminism:
             assert snapshot == base
 
     def test_tie_break_is_smallest_j_then_lex_q1(self):
-        # the witness of the pruned search is the first candidate in
-        # (j ascending, q1 lex) order whose uncut girth is the maximum
+        # the witness is the first candidate in (j ascending, q1 lex)
+        # order whose girth is the maximum; k = 4 runs on the reference
+        # path, k = 5 on the engine
         for k, strategy in itertools.product((4, 5), ScalingStrategy):
             cfg = SearchConfig(k=k, strategy=strategy)
             result = search_r3(cfg)
@@ -372,6 +344,7 @@ class TestPool:
     def test_killed_worker_raises_broken_pool(self):
         code = (
             "from concurrent.futures.process import BrokenProcessPool\n"
+            "search._LEVEL_MIN_CANDIDATES = 10**12\n"
             "try:\n"
             "    search.search_r3(search.SearchConfig(k=5, worker_count=2))\n"
             "except BrokenProcessPool:\n"
