@@ -1,8 +1,9 @@
 """The enumeration search for girth-maximum (m, 3) graphs, m = b*k^2.
 
 Candidates are built from a single (b*k)-cycle q1 and a circulant
-shift j:  p1 = scale_up(q1, k),  p2 = I,  p3 = C_j.  The search scans
-every pair and reports the best girth with a deterministic witness.
+shift j:  p1 = scale_up(q1, k),  p2 = I,  p3 = C_j.  The search scores
+every pair with 2j < m (the transpose of (q1, j) is (q1^-1, m - j), with
+the same girth) and reports the best girth with a deterministic witness.
 
 Interleaved scaling with the full q1 enumeration attains the published
 girths (k=5..8 -> 8, 8, 10, 10); block scaling tops out lower for the

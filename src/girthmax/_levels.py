@@ -10,17 +10,19 @@ permutation matrices" (IEEE Trans. IT 50(8), 2004). `chunk_girths`
 proves the level test; the roots that suffice are the search's choice
 (`search._root_count` proves them) and the scaling is `perm._scale_map`.
 
-This module loads numpy; `search` imports it only for searches large
-enough to repay that (`search._LEVEL_MIN_CANDIDATES`).
+`cycle_rows` and `images` build the q1 and p1 rows that the engine
+reads. This module loads numpy; `search` imports it only for searches
+large enough to repay that (`search._LEVEL_MIN_CANDIDATES`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .perm import Permutation, ScalingStrategy, _scale_map
+from .perm import ScalingStrategy, _scale_map
 
 # (q1 row, root) pairs per `chunk_girths` call
 CHUNK_ROOTS = 4096
@@ -52,16 +54,37 @@ class Scratch:
         return flat[:size].reshape(shape)
 
 
-def images(q1s: list[Permutation], k: int, strategy: ScalingStrategy):
+def cycle_rows(n: int):
+    """Image rows of the (n-1)! single n-cycles, in `perm.enumerate_k_cycles`' order.
+
+    A uint8 array of shape ((n-1)!, n) for n <= 256. Each arrangement
+    s of 1..n-1 is the cycle 0 -> s[0] -> ... -> s[n-2] -> 0, so the
+    rows are scattered from those cycles, then sorted lexicographically.
+    """
+    count = math.factorial(n - 1)
+    tail = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(1, n))), np.uint8, count * (n - 1)
+    )
+    cycles = np.zeros((count, n), np.uint8)
+    cycles[:, 1:] = tail.reshape(count, n - 1)
+    rows = np.empty_like(cycles)
+    rows[np.arange(count)[:, None], cycles] = np.roll(cycles, -1, axis=1)
+    # lexsort sorts by its last key first
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def images(q_rows, k: int, strategy: ScalingStrategy):
     """Images of p1 = scale_up(q1, k, strategy) and of p1^-1, one row per q1.
 
-    numpy arrays of shape (len(q1s), m), uint8 while m <= 256, else
-    uint16. The rows apply `perm._scale_map`; since scale_up(q1)^-1 =
-    scale_up(q1^-1), the inverse rows scale the inverse q1 rows.
+    `q_rows` holds the q1 images, one row each (an array such as
+    `cycle_rows`' or a list of tuples). Returns numpy arrays of shape
+    (len(q_rows), m), uint8 while m <= 256, else uint16. The rows apply
+    `perm._scale_map`; since scale_up(q1)^-1 = scale_up(q1^-1), the
+    inverse rows scale the inverse q1 rows.
     """
-    n = len(q1s[0])
+    n = len(q_rows[0])
     dtype = np.uint8 if n * k <= 256 else np.uint16
-    q = np.array([q1.image for q1 in q1s], dtype)
+    q = np.asarray(q_rows, dtype)
     src, offset, factor = _scale_map(n, k, strategy)
     offset = np.array(offset, dtype)
     return tuple(rows[:, src] * factor + offset for rows in (q, q.argsort(axis=1).astype(dtype)))

@@ -23,9 +23,9 @@ The calculators:
   q*(q^2 - 1).
 * factorize_bk / gmax_upper / optimal_partitions - the factorization
   m = b*k^(r-1) with b minimal, the claimed girth ceiling 2k - 2
-  attached to it (k >= 4 only), and the partition shapes (k^(r-1-i)
-  parts of size b*k^i) that the search family realizes between
-  consecutive constituents.
+  attached to it (k >= 4 and b = 1 only), and the partition shapes
+  (k^(r-1-i) parts of size b*k^i) that the search family realizes
+  between consecutive constituents.
 
 The renderers at the bottom produce the fixed-layout reference tables
 the CLI prints; their output is byte-stable.
@@ -130,6 +130,11 @@ def gmax_upper(m: int, r: int) -> int:
     A BTU has no double edge, so its girth is at least 4 > 2k - 2 for
     k <= 2, and [C_0, C_1, C_3] at m = 9 and [C_0, C_1, C_3, C_9] at
     m = 27 (both k = 3) have girth 6 > 4.
+
+    It is false for b > 1 too, so those queries are errors: the search
+    family's own ceiling is 2bk, and at m = 32 = 2*4^2, r = 3, the
+    search (k = 4, b = 2) finds girth 8 > 2k - 2 = 6 under both
+    scalings, e.g. interleaved q1 = (1, 3, 5, 2, 7, 4, 0, 6), j = 9.
     """
     if r < 3:
         raise ValueError("the girth ceiling is only claimed for r >= 3")
@@ -138,11 +143,13 @@ def gmax_upper(m: int, r: int) -> int:
     f = factorize_bk(m, r)
     if f.k <= 3:
         raise ValueError(f"the girth ceiling is only claimed for k >= 4; m = {m} = {f.b}*{f.k}^{r - 1}")
+    if f.b > 1:
+        raise ValueError(f"the girth ceiling is only claimed for b = 1; m = {m} = {f.b}*{f.k}^{r - 1}")
     return 2 * f.k - 2
 
 
 def gmax_report(m: int, r: int) -> BoundReport:
-    """factorize_bk(m, r) and the claimed ceiling gmax_upper(m, r) (3 <= r <= m, k >= 4)."""
+    """factorize_bk(m, r) and the claimed ceiling gmax_upper(m, r) (3 <= r <= m, k >= 4, b = 1)."""
     ceiling = gmax_upper(m, r)
     f = factorize_bk(m, r)
     return BoundReport(

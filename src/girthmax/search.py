@@ -10,9 +10,12 @@ evaluates the girth of every (q1, j) candidate and reports the maximum,
 tie-broken by smallest j, then lexicographically smallest q1 image, so
 the result is reproducible for any worker count.
 
+Only the shifts with 2j < m are scanned, since the candidate (q1, j)
+has the girth of (q1^-1, m - j) and the tie-break winner always has
+2j < m (`search_r3` has the proof); each scanned shift counts twice.
 Candidates are scanned j-major (ascending j, then lex-ascending q1),
-which is exactly the tie-break order. Each shift j is one task; one
-worker function maps over the shifts, in process or, for searches
+which is exactly the tie-break order. Each scanned shift j is one task;
+one worker function maps over the shifts, in process or, for searches
 large enough to repay it (`_POOL_MIN_PAIRS`), on a fork pool, and both
 maps return results in shift order, so the merge keeps the first
 strictly larger girth. Both worker functions give every candidate its
@@ -21,21 +24,23 @@ exact girth:
 * `_level_scan`, the level engine, for searches of at least
   `_LEVEL_MIN_CANDIDATES` candidates, every k >= 5 among them. It reads
   the girths off batched non-backtracking walks over the p1 images,
-  which `search_r3` scales once per search. The engine is the private
-  module `_levels`; it loads numpy and is imported only when a search
-  uses it.
+  which `search_r3` scales once per search from the q1 image rows of
+  `_levels.cycle_rows`; only the winner's row becomes a `Permutation`.
+  The engine is the private module `_levels`; it loads numpy and is
+  imported only when a search uses it.
 * `_scan` for the tiny searches below that, which do not repay numpy's
   import. It scores each candidate by its definition, `girth_bfs` of
-  `construct_candidate(q1, j, cfg)`.
+  `construct_candidate(q1, j, cfg)`, over the q1 of `enumerate_k_cycles`.
 
 Since scale_up of a (b*k)-cycle splits into k cycles of length b*k
 against the identity constituent, every candidate's girth is at most
 2*b*k.
 
-Every (b*k)-cycle q1 is scanned, since the family has no relabeling
-symmetry acting on q1 (conjugating q1 does not fix the circulant
-constituent): fixing image[0] = 1 would lose the maximum at k = 5 and
-7. The published k=5..8 girths (8, 8, 10, 10) are attained under
+Every (b*k)-cycle q1 is scanned at each scanned shift, since the
+family has no relabeling symmetry acting on q1 alone (conjugating q1
+does not fix the circulant constituent; the transpose pairs q1 with
+q1^-1 only across the shifts j and m - j): fixing image[0] = 1 would
+lose the maximum at k = 5 and 7. The published k=5..8 girths (8, 8, 10, 10) are attained under
 interleaved scaling.
 """
 
@@ -46,7 +51,7 @@ import functools
 import multiprocessing
 import time
 from dataclasses import dataclass
-from math import gcd
+from math import factorial, gcd
 from typing import Callable
 
 from .btu import Btu, IncompatiblePermutations
@@ -179,17 +184,20 @@ def _scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
 # and up) run on the engine: a lone cold k = 5 search takes about 0.1 s.
 _LEVEL_MIN_CANDIDATES = 100
 
-# Searches of at least this many (candidate, root) pairs run on a pool
-# of cfg.worker_count processes, smaller ones in process. A pair is the
-# level engine's unit of work: a candidate has b*k roots under
-# interleaved scaling and m under block scaling. Starting the pool costs
-# more than it saves below this. Measured with each search in a fresh
-# interpreter, 1 worker against 2, on the host of the threshold above:
-# k = 7 block (1.06 million pairs) 0.27 s against 0.27 s, k = 8
-# interleaved (0.97 million) 0.37 s against 0.36 s, k = 8 block (7.7
-# million) 1.07 s against 0.82 s, k = 9 interleaved (15.2 million) 4.76 s
-# against 2.79 s. Every Table 1 search (k <= 8) thus runs in process.
-_POOL_MIN_PAIRS = 4_000_000
+# Searches of at least this many scanned (candidate, root) pairs run on
+# a pool of cfg.worker_count processes, smaller ones in process. A pair
+# is the level engine's unit of work: a candidate has b*k roots under
+# interleaved scaling and m under block scaling, and only the shifts
+# with 2j < m are scanned. Starting the pool costs more than it saves
+# below this. Measured as search_r3's elapsed time, each search in a
+# fresh interpreter, 1 worker against 2 (pool forced), on the host of
+# the threshold above: k = 7 block (0.53 million pairs) 0.16 s against
+# 0.16 s, k = 8 interleaved (0.48 million) 0.20 s against 0.19 s, k = 8
+# block (3.9 million) 0.44-0.57 s against 0.34-0.37 s, k = 9
+# interleaved (7.6 million) 2.0 s against 1.2 s. So every Table 1 search
+# (interleaved, k <= 8) and k = 7 block run in process, while k = 8
+# block and k >= 9 run on the pool.
+_POOL_MIN_PAIRS = 2_000_000
 
 
 def _root_count(cfg: SearchConfig) -> int:
@@ -227,8 +235,23 @@ def search_r3(
 ) -> SearchResult:
     """Exhaustive scan of the (q1, j) candidate space for r = 3.
 
-    `progress`, when given, is called after each shift j with
-    (candidates processed, total candidates, best girth so far).
+    Only the shifts with 2j < m are scanned. Proof that this gives the
+    full space's winner and counts. Transposing a candidate's matrix
+    P1 + I + C_j swaps left and right, which keeps its girth and its
+    double edges, and gives P1^-1 + I + C_{m-j}. Since scale_up(q1)^-1
+    = scale_up(q1^-1) under both strategies, and q1^-1 is again a
+    single cycle, (q1, j) and (q1^-1, m - j) have the same girth and
+    are compatible together. The admissible shifts are closed under
+    j -> m - j (gcd(m - j, m) = gcd(j, m), and the range filter is
+    symmetric), and j = m/2 is never coprime to m >= 4. So a girth
+    attained at j > m/2 is attained at m - j < m/2 too: the first
+    maximum in (j, q1) order has 2j < m, and the scan of that half
+    finds it. q1 -> q1^-1 is a bijection of the q1, so shift
+    m - j has as many evaluated and incompatible candidates as j, and
+    each scanned shift's counts are doubled.
+
+    `progress`, when given, is called after each scanned shift j with
+    (candidates covered, total candidates, best girth so far).
     Deterministic for a fixed cfg regardless of worker_count. A worker
     that dies raises concurrent.futures.process.BrokenProcessPool.
     """
@@ -240,17 +263,22 @@ def search_r3(
             f"no shift j with gcd(j, {cfg.m}) = 1 in the required range"
             + (" (try j_range_filter=False)" if cfg.j_range_filter else "")
         )
-    q1s = list(enumerate_k_cycles(cfg.b * cfg.k))
-    total = len(shifts) * len(q1s)
+    scanned = [j for j in shifts if 2 * j < cfg.m]
+    n = cfg.b * cfg.k
+    q1_count = factorial(n - 1)
+    total = len(shifts) * q1_count
     roots = _root_count(cfg)
-    workers = min(cfg.worker_count, len(shifts)) if total * roots >= _POOL_MIN_PAIRS else 1
+    pairs = len(scanned) * q1_count * roots
+    workers = min(cfg.worker_count, len(scanned)) if pairs >= _POOL_MIN_PAIRS else 1
 
     if total >= _LEVEL_MIN_CANDIDATES:
         from . import _levels
 
+        q1s = _levels.cycle_rows(n)
         p, pinv = _levels.images(q1s, cfg.k, cfg.strategy)
         scan, state = _level_scan, (p, pinv, roots, _levels.Scratch())
     else:
+        q1s = list(enumerate_k_cycles(n))
         scan, state = _scan, (q1s, cfg)
 
     best_girth, best_j, best_q = 0, 0, 0
@@ -258,27 +286,29 @@ def search_r3(
     skipped = 0
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            results = map(functools.partial(scan, state=state), shifts)
+            results = map(functools.partial(scan, state=state), scanned)
         else:
             from concurrent.futures import ProcessPoolExecutor
 
             ctx = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(workers, mp_context=ctx, initializer=_install, initargs=state)
             stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(scan, shifts)
+            results = pool.map(scan, scanned)
         # results come in scan order, which is the tie-break order
-        for j, (g, q_idx, n_eval, n_skip) in zip(shifts, results):
+        for j, (g, q_idx, n_eval, n_skip) in zip(scanned, results):
             if g > best_girth:
                 best_girth, best_j, best_q = g, j, q_idx
-            evaluated += n_eval
-            skipped += n_skip
+            # shift m - j, left unscanned, has the same counts
+            evaluated += 2 * n_eval
+            skipped += 2 * n_skip
             if progress is not None:
                 progress(evaluated + skipped, total, best_girth)
     if best_girth == 0:
         raise NoValidShift("every candidate pair was incompatible")
     return SearchResult(
         best_girth=best_girth,
-        witness_q1=q1s[best_q],
+        # a Permutation or a uint8 image row, read as Python ints
+        witness_q1=Permutation(map(int, q1s[best_q])),
         witness_j=best_j,
         candidates_evaluated=evaluated,
         skipped_incompatible=skipped,

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from girthmax.btu import Btu
+from girthmax.btu import Btu, IncompatiblePermutations
+from girthmax.girth import girth_bfs
 from girthmax.perm import Permutation, enumerate_k_cycles
-from girthmax.search import SearchConfig, valid_shifts
+from girthmax.search import SearchConfig, construct_candidate, valid_shifts
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -77,6 +78,14 @@ def candidate_space(cfg: SearchConfig):
     for j in valid_shifts(cfg.m, lower):
         for q1 in q1s:
             yield q1, j
+
+
+def reference_girth(q1: Permutation, j: int, cfg: SearchConfig) -> int:
+    """Girth of the candidate (q1, j) by its definition, 0 where it is incompatible."""
+    try:
+        return girth_bfs(construct_candidate(q1, j, cfg).to_bipartite()).value
+    except IncompatiblePermutations:
+        return 0
 
 
 def networkx_girth(btu: Btu):

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict
-lines; the extended k=10 search needs `-m extended`.
+lines; the extended one-worker k=10 search needs `-m extended`.
 """
 
 import io
@@ -55,11 +55,11 @@ WITNESSES = {
     10: (10, 11, (1, 4, 3, 6, 5, 8, 7, 0, 9, 2)),
 }
 
-_search_cache: dict[tuple[int, ScalingStrategy], object] = {}
+_search_cache: dict[tuple[int, ScalingStrategy, int], object] = {}
 
 
 def run_search(k: int, strategy: ScalingStrategy, workers: int = WORKERS):
-    key = (k, strategy)
+    key = (k, strategy, workers)
     if key not in _search_cache:
         _search_cache[key] = search_r3(
             SearchConfig(k=k, strategy=strategy, worker_count=workers)
@@ -120,17 +120,13 @@ def test_criterion_3_published_girths(k):
     verdict(f"3 search girth k={k}", girth >= published, note)
 
 
-def check_witness(k: int, workers: int = WORKERS) -> None:
-    result = run_search(k, ScalingStrategy.INTERLEAVED, workers)
+@pytest.mark.parametrize("k", [8, 9, 10])
+def test_criterion_3_pinned_witness(k):
+    result = run_search(k, ScalingStrategy.INTERLEAVED)
     got = (result.best_girth, result.witness_j, result.witness_q1.image)
     published = TABLE_GIRTHS[k]
     note = f"k={k}: (girth, j, q1) {got}, published girth {published}, {result.elapsed:.1f} s"
     verdict(f"3 pinned witness k={k}", got == WITNESSES[k] and got[0] >= published, note)
-
-
-@pytest.mark.parametrize("k", [8, 9])
-def test_criterion_3_pinned_witness(k):
-    check_witness(k)
 
 
 @pytest.mark.parametrize("k", [7, 8])
@@ -251,6 +247,21 @@ def test_criterion_8_serialization_and_relabel_invariance():
 
 
 @pytest.mark.extended
-@pytest.mark.parametrize("k", [10])
-def test_criterion_3_extended(k):
-    check_witness(k, workers=max(WORKERS, os.cpu_count() or 1))
+def test_criterion_7_k10_one_worker_equals_pool():
+    # k = 10 is large enough for the pool, so the two runs differ in kind
+    def snapshot(result):
+        return (
+            result.best_girth,
+            result.witness_j,
+            result.witness_q1.image,
+            result.candidates_evaluated,
+            result.skipped_incompatible,
+        )
+
+    pooled = run_search(10, ScalingStrategy.INTERLEAVED, max(2, WORKERS))
+    serial = run_search(10, ScalingStrategy.INTERLEAVED, 1)
+    verdict(
+        "7 k=10 one worker equals the pool",
+        snapshot(serial) == snapshot(pooled) and snapshot(serial)[:3] == WITNESSES[10],
+        f"{serial.elapsed:.1f} s on 1 worker, {pooled.elapsed:.1f} s on {max(2, WORKERS)}",
+    )

@@ -24,7 +24,9 @@ from girthmax.bounds import (
 from girthmax.btu import Btu
 from girthmax.girth import girth_bfs
 from girthmax.perm import ScalingStrategy, circulant
-from girthmax.search import SearchConfig, search_r3
+from girthmax.search import SearchConfig, construct_candidate, search_r3
+
+from conftest import networkx_girth
 
 
 def is_prime(n):
@@ -82,6 +84,18 @@ class TestGmax:
         for query in (gmax_upper, gmax_report):
             with pytest.raises(ValueError, match="k >= 4"):
                 query(m, r)
+
+    def test_rejects_b_above_1(self):
+        # m = 32 = 2*4^2: the search reaches girth 8 > 2k - 2 = 6 under
+        # both scalings, and networkx agrees on the winners
+        for strategy in ScalingStrategy:
+            cfg = SearchConfig(k=4, b=2, strategy=strategy)
+            result = search_r3(cfg)
+            winner = construct_candidate(result.witness_q1, result.witness_j, cfg)
+            assert result.best_girth == networkx_girth(winner) == 8 > 2 * factorize_bk(32, 3).k - 2
+        for query in (gmax_upper, gmax_report):
+            with pytest.raises(ValueError, match=r"b = 1; m = 32 = 2\*4\^2"):
+                query(32, 3)
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_ceiling_holds_over_the_search(self, k):

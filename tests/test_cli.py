@@ -114,6 +114,13 @@ class TestBoundsCommand:
         assert captured.out == ""
         assert "error: ValueError: the girth ceiling is only claimed for k >= 4; m = 9 = 1*3^2" in captured.err
 
+    def test_gmax_rejects_b_above_1(self, capsys):
+        # the k = 4, b = 2 search reaches girth 8 at m = 32, above 2k - 2 = 6
+        assert main(["bounds", "--gmax", "32", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: ValueError: the girth ceiling is only claimed for b = 1; m = 32 = 2*4^2" in captured.err
+
     def test_gmax_rejects_r_above_m(self, capsys):
         assert main(["bounds", "--gmax", "1", "3"]) == 1
         captured = capsys.readouterr()

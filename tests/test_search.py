@@ -12,7 +12,7 @@ import girthmax.search
 from girthmax import _levels
 from girthmax.btu import IncompatiblePermutations
 from girthmax.girth import girth_bfs, girth_oracle
-from girthmax.perm import Permutation, ScalingStrategy, enumerate_k_cycles, one_based
+from girthmax.perm import Permutation, ScalingStrategy, enumerate_k_cycles, inverse, one_based, scale_up
 from girthmax.search import (
     NoValidShift,
     SearchConfig,
@@ -21,7 +21,7 @@ from girthmax.search import (
     valid_shifts,
 )
 
-from conftest import candidate_space, run_python
+from conftest import candidate_space, reference_girth, run_python
 
 
 class TestValidShifts:
@@ -72,16 +72,8 @@ class TestConstructCandidate:
             construct_candidate(Permutation([1, 0]), 4, SearchConfig(k=3))
 
 
-def bfs_girth(q1: Permutation, j: int, cfg: SearchConfig) -> int:
-    """girth_bfs of the built candidate, 0 where it is incompatible."""
-    try:
-        return girth_bfs(construct_candidate(q1, j, cfg).to_bipartite()).value
-    except IncompatiblePermutations:
-        return 0
-
-
 def engine_girth(q1: Permutation, j: int, cfg: SearchConfig) -> int:
-    p, pinv = _levels.images([q1], cfg.k, cfg.strategy)
+    p, pinv = _levels.images([q1.image], cfg.k, cfg.strategy)
     return int(_levels.shift_girths(p, pinv, j, girthmax.search._root_count(cfg))[0])
 
 
@@ -102,10 +94,10 @@ class TestLevelEngine:
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
             q1s = list(enumerate_k_cycles(b * k))
-            p, pinv = _levels.images(q1s, k, strategy)
+            p, pinv = _levels.images(_levels.cycle_rows(b * k), k, strategy)
             roots = girthmax.search._root_count(cfg)
             for j in valid_shifts(cfg.m, b * k if j_filter else 0):
-                want = [bfs_girth(q1, j, cfg) for q1 in q1s]
+                want = [reference_girth(q1, j, cfg) for q1 in q1s]
                 assert _levels.shift_girths(p, pinv, j, roots).tolist() == want, (strategy, j)
                 incompatible += want.count(0)
         assert incompatible > 0
@@ -137,7 +129,7 @@ class TestLevelEngine:
         q1 = Permutation(data.draw(st.permutations(range(b * k)), label="q1"))
         cfg = SearchConfig(k=k, b=b, strategy=strategy)
         j = data.draw(st.integers(0, cfg.m - 1), label="j")
-        assert engine_girth(q1, j, cfg) == bfs_girth(q1, j, cfg)
+        assert engine_girth(q1, j, cfg) == reference_girth(q1, j, cfg)
 
     def test_wide_images(self):
         # m = 289 > 256 takes uint16 images and five 64-vertex mask words
@@ -147,7 +139,13 @@ class TestLevelEngine:
             for _ in range(3):
                 q1 = Permutation(rng.sample(range(17), 17))
                 j = rng.randrange(1, cfg.m)
-                assert engine_girth(q1, j, cfg) == bfs_girth(q1, j, cfg), (strategy, q1, j)
+                assert engine_girth(q1, j, cfg) == reference_girth(q1, j, cfg), (strategy, q1, j)
+
+    def test_cycle_rows_match_enumerate_k_cycles(self):
+        for n in range(2, 10):
+            rows = _levels.cycle_rows(n)
+            assert rows.dtype == "uint8"
+            assert rows.tolist() == [list(q1.image) for q1 in enumerate_k_cycles(n)], n
 
     def test_threshold_splits_table_1(self):
         # every search up to k = 4 (at most 48 candidates, j filter on or
@@ -160,6 +158,78 @@ class TestLevelEngine:
         large = min(size(k=3, b=2), size(k=5))
         assert (small, large) == (48, 240)
         assert small < girthmax.search._LEVEL_MIN_CANDIDATES <= large
+
+
+def full_scan(cfg: SearchConfig):
+    """The search without the transpose reduction: every admissible shift, on the level engine.
+
+    Returns (girth, j, q1 image, evaluated, skipped) of the first
+    maximum in (j, q1) order, over the full candidate space.
+    """
+    n = cfg.b * cfg.k
+    q_rows = _levels.cycle_rows(n)
+    p, pinv = _levels.images(q_rows, cfg.k, cfg.strategy)
+    roots = girthmax.search._root_count(cfg)
+    best = (0, 0, ())
+    evaluated = skipped = 0
+    for j in valid_shifts(cfg.m, n if cfg.j_range_filter else 0):
+        girths = _levels.shift_girths(p, pinv, j, roots).tolist()
+        if max(girths) > best[0]:
+            q_idx = girths.index(max(girths))
+            best = (max(girths), j, tuple(q_rows[q_idx].tolist()))
+        skipped += girths.count(0)
+        evaluated += len(girths) - girths.count(0)
+    return (*best, evaluated, skipped)
+
+
+class TestTransposeSymmetry:
+    def test_scaling_commutes_with_inversion(self):
+        for n, k, strategy in itertools.product((3, 4, 5), (2, 3), ScalingStrategy):
+            for q1 in enumerate_k_cycles(n):
+                assert inverse(scale_up(q1, k, strategy)) == scale_up(inverse(q1), k, strategy)
+
+    @pytest.mark.parametrize("k, b", [(4, 1), (5, 1), (3, 2)])
+    def test_every_candidate_has_the_girth_of_its_transpose(self, k, b):
+        # girth(q1, j) = girth(q1^-1, m - j), incompatible matching
+        # incompatible; no j filter, so every shift is covered
+        incompatible = 0
+        for strategy in ScalingStrategy:
+            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=False)
+            for q1, j in candidate_space(cfg):
+                g = reference_girth(q1, j, cfg)
+                assert g == reference_girth(inverse(q1), cfg.m - j, cfg), (strategy, q1, j)
+                incompatible += g == 0
+        assert incompatible > 0
+
+    def test_sampled_candidates_of_k4_b2(self):
+        # 80,640 candidates per strategy: too many to build each one
+        rng = random.Random(32)
+        for strategy in ScalingStrategy:
+            cfg = SearchConfig(k=4, b=2, strategy=strategy, j_range_filter=False)
+            for q1, j in rng.sample(list(candidate_space(cfg)), 60):
+                assert reference_girth(q1, j, cfg) == reference_girth(inverse(q1), cfg.m - j, cfg), (strategy, q1, j)
+
+    @pytest.mark.parametrize("k, b", [(3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (3, 2), (4, 2)])
+    def test_half_scan_equals_full_scan(self, k, b):
+        for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
+            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+            result = search_r3(cfg)
+            got = (
+                result.best_girth,
+                result.witness_j,
+                result.witness_q1.image,
+                result.candidates_evaluated,
+                result.skipped_incompatible,
+            )
+            assert got == full_scan(cfg), (strategy, j_filter)
+            assert 2 * result.witness_j < cfg.m
+
+    def test_witness_image_holds_python_ints(self):
+        # k = 4 on the reference path, k = 5 on the engine's uint8 rows
+        for k in (4, 5):
+            image = search_r3(SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED)).witness_q1.image
+            assert isinstance(image, tuple)
+            assert all(type(v) is int for v in image), image
 
 
 class TestSearchSmall:
@@ -187,8 +257,9 @@ class TestSearchSmall:
             assert girth_bfs(rebuilt.to_bipartite()).value == result.best_girth
 
     def test_each_q1_scaled_once(self, monkeypatch):
-        # k = 5 interleaved runs on the engine: 24 q1 from the
-        # enumeration, none per (q1, j) candidate (288 of them)
+        # k = 5 interleaved runs on the engine over the image rows of the
+        # 24 q1: only the winner becomes a Permutation, and none of the
+        # (q1, j) candidates (288 of them)
         built = []
         init = Permutation.__init__
 
@@ -199,7 +270,7 @@ class TestSearchSmall:
         monkeypatch.setattr(Permutation, "__init__", spy)
         result = search_r3(SearchConfig(k=5, strategy=ScalingStrategy.INTERLEAVED))
         assert result.candidates_evaluated == 288
-        assert len(built) <= 2 * 24
+        assert len(built) == 1
 
     def test_candidate_count_invariant(self):
         cfg = SearchConfig(k=4)
@@ -271,50 +342,55 @@ class TestDeterminism:
             assert (result.best_girth, result.witness_j, result.witness_q1) == (best, *first)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every ProcessPoolExecutor started, in order."""
+    seen = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return seen
+
+
 class TestPool:
-    def test_workers_capped_at_task_count(self, monkeypatch):
-        # k=3 has 2 q1 and 2 shifts: 2 tasks
-        seen = []
-
-        class Spy(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                seen.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    def test_workers_capped_at_task_count(self, pools, monkeypatch):
+        # k = 4 has 4 shifts (5, 7, 9, 11) of which 2j < 16 scans 2: 2 tasks
         monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
-        pooled = search_r3(SearchConfig(k=3, worker_count=8))
-        assert seen == [2]
-        serial = search_r3(SearchConfig(k=3))
-        assert (pooled.best_girth, pooled.witness_q1, pooled.witness_j) == (
-            serial.best_girth, serial.witness_q1, serial.witness_j
-        )
+        pooled = search_r3(SearchConfig(k=4, worker_count=8))
+        assert pools == [2]
+        serial = search_r3(SearchConfig(k=4))
+        assert snapshot(pooled) == snapshot(serial)
 
-    def test_small_search_starts_no_pool(self, monkeypatch):
-        # k = 7 on the engine: 21,600 candidates * 7 roots, below the
-        # pool threshold, so a second worker is not started
-        seen = []
-
-        class Spy(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                seen.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    def test_small_search_starts_no_pool(self, pools):
+        # k = 7 on the engine: 10,800 scanned candidates * 7 roots, below
+        # the pool threshold, so a second worker is not started
         cfg = SearchConfig(k=7, strategy=ScalingStrategy.INTERLEAVED)
         serial = search_r3(cfg)
         two = search_r3(SearchConfig(k=7, strategy=ScalingStrategy.INTERLEAVED, worker_count=2))
-        assert seen == []
+        assert pools == []
         assert snapshot(two) == snapshot(serial)
 
+    def test_pool_rule_counts_scanned_pairs(self, pools, monkeypatch):
+        # k = 5 interleaved scans 6 of its 12 shifts: 6 * 24 q1 * 5 roots
+        # = 720 pairs, against 1,440 over the full space
+        cfg = SearchConfig(k=5, strategy=ScalingStrategy.INTERLEAVED, worker_count=2)
+        for threshold, started in ((721, []), (720, [2])):
+            monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", threshold)
+            search_r3(cfg)
+            assert pools == started, threshold
+
     def test_pool_threshold_splits_searches(self):
-        # (candidate, root) pairs: every Table 1 search (k <= 8, both
-        # strategies) runs in process; block k = 8 and interleaved k = 9
-        # run on the pool
+        # scanned (candidate, root) pairs: every Table 1 search
+        # (interleaved, k <= 8) and block k = 7 run in process; block
+        # k = 8 and interleaved k = 9 run on the pool
         def pairs(k, roots):
             m = k * k
-            shifts = sum(1 for j in range(k + 1, m - k) if gcd(j, m) == 1)
-            return shifts * factorial(k - 1) * roots
+            scanned = sum(1 for j in range(k + 1, m - k) if gcd(j, m) == 1 and 2 * j < m)
+            return scanned * factorial(k - 1) * roots
 
         threshold = girthmax.search._POOL_MIN_PAIRS
         assert max(pairs(8, 8), pairs(7, 49)) < threshold <= min(pairs(8, 64), pairs(9, 9))
