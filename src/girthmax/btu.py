@@ -12,12 +12,15 @@ permutation sequences match. Use `same_matrix` for the order-insensitive
 comparison of the underlying matrices.
 
 Serialization: the alist format standard in LDPC tooling (column-major
-index lists, see `write_alist`), DIMACS edge format (left vertices
-1..m, right m+1..2m), and a dense 0/1 text grid for debugging.
+index lists, see `write_alist`), DIMACS edge format (square matrices
+only: left vertices 1..m, right m+1..2m), and a dense 0/1 text grid for
+debugging.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .perm import Permutation, compose, identity, inverse
@@ -77,6 +80,12 @@ class DecompositionFailed(ValueError):
     """Matrix is not a disjoint union of permutation matrices."""
 
 
+def _freeze(obj, **fields):
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class BipartiteGraph:
     """Adjacency view: for each left vertex, the sorted right neighbors.
 
@@ -88,17 +97,17 @@ class BipartiteGraph:
     __slots__ = ("n_left", "n_right", "adjacency")
 
     def __init__(self, n_left: int, n_right: int, adjacency: Iterable[Iterable[int]]):
-        adj = tuple(tuple(nbrs) for nbrs in adjacency)
+        adj = tuple(map(tuple, adjacency))
         if len(adj) != n_left:
             raise ValueError(f"expected {n_left} adjacency rows, got {len(adj)}")
         for i, nbrs in enumerate(adj):
-            if any(not 0 <= c < n_right for c in nbrs):
-                raise ValueError(f"left vertex {i}: neighbor out of range")
             if list(nbrs) != sorted(set(nbrs)):
+                if any(not 0 <= c < n_right for c in nbrs):  # range is reported first
+                    raise ValueError(f"left vertex {i}: neighbor out of range")
                 raise ValueError(f"left vertex {i}: neighbors must be sorted and duplicate-free")
-        object.__setattr__(self, "n_left", n_left)
-        object.__setattr__(self, "n_right", n_right)
-        object.__setattr__(self, "adjacency", adj)
+            if nbrs and (nbrs[0] < 0 or nbrs[-1] >= n_right):
+                raise ValueError(f"left vertex {i}: neighbor out of range")
+        _freeze(self, n_left=n_left, n_right=n_right, adjacency=adj)
 
     def __setattr__(self, name, value):
         raise AttributeError("BipartiteGraph is immutable")
@@ -117,15 +126,13 @@ class BinaryMatrix:
     __slots__ = ("n_rows", "n_cols", "rows")
 
     def __init__(self, n_rows: int, n_cols: int, rows: Iterable[Iterable[int]]):
-        rws = tuple(tuple(sorted(set(r))) for r in rows)
+        rws = tuple(map(tuple, map(sorted, map(set, rows))))
         if len(rws) != n_rows:
             raise ValueError(f"expected {n_rows} rows, got {len(rws)}")
         for i, r in enumerate(rws):
-            if any(not 0 <= c < n_cols for c in r):
+            if r and (r[0] < 0 or r[-1] >= n_cols):
                 raise ValueError(f"row {i}: column index out of range")
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "rows", rws)
+        _freeze(self, n_rows=n_rows, n_cols=n_cols, rows=rws)
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryMatrix is immutable")
@@ -147,10 +154,10 @@ class BinaryMatrix:
         for i, r in enumerate(self.rows):
             for c in r:
                 cols[c].append(i)
-        return tuple(tuple(col) for col in cols)
+        return tuple(map(tuple, cols))
 
     def to_bipartite(self) -> BipartiteGraph:
-        return BipartiteGraph(self.n_rows, self.n_cols, self.rows)
+        return _trusted_graph(self.n_rows, self.n_cols, self.rows)
 
     def to_array(self) -> np.ndarray:
         """Dense numpy uint8 view."""
@@ -183,13 +190,14 @@ class Btu:
         if r > m:
             raise ValueError(f"degree r={r} exceeds matrix side m={m}")
         images = [p.image for p in perms]
-        for i in range(m):
-            seen: dict[int, int] = {}
-            for t in range(r):
-                v = images[t][i]
-                if v in seen:
-                    raise IncompatiblePermutations(i, seen[v], t)
-                seen[v] = t
+        if min(map(len, map(set, zip(*images)))) != r:  # some position repeats a column
+            for i in range(m):
+                seen: dict[int, int] = {}
+                for t in range(r):
+                    v = images[t][i]
+                    if v in seen:
+                        raise IncompatiblePermutations(i, seen[v], t)
+                    seen[v] = t
         object.__setattr__(self, "perms", perms)
 
     def __setattr__(self, name, value):
@@ -213,15 +221,15 @@ class Btu:
     def __repr__(self) -> str:
         return f"Btu(m={self.m}, r={self.r})"
 
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        # images are in range, and compatibility makes each row's columns distinct
+        return tuple(map(tuple, map(sorted, zip(*(p.image for p in self.perms)))))
+
     def to_bipartite(self) -> BipartiteGraph:
-        m = self.m
-        images = [p.image for p in self.perms]
-        return BipartiteGraph(m, m, (sorted(img[i] for img in images) for i in range(m)))
+        return _trusted_graph(self.m, self.m, self._rows())
 
     def matrix(self) -> BinaryMatrix:
-        m = self.m
-        images = [p.image for p in self.perms]
-        return BinaryMatrix(m, m, ((img[i] for img in images) for i in range(m)))
+        return _trusted_matrix(self.m, self.m, self._rows())
 
     def to_array(self) -> np.ndarray:
         return self.matrix().to_array()
@@ -255,6 +263,18 @@ def _as_matrix(x: "Btu | BinaryMatrix") -> BinaryMatrix:
     return x.matrix() if isinstance(x, Btu) else x
 
 
+# Views of objects that are already validated skip the validating
+# constructors: `rows` must be a tuple of sorted, duplicate-free tuples
+# of in-range indices.
+
+def _trusted_graph(n_left: int, n_right: int, rows: tuple) -> BipartiteGraph:
+    return _freeze(object.__new__(BipartiteGraph), n_left=n_left, n_right=n_right, adjacency=rows)
+
+
+def _trusted_matrix(n_rows: int, n_cols: int, rows: tuple) -> BinaryMatrix:
+    return _freeze(object.__new__(BinaryMatrix), n_rows=n_rows, n_cols=n_cols, rows=rows)
+
+
 # ---------------------------------------------------------------------------
 # alist
 # ---------------------------------------------------------------------------
@@ -275,16 +295,23 @@ def write_alist(x: "Btu | BinaryMatrix") -> str:
     writers emit for irregular codes.
     """
     mat = _as_matrix(x)
+    rows = mat.rows
     cols = mat.columns()
+    label = _labels(max(mat.n_rows, mat.n_cols)).__getitem__
     lines = [
         f"{mat.n_cols} {mat.n_rows}",
-        f"{max((len(c) for c in cols), default=0)} {max((len(r) for r in mat.rows), default=0)}",
-        " ".join(str(len(c)) for c in cols),
-        " ".join(str(len(r)) for r in mat.rows),
+        f"{max(map(len, cols), default=0)} {max(map(len, rows), default=0)}",
+        " ".join(map(str, map(len, cols))),
+        " ".join(map(str, map(len, rows))),
     ]
-    lines.extend(" ".join(str(i + 1) for i in col) for col in cols)
-    lines.extend(" ".join(str(c + 1) for c in row) for row in mat.rows)
+    lines.extend(" ".join(map(label, col)) for col in cols)
+    lines.extend(" ".join(map(label, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _labels(n: int) -> list[str]:
+    # the 1-based text label of each 0-based index below n
+    return list(map(str, range(1, n + 1)))
 
 
 def _int_fields(line: str, lineno: int) -> list[int]:
@@ -297,12 +324,52 @@ def _int_fields(line: str, lineno: int) -> list[int]:
     return out
 
 
+def _index_list(line: str, lineno: int, bound: int, declared: int, what: str) -> list[int]:
+    # one alist index line, 0-based; zero padding is dropped
+    entries = [v for v in _int_fields(line, lineno) if v != 0]
+    for v in entries:
+        if not 1 <= v <= bound:
+            raise MalformedAlist(lineno, f"{what} index {v} outside 1..{bound}")
+    if len(set(entries)) != len(entries):
+        raise MalformedAlist(lineno, f"duplicate {what} index")
+    if len(entries) != declared:
+        raise NotRegular(
+            f"line {lineno}: {what} list has {len(entries)} entries, degree declares {declared}"
+        )
+    return [v - 1 for v in entries]
+
+
+def _index_block(lines: list[str], first: int, bound: int, degrees: list[int], what: str) -> list[list[int]]:
+    """The 0-based index lists on lines first, first + 1, ... (1-based numbers).
+
+    A block whose every token is a plain label 1..bound, with the
+    declared count per line and no repeats, is read in bulk. Anything
+    else (zero padding, a token such as "+3" or "07", or a fault) sends
+    the block through `_index_list` line by line, which reads what the
+    bulk pass skips and raises the first fault in file order.
+    """
+    block = lines[first - 1 : first - 1 + len(degrees)]
+    index = {label: v for v, label in enumerate(_labels(bound))}.__getitem__
+    try:
+        lists = [list(map(index, ln.split())) for ln in block]
+    except KeyError:
+        pass
+    else:
+        if list(map(len, lists)) == degrees and list(map(len, map(set, lists))) == degrees:
+            return lists
+    return [
+        _index_list(ln, lineno, bound, declared, what)
+        for lineno, ln, declared in zip(range(first, first + len(block)), block, degrees)
+    ]
+
+
 def read_alist(text: str) -> BinaryMatrix:
     """Parse alist text into a BinaryMatrix.
 
     Tolerates the zero padding used for irregular codes (zeros in index
     lists are ignored). Raises MalformedAlist for structural problems,
     NotRegular when an index list disagrees with its declared degree.
+    Of several faulty index lines, the first in file order is reported.
     """
     lines = text.splitlines()
     if len(lines) < 4:
@@ -324,35 +391,22 @@ def read_alist(text: str) -> BinaryMatrix:
     if len(lines) < 4 + n_cols + n_rows:
         raise MalformedAlist(len(lines) + 1, f"truncated: expected {4 + n_cols + n_rows} lines")
 
-    def index_list(lineno: int, bound: int, declared: int, what: str) -> list[int]:
-        entries = [v for v in _int_fields(lines[lineno - 1], lineno) if v != 0]
-        for v in entries:
-            if not 1 <= v <= bound:
-                raise MalformedAlist(lineno, f"{what} index {v} outside 1..{bound}")
-        if len(set(entries)) != len(entries):
-            raise MalformedAlist(lineno, f"duplicate {what} index")
-        if len(entries) != declared:
-            raise NotRegular(
-                f"line {lineno}: {what} list has {len(entries)} entries, degree declares {declared}"
-            )
-        return [v - 1 for v in entries]
-
-    col_lists = [
-        index_list(5 + c, n_rows, col_degrees[c], "row") for c in range(n_cols)
-    ]
-    row_lists = [
-        index_list(5 + n_cols + i, n_cols, row_degrees[i], "column") for i in range(n_rows)
-    ]
+    col_lists = _index_block(lines, 5, n_rows, col_degrees, "row")
+    row_lists = _index_block(lines, 5 + n_cols, n_cols, row_degrees, "column")
     if max(col_degrees, default=0) != max_col or max(row_degrees, default=0) != max_row:
         raise NotRegular(
             f"declared maxima {max_col}/{max_row} differ from actual "
             f"{max(col_degrees, default=0)}/{max(row_degrees, default=0)}"
         )
-    from_cols = sorted((i, c) for c, col in enumerate(col_lists) for i in col)
-    from_rows = sorted((i, c) for i, row in enumerate(row_lists) for c in row)
-    if from_cols != from_rows:
+    # both kinds of list are duplicate-free, so they describe one matrix
+    # exactly when each column list holds the rows that list the column
+    from_rows: list[list[int]] = [[] for _ in range(n_cols)]
+    for i, row in enumerate(row_lists):
+        for c in row:
+            from_rows[c].append(i)
+    if list(map(sorted, col_lists)) != from_rows:
         raise MalformedAlist(5, "column lists and row lists describe different matrices")
-    return BinaryMatrix(n_rows, n_cols, row_lists)
+    return _trusted_matrix(n_rows, n_cols, tuple(map(tuple, map(sorted, row_lists))))
 
 
 def btu_from_matrix(mat: BinaryMatrix) -> Btu:
@@ -361,51 +415,67 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
     Peels off perfect matchings greedily, so any r-regular square matrix
     decomposes (an r-regular bipartite graph has a perfect matching, and
     removing it leaves an (r-1)-regular one). Each matching is grown row
-    by row in ascending order along a shortest augmenting path, found
+    by row in ascending order: a row takes its first free column if it
+    has one, and otherwise a shortest augmenting path, found
     breadth-first over alternating edges, so the chain length costs no
-    stack. The constituent order is the greedy extraction order, which
-    need not be the order some original BTU was built with. Raises
-    DecompositionFailed for non-square or irregular matrices.
+    stack. (The first free column is what that search would find at
+    depth 1.) The constituent order is the greedy extraction order,
+    which need not be the order some original BTU was built with.
+    Raises DecompositionFailed for non-square or irregular matrices.
     """
     m = mat.n_rows
     if mat.n_cols != m:
         raise DecompositionFailed(f"matrix is {mat.n_rows}x{mat.n_cols}, not square")
-    degrees = {len(r) for r in mat.rows}
-    col_degrees = {len(c) for c in mat.columns()}
+    degrees = set(map(len, mat.rows))
+    col_counts = Counter(chain.from_iterable(mat.rows))
+    col_degrees = set(col_counts.values())
+    if len(col_counts) < m:
+        col_degrees.add(0)  # some column has no ones
     if len(degrees) != 1 or degrees != col_degrees:
         raise DecompositionFailed("matrix is not regular")
     r = degrees.pop()
-    remaining = [list(row) for row in mat.rows]
+    remaining = list(map(list, mat.rows))
     perms = []
     for _ in range(r):
         match_of_col = [-1] * m  # col -> row
         image = [-1] * m  # row -> col
         for row in range(m):
-            via: dict[int, int] = {}  # column -> the row it was reached from
-            frontier = [row]
-            free = -1
-            for x in frontier:  # grows while it is walked: breadth-first
-                for c in remaining[x]:
-                    if c not in via:
-                        via[c] = x
-                        if match_of_col[c] == -1:
-                            free = c
-                            break
-                        frontier.append(match_of_col[c])
-                if free != -1:
+            for c in remaining[row]:
+                if match_of_col[c] == -1:
+                    image[row] = c
+                    match_of_col[c] = row
                     break
-            if free == -1:
-                raise DecompositionFailed(f"no perfect matching found at extraction {len(perms)}")
-            while free != -1:  # flip the path back to `row`, whose old column is -1
-                x = via[free]
-                previous = image[x]
-                image[x] = free
-                match_of_col[free] = x
-                free = previous
+            else:
+                _augment(row, remaining, match_of_col, image, len(perms))
         perms.append(Permutation(image))
         for row in range(m):
             remaining[row].remove(image[row])
     return Btu(tuple(perms))
+
+
+def _augment(row: int, remaining: list[list[int]], match_of_col: list[int], image: list[int], extraction: int) -> None:
+    # match the unmatched `row` along a shortest augmenting path
+    via: dict[int, int] = {}  # column -> the row it was reached from
+    frontier = [row]
+    free = -1
+    for x in frontier:  # grows while it is walked: breadth-first
+        for c in remaining[x]:
+            if c not in via:
+                via[c] = x
+                if match_of_col[c] == -1:
+                    free = c
+                    break
+                frontier.append(match_of_col[c])
+        if free != -1:
+            break
+    if free == -1:
+        raise DecompositionFailed(f"no perfect matching found at extraction {extraction}")
+    while free != -1:  # flip the path back to `row`, whose old column is -1
+        x = via[free]
+        previous = image[x]
+        image[x] = free
+        match_of_col[free] = x
+        free = previous
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +483,23 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
 # ---------------------------------------------------------------------------
 
 def write_dimacs(x: "Btu | BinaryMatrix") -> str:
-    """DIMACS edge format of the bipartite graph.
+    """DIMACS edge format of the bipartite graph of a square matrix.
 
     Left (row) vertices are 1..m, right (column) vertices m+1..2m;
     header is "p edge <vertices> <edges>" and edge lines are sorted.
+    The format carries no side sizes, so `read_dimacs` assumes m per
+    side: a non-square matrix raises ValueError instead of being
+    written as a file that reads back as another matrix.
     """
     mat = _as_matrix(x)
-    lines = [f"p edge {mat.n_rows + mat.n_cols} {sum(len(r) for r in mat.rows)}"]
+    m = mat.n_rows
+    if mat.n_cols != m:
+        raise ValueError(f"DIMACS needs a square matrix, got {mat.n_rows}x{mat.n_cols}")
+    label = _labels(2 * m)
+    lines = [f"p edge {2 * m} {sum(map(len, mat.rows))}"]
     for i, row in enumerate(mat.rows):
-        for c in row:
-            lines.append(f"e {i + 1} {mat.n_rows + c + 1}")
+        head = f"e {label[i]} "
+        lines.extend([head + label[m + c] for c in row])
     return "\n".join(lines) + "\n"
 
 
@@ -439,11 +516,22 @@ def read_dimacs(text: str) -> BinaryMatrix:
     edges: dict[tuple[int, int], int] = {}  # (low, high) endpoint -> line
     declared_edges = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
+        kind = fields[0]
+        if kind == "e":
+            if len(fields) != 3:
+                raise MalformedDimacs(f"line {lineno}: bad edge line {raw!r}")
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise MalformedDimacs(f"line {lineno}: non-integer field in {raw!r}") from None
+            edge = (u, v) if u < v else (v, u)
+            first = edges.setdefault(edge, lineno)
+            if first != lineno:
+                raise MalformedDimacs(f"line {lineno}: edge {edge} repeats line {first}")
+        elif kind == "p":
             if len(fields) != 4 or fields[1] != "edge":
                 raise MalformedDimacs(f"line {lineno}: bad problem line {raw!r}")
             if problem_line:
@@ -455,19 +543,8 @@ def read_dimacs(text: str) -> BinaryMatrix:
             if n_vertices < 0 or declared_edges < 0:
                 raise MalformedDimacs(f"line {lineno}: negative count in {raw!r}")
             problem_line = lineno
-        elif fields[0] == "e":
-            if len(fields) != 3:
-                raise MalformedDimacs(f"line {lineno}: bad edge line {raw!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise MalformedDimacs(f"line {lineno}: non-integer field in {raw!r}") from None
-            edge = (u, v) if u < v else (v, u)
-            if edge in edges:
-                raise MalformedDimacs(f"line {lineno}: edge {edge} repeats line {edges[edge]}")
-            edges[edge] = lineno
-        else:
-            raise MalformedDimacs(f"line {lineno}: unknown record {fields[0]!r}")
+        elif not kind.startswith("c"):  # a comment is any line that starts with c
+            raise MalformedDimacs(f"line {lineno}: unknown record {kind!r}")
     if n_vertices is None:
         raise MalformedDimacs("missing problem line")
     if n_vertices % 2 != 0:
@@ -482,7 +559,7 @@ def read_dimacs(text: str) -> BinaryMatrix:
                 f"line {lineno}: edge ({u}, {v}) does not join left 1..{m} to right {m + 1}..{2 * m}"
             )
         rows[u - 1].append(v - m - 1)
-    return BinaryMatrix(m, m, rows)
+    return _trusted_matrix(m, m, tuple(map(tuple, map(sorted, rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -512,5 +589,5 @@ def read_dense(text: str) -> BinaryMatrix:
             raise ValueError(f"line {lineno}: ragged row ({len(line)} != {width})")
         if set(line) - {"0", "1"}:
             raise ValueError(f"line {lineno}: characters other than 0/1")
-        rows.append([c for c, ch in enumerate(line) if ch == "1"])
-    return BinaryMatrix(len(lines), width, rows)
+        rows.append(tuple(c for c, ch in enumerate(line) if ch == "1"))
+    return _trusted_matrix(len(lines), width, tuple(rows))

@@ -245,8 +245,9 @@ def _run_tables(args: argparse.Namespace) -> int:
 def _run_convert(args: argparse.Namespace) -> int:
     with open(args.src) as fh:
         matrix = _READERS[args.src_format](fh.read())
+    text = _WRITERS[args.dst_format](matrix)  # before `dst` is opened: a refusal leaves no file
     with open(args.dst, "w") as fh:
-        fh.write(_WRITERS[args.dst_format](matrix))
+        fh.write(text)
     return 0
 
 

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from girthmax.btu import (
     BinaryMatrix,
+    BipartiteGraph,
     Btu,
     DecompositionFailed,
     IncompatiblePermutations,
@@ -21,6 +23,7 @@ from girthmax.btu import (
 )
 from girthmax.girth import girth_oracle
 from girthmax.perm import Permutation, circulant, identity, relative_cycle_type
+from girthmax.search import SearchConfig, construct_candidate
 
 from conftest import random_btu, run_python
 
@@ -38,6 +41,33 @@ class TestConstruction:
             Btu([identity(4), identity(4)])
         assert exc.value.position == 0
         assert (exc.value.first, exc.value.second) == (0, 1)
+
+    def test_first_colliding_position_is_reported(self):
+        # constituents 0 and 1 collide at position 4, 1 and 2 already at 2
+        perms = [identity(6), Permutation([1, 2, 3, 5, 4, 0]), Permutation([5, 0, 3, 1, 2, 4])]
+        with pytest.raises(IncompatiblePermutations) as exc:
+            Btu(perms)
+        assert (exc.value.position, exc.value.first, exc.value.second) == (2, 1, 2)
+        assert str(exc.value) == "constituents 1 and 2 collide at position 2"
+
+    def test_collision_fields_match_a_position_scan(self, rng):
+        for _ in range(200):
+            m = rng.randint(2, 8)
+            r = rng.randint(2, min(4, m))
+            perms = [Permutation(rng.sample(range(m), m)) for _ in range(r)]
+            expected = None
+            for i in range(m):
+                column = [p.image[i] for p in perms]
+                second = next((t for t in range(r) if column[t] in column[:t]), None)
+                if second is not None:
+                    expected = (i, column.index(column[second]), second)
+                    break
+            if expected is None:
+                assert Btu(perms).perms == tuple(perms)
+                continue
+            with pytest.raises(IncompatiblePermutations) as exc:
+                Btu(perms)
+            assert (exc.value.position, exc.value.first, exc.value.second) == expected
 
     def test_heawood_shifts(self):
         assert HEAWOOD.m == 7 and HEAWOOD.r == 3
@@ -107,6 +137,62 @@ class TestBipartiteView:
 
     def test_heawood_edge_count(self):
         assert HEAWOOD.to_bipartite().edge_count == 21
+
+
+class TestValidation:
+    @pytest.mark.parametrize("rows, message", [
+        ([(0, 1), (5, 2)], "left vertex 1: neighbor out of range"),  # unsorted too
+        ([(0, 1), (2, 1)], "left vertex 1: neighbors must be sorted and duplicate-free"),
+        ([(0, 1), (1, 1)], "left vertex 1: neighbors must be sorted and duplicate-free"),
+        ([(1, 0), (0, 7)], "left vertex 0: neighbors must be sorted and duplicate-free"),
+        ([(0, 3), (1, 2)], "left vertex 0: neighbor out of range"),
+        ([(-1, 0), (1, 2)], "left vertex 0: neighbor out of range"),
+        ([(0, 1)], "expected 2 adjacency rows, got 1"),
+    ])
+    def test_bipartite_graph_messages(self, rows, message):
+        with pytest.raises(ValueError) as exc:
+            BipartiteGraph(2, 3, rows)
+        assert str(exc.value) == message
+
+    def test_binary_matrix_sorts_and_range_checks(self):
+        assert BinaryMatrix(2, 3, [(2, 0, 2), (1,)]).rows == ((0, 2), (1,))
+        for rows, message in (
+            ([(2, 0), (3, 1)], "row 1: column index out of range"),
+            ([(2, -1), (1,)], "row 0: column index out of range"),
+            ([(0,)], "expected 2 rows, got 1"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                BinaryMatrix(2, 3, rows)
+            assert str(exc.value) == message
+
+
+class TestTrustedViews:
+    """`matrix()` and both `to_bipartite()` views skip re-validation; they
+    must still equal what the validating constructors build."""
+
+    def test_views_equal_validated_constructions(self, rng):
+        for r in range(1, 5):
+            for _ in range(10):
+                m = rng.randint(max(r, 2), 10)
+                b = random_btu(rng, m, r)
+                rows = [[p.image[i] for p in b.perms] for i in range(m)]
+                mat = b.matrix()
+                ref = BinaryMatrix(m, m, rows)
+                assert mat == ref and hash(mat) == hash(ref)
+                g = b.to_bipartite()
+                ref_g = BipartiteGraph(m, m, map(sorted, rows))
+                assert (g.n_left, g.n_right, g.adjacency) == (ref_g.n_left, ref_g.n_right, ref_g.adjacency)
+                view = mat.to_bipartite()
+                assert (view.n_left, view.n_right) == (m, m) and view.adjacency is mat.rows
+                flipped = Btu(b.perms[::-1])
+                assert same_matrix(b, flipped)
+                assert (b == flipped) == (r == 1)
+
+    def test_views_are_immutable(self):
+        mat = HEAWOOD.matrix()
+        for obj, name in ((mat, "rows"), (mat.to_bipartite(), "adjacency"), (HEAWOOD.to_bipartite(), "n_left")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, ())
 
 
 class TestRelabel:
@@ -219,6 +305,139 @@ class TestAlist:
             assert rec.matrix() == b.matrix()
 
 
+class TestAlistFaultOrder:
+    """Two faulty index lines: the earlier line is reported, with the
+    type and message a line-by-line reader raises. Zero padding, on
+    faulty lines or others, is not a fault."""
+
+    @staticmethod
+    def _fault(tokens: list[str], kind: str, lineno: int, what: str, bound: int):
+        # the faulty tokens of one line, and the error that line raises
+        if kind == "non-integer":
+            return tokens + ["x1"], MalformedAlist, f"line {lineno}: non-integer field 'x1'"
+        if kind == "out of range":
+            return tokens[:-1] + [str(bound + 1)], MalformedAlist, f"line {lineno}: {what} index {bound + 1} outside 1..{bound}"
+        if kind == "duplicate":
+            return tokens[:-1] + tokens[:1], MalformedAlist, f"line {lineno}: duplicate {what} index"
+        if kind == "extra duplicate":  # as many distinct entries as declared
+            return tokens + tokens[:1], MalformedAlist, f"line {lineno}: duplicate {what} index"
+        declared = len(tokens)
+        return tokens[:-1], NotRegular, f"line {lineno}: {what} list has {declared - 1} entries, degree declares {declared}"
+
+    @staticmethod
+    def _pad(rng, tokens: list[str]) -> list[str]:
+        out = list(tokens)
+        for _ in range(rng.randint(1, 2)):
+            out.insert(rng.randint(0, len(out)), "0")
+        return out
+
+    def test_earlier_line_wins(self, rng):
+        kinds = ("non-integer", "out of range", "duplicate", "extra duplicate", "count")
+        for _ in range(300):
+            m = rng.randint(3, 8)
+            b = random_btu(rng, m, rng.randint(2, 3))
+            lines = write_alist(b).splitlines()
+            first, second = sorted(rng.sample(range(4, 4 + 2 * m), 2))
+            expected = None
+            for idx in (first, second):
+                what = "row" if idx < 4 + m else "column"
+                tokens, err, message = self._fault(lines[idx].split(), rng.choice(kinds), idx + 1, what, m)
+                lines[idx] = " ".join(tokens)
+                expected = expected or (err, message, idx + 1)
+            for idx in rng.sample(range(4, 4 + 2 * m), rng.randint(0, 2 * m)):
+                lines[idx] = " ".join(self._pad(rng, lines[idx].split()))
+            err, message, lineno = expected
+            with pytest.raises((MalformedAlist, NotRegular)) as exc:
+                read_alist("\n".join(lines) + "\n")
+            assert (type(exc.value), str(exc.value)) == (err, message)
+            if err is MalformedAlist:
+                assert exc.value.line == lineno
+
+    def test_zero_padding_alone_reads_the_same_matrix(self, rng):
+        for _ in range(50):
+            m = rng.randint(2, 8)
+            b = random_btu(rng, m, rng.randint(1, min(3, m)))
+            lines = write_alist(b).splitlines()
+            for idx in rng.sample(range(4, 4 + 2 * m), rng.randint(1, 2 * m)):
+                lines[idx] = " ".join(self._pad(rng, lines[idx].split()))
+            assert read_alist("\n".join(lines) + "\n") == b.matrix()
+
+    def test_non_canonical_integers_are_read(self):
+        # "+1" and "01" are integers to int(); only the bulk reader skips them
+        text = "3 3\n3 3\n3 3 3\n3 3 3\n+1 02 3\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n1 2 003\n"
+        assert read_alist(text) == ALL_ONES_3.matrix()
+
+
+# Table 1 winners (j, q1 image, 0-based) under interleaved scaling, and the
+# constituents btu_from_matrix recovers from their matrices, in extraction
+# order. The greedy matcher's choices decide this order.
+TABLE_1_WINNERS = {5: (7, (4, 2, 3, 0, 1)), 6: (7, (1, 3, 5, 2, 0, 4)), 7: (10, (2, 4, 6, 1, 5, 0, 3))}
+RECOVERED = {
+    5: (
+        tuple(range(25)),
+        (7, 8, 22, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 0, 23, 24, 3, 1, 2, 6, 4, 5, 9),
+        (20, 21, 9, 23, 24, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 22, 1, 2, 0, 4, 5, 3, 7, 8, 6),
+    ),
+    6: (
+        tuple(range(36)),
+        (7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
+         25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 0, 1, 2, 3, 4, 5, 6),
+        (6, 7, 8, 9, 10, 11, 18, 19, 20, 21, 22, 23, 30, 31, 32, 33, 34, 35,
+         12, 13, 14, 15, 16, 17, 0, 1, 2, 3, 4, 5, 24, 25, 26, 27, 28, 29),
+    ),
+    7: (
+        tuple(range(49)),
+        (10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 33, 23, 24, 25, 26, 45, 28, 29, 30, 31, 32, 9, 34,
+         35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 0, 46, 47, 48, 4, 1, 2, 3, 22, 5, 6, 7, 8, 27),
+        (14, 15, 16, 17, 18, 19, 20, 28, 29, 30, 31, 32, 22, 34, 42, 43, 44, 27, 46, 47, 48, 7, 8, 33, 10,
+         11, 12, 13, 35, 36, 37, 38, 39, 40, 41, 45, 1, 2, 3, 0, 5, 6, 21, 4, 23, 24, 25, 26, 9),
+    ),
+}
+# (k, lift order L, seed) -> sha256 of repr([list(p.image) for p in recovered.perms])
+RECOVERED_LIFTS = {
+    (5, 2, 11): "954e8c5caffbcf0d0caf73f2c71174c37db53e29eff61b633c84903b1591e3ae",
+    (6, 3, 12): "f9c238bbfd2efea7c2a43533383cf931bf91b4b72e8ebcd3eeffec5910d0f0a0",
+}
+
+
+def table_1_winner(k: int) -> Btu:
+    j, q1 = TABLE_1_WINNERS[k]
+    return construct_candidate(Permutation(q1), j, SearchConfig(k=k))
+
+
+def seeded_lift(base: Btu, L: int, rng: random.Random) -> Btu:
+    """Random L-lift (i, a) -> (p(i), a + v mod L), a voltage v per edge,
+    then a random relabeling of rows and columns."""
+    n = base.m * L
+    lifted = []
+    for p in base.perms:
+        img = [0] * n
+        for i, pi in enumerate(p.image):
+            v = rng.randrange(L)
+            for a in range(L):
+                img[i * L + a] = pi * L + (a + v) % L
+        lifted.append(Permutation(img))
+    row, col = list(range(n)), list(range(n))
+    rng.shuffle(row)
+    rng.shuffle(col)
+    return Btu(lifted).relabel(Permutation(row), Permutation(col))
+
+
+class TestRecoveryOrder:
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_table_1_winners(self, k):
+        rec = btu_from_matrix(table_1_winner(k).matrix())
+        assert tuple(p.image for p in rec.perms) == RECOVERED[k]
+
+    @pytest.mark.parametrize("k, L, seed", list(RECOVERED_LIFTS))
+    def test_seeded_lifts(self, k, L, seed):
+        lifted = seeded_lift(table_1_winner(k), L, random.Random(seed))
+        rec = btu_from_matrix(lifted.matrix())
+        assert same_matrix(rec, lifted)
+        images = [list(p.image) for p in rec.perms]
+        assert hashlib.sha256(repr(images).encode()).hexdigest() == RECOVERED_LIFTS[(k, L, seed)]
+
+
 class TestDimacs:
     def test_matching_lines(self):
         text = write_dimacs(Btu([identity(3)]))
@@ -266,6 +485,11 @@ class TestDimacs:
             with pytest.raises(MalformedDimacs, match=f"line {lineno}: non-integer field"):
                 read_dimacs(text)
 
+    def test_rejects_non_square(self):
+        # m per side is all the header says, so 1x3 would read back as 2x2
+        with pytest.raises(ValueError, match="DIMACS needs a square matrix, got 1x3"):
+            write_dimacs(BinaryMatrix(1, 3, [(1, 2)]))
+
     def test_negative_count_names_line(self):
         for text in ("c neg\np edge -4 0\n", "c neg\np edge 6 -1\n"):
             with pytest.raises(MalformedDimacs, match="line 2: negative count"):
@@ -303,6 +527,11 @@ class TestDense:
             "        cfg = girthmax.SearchConfig(k=4, strategy=strategy, j_range_filter=j_filter)\n"
             "        girthmax.search_r3(cfg)\n"
             "girthmax.write_dense(girthmax.Btu([girthmax.identity(3)]))\n"
+            "b = girthmax.Btu([girthmax.circulant(7, 0), girthmax.circulant(7, 1), girthmax.circulant(7, 3)])\n"
+            "mat = girthmax.read_alist(girthmax.write_alist(b))\n"
+            "assert girthmax.read_dimacs(girthmax.write_dimacs(b)) == mat\n"
+            "assert girthmax.same_matrix(girthmax.btu_from_matrix(mat), b)\n"
+            "assert girthmax.girth_bfs(mat.to_bipartite(), want_witness=True).witness\n"
             "print('numpy' in sys.modules)\n"
         )
         assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from girthmax import cli
-from girthmax.btu import Btu, write_alist
+from girthmax.btu import BinaryMatrix, Btu, write_alist
 from girthmax.cli import _stderr_progress, emit_table_1, main, parse_args
 from girthmax.perm import circulant, identity
 from girthmax.search import SearchConfig, search_r3
@@ -219,6 +219,17 @@ class TestConvertCommand:
         main(["convert", "--in", str(src), "--out", str(mid), "--from", "alist", "--to", "dense"])
         main(["convert", "--in", str(mid), "--out", str(back), "--from", "dense", "--to", "alist"])
         assert back.read_text() == src.read_text()
+
+    def test_non_square_to_dimacs_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "wide.alist"
+        src.write_text(write_alist(BinaryMatrix(1, 3, [(1, 2)])))
+        dst = tmp_path / "wide.dimacs"
+        assert main([
+            "convert", "--in", str(src), "--out", str(dst),
+            "--from", "alist", "--to", "dimacs",
+        ]) == 1
+        assert "error: ValueError: DIMACS needs a square matrix, got 1x3" in capsys.readouterr().err
+        assert not dst.exists()
 
 
 class TestSearchCommand:
