@@ -271,7 +271,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return run(args)
-    except (OSError, ValueError, BrokenExecutor) as exc:
+    except (OSError, ValueError, OverflowError, BrokenExecutor) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

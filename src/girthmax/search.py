@@ -12,14 +12,15 @@ the result is reproducible for any worker count.
 
 Only the shifts with 2j < m are scanned, since the candidate (q1, j)
 has the girth of (q1^-1, m - j) and the tie-break winner always has
-2j < m (`search_r3` has the proof); each scanned shift counts twice.
-Candidates are scanned j-major (ascending j, then lex-ascending q1),
-which is exactly the tie-break order. Each scanned shift j is one task;
-one worker function maps over the shifts, in process or, for searches
-large enough to repay it (`_POOL_MIN_PAIRS`), on a fork pool, and both
-maps return results in shift order, so the merge keeps the first
-strictly larger girth. Both worker functions give every candidate its
-exact girth:
+2j < m (`search_r3` has the proof). Candidates are scanned j-major
+(ascending j, then lex-ascending q1), which is exactly the tie-break
+order. Each scanned shift j is one task; one worker function maps over
+the shifts, in process or, for searches large enough to repay it
+(`_POOL_MIN_PAIRS`), on a fork pool, and both maps return results in
+shift order, so the merge keeps the first strictly larger girth. A
+worker gives every candidate of its shift its exact girth and returns
+the shift's best (girth, q1 index); the report's counts are not
+tallied but come in closed form from `candidate_counts`. The workers:
 
 * `_level_scan`, the level engine, for searches of at least
   `_LEVEL_MIN_CANDIDATES` candidates, every k >= 5 among them. It reads
@@ -51,7 +52,7 @@ import functools
 import multiprocessing
 import time
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from typing import Callable
 
 from .btu import Btu, IncompatiblePermutations
@@ -71,6 +72,7 @@ __all__ = [
     "SearchResult",
     "NoValidShift",
     "valid_shifts",
+    "candidate_counts",
     "construct_candidate",
     "search_r3",
     "format_report",
@@ -130,6 +132,46 @@ def valid_shifts(m: int, lower: int) -> list[int]:
     return [j for j in range(lower + 1, m - lower) if gcd(j, m) == 1]
 
 
+def _shifts(cfg: SearchConfig) -> list[int]:
+    """The admissible shifts of a search, ascending; NoValidShift if there are none."""
+    lower = cfg.b * cfg.k if cfg.j_range_filter else 0
+    shifts = valid_shifts(cfg.m, lower) if cfg.m > 2 * lower else []
+    if not shifts:
+        raise NoValidShift(
+            f"no shift j with gcd(j, {cfg.m}) = 1 in the required range"
+            + (" (try j_range_filter=False)" if cfg.j_range_filter else "")
+        )
+    return shifts
+
+
+def candidate_counts(cfg: SearchConfig) -> tuple[int, int]:
+    """(evaluated, skipped): the compatible and incompatible (q1, j) of the full space.
+
+    Proof. p1 has no fixed point (q1 is one n-cycle, n = b*k >= 2) and
+    C_j != I (j != 0), so (q1, j) is incompatible exactly when
+    p1(x) = x + j (mod m) for some x. Block scaling: (q1[i] - i)*k = j
+    (mod m) needs k | j, ruled out by gcd(j, m) = 1. Interleaved
+    scaling: q1[i] - i = j (mod m) with |q1[i] - i| < n means
+    q1[i] - i = +-d, d = min(j, m - j), so d < n (never with the j
+    filter on); the sign is that of m - 2j, and reflecting i -> n-1-i
+    swaps it. The n - d forbidden arcs i -> i + d form a linear forest;
+    any s of them lie in exactly (n - s - 1)! single n-cycles (contract
+    each path to a point). By inclusion-exclusion
+    sum_s (-1)^s C(n - d, s) (n - s - 1)! q1 are compatible, so the
+    negated s >= 1 terms count the skipped ones (none when d >= n).
+    Raises NoValidShift as `search_r3` does.
+    """
+    n, shifts = cfg.b * cfg.k, _shifts(cfg)
+    skipped = 0
+    if cfg.strategy is ScalingStrategy.INTERLEAVED:
+        skipped = sum(
+            (-1) ** (s + 1) * comb(n - d, s) * factorial(n - s - 1)
+            for d in (min(j, cfg.m - j) for j in shifts)
+            for s in range(1, n - d + 1)
+        )
+    return len(shifts) * factorial(n - 1) - skipped, skipped
+
+
 def construct_candidate(q1: Permutation, j: int, cfg: SearchConfig) -> Btu:
     """Assemble the (m, 3) candidate for (q1, j); may raise IncompatiblePermutations."""
     m = cfg.m
@@ -149,26 +191,23 @@ def _install(*state) -> None:
     _STATE = state
 
 
-def _scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
+def _scan(j: int, state: tuple = ()) -> tuple[int, int]:
     """Score every candidate (q1, j) of one shift j by its definition.
 
-    Returns (girth, q_idx, evaluated, skipped): the largest exact girth
+    Returns the shift's best (girth, q_idx): the largest exact girth
     under j with the index of the first q1 attaining it (girth 0 when
-    every candidate is incompatible), and the numbers of evaluated and
-    incompatible candidates.
+    every candidate is incompatible).
     """
     q1s, cfg = state or _STATE
     best_g, best_q = 0, 0
-    skipped = 0
     for q_idx, q1 in enumerate(q1s):
         try:
             g = girth_bfs(construct_candidate(q1, j, cfg).to_bipartite()).value
         except IncompatiblePermutations:
-            skipped += 1
             continue
         if g > best_g:
             best_g, best_q = g, q_idx
-    return best_g, best_q, len(q1s) - skipped, skipped
+    return best_g, best_q
 
 
 # Searches of at least this many candidates run on the level engine,
@@ -213,20 +252,17 @@ def _root_count(cfg: SearchConfig) -> int:
     return cfg.b * cfg.k if cfg.strategy is ScalingStrategy.INTERLEAVED else cfg.m
 
 
-def _level_scan(j: int, state: tuple = ()) -> tuple[int, int, int, int]:
+def _level_scan(j: int, state: tuple = ()) -> tuple[int, int]:
     """Score every candidate (q1, j) of one shift j with the level engine.
 
-    Returns (girth, q_idx, evaluated, skipped) as `_scan` does.
+    Returns the shift's best (girth, q_idx) as `_scan` does.
     """
-    import numpy as np
-
     from . import _levels
 
     p, pinv, roots, scratch = state or _STATE
     girths = _levels.shift_girths(p, pinv, j, roots, scratch)
     best_q = int(girths.argmax())
-    evaluated = int(np.count_nonzero(girths))
-    return int(girths[best_q]), best_q, evaluated, len(girths) - evaluated
+    return int(girths[best_q]), best_q
 
 
 def search_r3(
@@ -246,9 +282,9 @@ def search_r3(
     symmetric), and j = m/2 is never coprime to m >= 4. So a girth
     attained at j > m/2 is attained at m - j < m/2 too: the first
     maximum in (j, q1) order has 2j < m, and the scan of that half
-    finds it. q1 -> q1^-1 is a bijection of the q1, so shift
-    m - j has as many evaluated and incompatible candidates as j, and
-    each scanned shift's counts are doubled.
+    finds it. The counts are `candidate_counts`'. With none compatible
+    the search raises NoValidShift before it scans; otherwise it finds
+    a girth, since a compatible candidate is a 3-regular graph.
 
     `progress`, when given, is called after each scanned shift j with
     (candidates covered, total candidates, best girth so far).
@@ -256,17 +292,13 @@ def search_r3(
     that dies raises concurrent.futures.process.BrokenProcessPool.
     """
     started = time.perf_counter()
-    lower = cfg.b * cfg.k if cfg.j_range_filter else 0
-    shifts = valid_shifts(cfg.m, lower) if cfg.m > 2 * lower else []
-    if not shifts:
-        raise NoValidShift(
-            f"no shift j with gcd(j, {cfg.m}) = 1 in the required range"
-            + (" (try j_range_filter=False)" if cfg.j_range_filter else "")
-        )
-    scanned = [j for j in shifts if 2 * j < cfg.m]
+    evaluated, skipped = candidate_counts(cfg)
+    if not evaluated:
+        raise NoValidShift("every candidate pair was incompatible")
+    scanned = [j for j in _shifts(cfg) if 2 * j < cfg.m]
     n = cfg.b * cfg.k
     q1_count = factorial(n - 1)
-    total = len(shifts) * q1_count
+    total = evaluated + skipped
     roots = _root_count(cfg)
     pairs = len(scanned) * q1_count * roots
     workers = min(cfg.worker_count, len(scanned)) if pairs >= _POOL_MIN_PAIRS else 1
@@ -282,8 +314,6 @@ def search_r3(
         scan, state = _scan, (q1s, cfg)
 
     best_girth, best_j, best_q = 0, 0, 0
-    evaluated = 0
-    skipped = 0
     with contextlib.ExitStack() as stack:
         if workers == 1:
             results = map(functools.partial(scan, state=state), scanned)
@@ -295,16 +325,12 @@ def search_r3(
             stack.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(scan, scanned)
         # results come in scan order, which is the tie-break order
-        for j, (g, q_idx, n_eval, n_skip) in zip(scanned, results):
+        for done, (j, (g, q_idx)) in enumerate(zip(scanned, results), 1):
             if g > best_girth:
                 best_girth, best_j, best_q = g, j, q_idx
-            # shift m - j, left unscanned, has the same counts
-            evaluated += 2 * n_eval
-            skipped += 2 * n_skip
             if progress is not None:
-                progress(evaluated + skipped, total, best_girth)
-    if best_girth == 0:
-        raise NoValidShift("every candidate pair was incompatible")
+                # shift m - j, left unscanned, is covered with j
+                progress(2 * done * q1_count, total, best_girth)
     return SearchResult(
         best_girth=best_girth,
         # a Permutation or a uint8 image row, read as Python ints

@@ -265,6 +265,11 @@ class TestSearchCommand:
         assert main(["search", "--k", "2"]) == 1
         assert "NoValidShift" in capsys.readouterr().err
 
+    def test_q1_rows_too_large_exit_1(self, capsys):
+        # 29! * 29 image bytes overflow numpy's count before anything is allocated
+        assert main(["search", "--k", "30", "--jobs", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: OverflowError: ")
+
     def test_jobs_does_not_change_report(self, capsys):
         main(["search", "--k", "4"])
         single = capsys.readouterr().out

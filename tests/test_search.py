@@ -16,6 +16,7 @@ from girthmax.perm import Permutation, ScalingStrategy, enumerate_k_cycles, inve
 from girthmax.search import (
     NoValidShift,
     SearchConfig,
+    candidate_counts,
     construct_candidate,
     search_r3,
     valid_shifts,
@@ -232,6 +233,31 @@ class TestTransposeSymmetry:
             assert all(type(v) is int for v in image), image
 
 
+class TestCandidateCounts:
+    def test_closed_form_counts_incompatible_constructions(self):
+        # the definition: a candidate is skipped exactly when
+        # construct_candidate raises; no girth is computed
+        configs = [(k, b) for b in (1, 2, 3) for k in range(2, 7) if b * k <= 6]
+        checked = skipped = 0
+        for (k, b), strategy, j_filter in itertools.product(configs, ScalingStrategy, (True, False)):
+            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+            try:
+                counts = candidate_counts(cfg)
+            except NoValidShift:
+                continue
+            tally = [0, 0]
+            for q1, j in candidate_space(cfg):
+                try:
+                    construct_candidate(q1, j, cfg)
+                    tally[0] += 1
+                except IncompatiblePermutations:
+                    tally[1] += 1
+            assert counts == tuple(tally), (k, b, strategy, j_filter)
+            checked += 1
+            skipped += tally[1]
+        assert checked == 26 and skipped > 0
+
+
 class TestSearchSmall:
     def test_k3_exhaustive_against_oracle(self):
         # 2 q1 x 2 shifts; check the maximum by hand
@@ -287,10 +313,16 @@ class TestSearchSmall:
         total = sum(1 for _ in candidate_space(cfg))
         assert result.candidates_evaluated + result.skipped_incompatible == total
 
-    def test_all_candidates_incompatible(self):
-        # at k=2 both unfiltered shifts collide with the scaled transposition
+    def test_all_candidates_incompatible(self, monkeypatch):
+        # at k=2 both unfiltered shifts collide with the scaled
+        # transposition, and the search says so before it scans
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned a search with no compatible candidate")
+
+        monkeypatch.setattr(girthmax.search, "_scan", no_scan)
+        monkeypatch.setattr(girthmax.search, "_level_scan", no_scan)
         cfg = SearchConfig(k=2, strategy=ScalingStrategy.INTERLEAVED, j_range_filter=False)
-        with pytest.raises(NoValidShift):
+        with pytest.raises(NoValidShift, match="^every candidate pair was incompatible$"):
             search_r3(cfg)
 
     def test_family_girth_ceiling(self):
