@@ -46,9 +46,3 @@ for trial in range(5):
     fast, slow = girth_bfs(graph), girth_oracle(graph)
     print(f"random (m={m}, r=3): bfs={fast.value} oracle={slow.value}")
     assert fast.value == slow.value
-
-# With a cutoff the engine may stop as soon as the graph is provably no
-# better than the cutoff, for callers that only need to know whether a
-# graph beats a given girth.
-res = girth_bfs(k33.to_bipartite(), cutoff=6)
-print("with cutoff 6:", res.value, "flagged:", res.at_or_below_cutoff)

@@ -86,6 +86,15 @@ def _freeze(obj, **fields):
     return obj
 
 
+def _columns(rows: Iterable[Iterable[int]], n_cols: int) -> list[list[int]]:
+    # per column, the ascending indices of the rows that list it; the caller may edit the lists
+    cols: list[list[int]] = [[] for _ in range(n_cols)]
+    for i, row in enumerate(rows):
+        for c in row:
+            cols[c].append(i)
+    return cols
+
+
 class BipartiteGraph:
     """Adjacency view: for each left vertex, the sorted right neighbors.
 
@@ -150,11 +159,7 @@ class BinaryMatrix:
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Per-column sorted row indices (the transpose view)."""
-        cols: list[list[int]] = [[] for _ in range(self.n_cols)]
-        for i, r in enumerate(self.rows):
-            for c in r:
-                cols[c].append(i)
-        return tuple(map(tuple, cols))
+        return tuple(map(tuple, _columns(self.rows, self.n_cols)))
 
     def to_bipartite(self) -> BipartiteGraph:
         return _trusted_graph(self.n_rows, self.n_cols, self.rows)
@@ -400,11 +405,7 @@ def read_alist(text: str) -> BinaryMatrix:
         )
     # both kinds of list are duplicate-free, so they describe one matrix
     # exactly when each column list holds the rows that list the column
-    from_rows: list[list[int]] = [[] for _ in range(n_cols)]
-    for i, row in enumerate(row_lists):
-        for c in row:
-            from_rows[c].append(i)
-    if list(map(sorted, col_lists)) != from_rows:
+    if list(map(sorted, col_lists)) != _columns(row_lists, n_cols):
         raise MalformedAlist(5, "column lists and row lists describe different matrices")
     return _trusted_matrix(n_rows, n_cols, tuple(map(tuple, map(sorted, row_lists))))
 

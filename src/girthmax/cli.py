@@ -33,6 +33,14 @@ from .search import SearchConfig, construct_candidate, format_report, report_dic
 
 TABLE_GIRTHS = {5: 8, 6: 8, 7: 10, 8: 10, 9: 10, 10: 10}  # published search results
 
+# tables 2-5 by number: (title, renderer); table 1 re-runs the search (`emit_table_1`)
+_TABLES = {
+    2: ("Moore bound n0(g,3)", bounds_mod.moore_table_text),
+    3: ("order window for n(g,3)", bounds_mod.order_bounds_table_text),
+    4: ("irregular-matrix reference girths", bounds_mod.irregular_reference_table_text),
+    5: ("degree-3 Ramanujan graphs", bounds_mod.ramanujan_table_text),
+}
+
 _FORMATS = ("alist", "dimacs", "dense")
 _READERS = {
     "alist": btu_mod.read_alist,
@@ -201,12 +209,7 @@ def _run_girth(args: argparse.Namespace) -> int:
 
 def _run_bounds(args: argparse.Namespace) -> int:
     if args.table is not None:
-        text = {
-            2: bounds_mod.moore_table_text,
-            3: bounds_mod.order_bounds_table_text,
-            5: bounds_mod.ramanujan_table_text,
-        }[args.table]()
-        print(text, end="")
+        print(_TABLES[args.table][1](), end="")
     elif args.query is not None:
         g, delta = args.query
         print(bounds_mod.report_text(bounds_mod.bound_report(g, delta)), end="")
@@ -220,24 +223,16 @@ def _run_tables(args: argparse.Namespace) -> int:
     try:
         which = sorted({int(tok) for tok in args.which.split(",") if tok.strip()})
     except ValueError:
-        raise ValueError(f"--which must be a comma-separated subset of 1..5, got {args.which!r}")
-    if not which or any(t not in (1, 2, 3, 4, 5) for t in which):
+        which = []
+    if not which or any(t != 1 and t not in _TABLES for t in which):
         raise ValueError(f"--which must be a comma-separated subset of 1..5, got {args.which!r}")
     chunks = []
     for t in which:
         if t == 1:
             chunks.append("table 1: search results (r = 3)\n" + emit_table_1(args.max_k, jobs=args.jobs))
-        elif t == 2:
-            chunks.append("table 2: Moore bound n0(g,3)\n" + bounds_mod.moore_table_text())
-        elif t == 3:
-            chunks.append("table 3: order window for n(g,3)\n" + bounds_mod.order_bounds_table_text())
-        elif t == 4:
-            chunks.append(
-                "table 4: irregular-matrix reference girths\n"
-                + bounds_mod.irregular_reference_table_text()
-            )
         else:
-            chunks.append("table 5: degree-3 Ramanujan graphs\n" + bounds_mod.ramanujan_table_text())
+            title, render = _TABLES[t]
+            chunks.append(f"table {t}: {title}\n" + render())
     print("\n".join(chunks), end="")
     return 0
 
@@ -271,7 +266,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return run(args)
-    except (OSError, ValueError, OverflowError, BrokenExecutor) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError, BrokenExecutor) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

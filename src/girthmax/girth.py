@@ -24,7 +24,7 @@ Two deliberately independent engines:
     full graph and contains a cycle, so best never drops below the
     girth.
 
-  The result is therefore exactly the girth: even, or infinite on
+  Every call therefore returns exactly the girth: even, or infinite on
   forests. The witness is read off the BFS tree of the same pass.
 
 * `girth_oracle` - exhaustive DFS enumeration of simple cycles, pruned
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Sequence
 
-from .btu import BipartiteGraph
+from .btu import BipartiteGraph, _columns
 
 __all__ = ["GirthResult", "TooLarge", "girth_bfs", "girth_oracle"]
 
@@ -54,30 +54,20 @@ class TooLarge(ValueError):
 
 @dataclass(frozen=True)
 class GirthResult:
-    """Shortest-cycle length; inf when the graph is acyclic.
+    """Exact shortest-cycle length; inf when the graph is acyclic.
 
-    When `at_or_below_cutoff` is set the search stopped early: `value`
-    is the length of some closed walk that is <= the requested cutoff
-    and contains a cycle (an upper bound on the true girth, sufficient
-    to rule the graph out at that cutoff).
+    `witness` is one cycle of that length, when the caller asks for it.
     """
 
     value: int | float
     witness: tuple[int, ...] | None = None
-    at_or_below_cutoff: bool = False
+    # no longer a field: perfbench/measure.py (the graph_io check) and
+    # perfbench/tracing.py still read it; remove it with those reads
+    at_or_below_cutoff = False
 
     @property
     def is_finite(self) -> bool:
         return self.value != inf
-
-
-def _columns(rows: Sequence[Sequence[int]], n_right: int) -> list[list[int]]:
-    # left neighbours of each right vertex, in row order
-    cols: list[list[int]] = [[] for _ in range(n_right)]
-    for i, nbrs in enumerate(rows):
-        for c in nbrs:
-            cols[c].append(i)
-    return cols
 
 
 def _flat_adjacency(rows: Sequence[Sequence[int]], n_right: int) -> list[list[int]]:
@@ -133,24 +123,18 @@ def _tree_path(parent: tuple[list[int], list[int]], x: int, side: int, n_left: i
     return path
 
 
-def girth_bfs(
-    g: BipartiteGraph,
-    cutoff: int | None = None,
-    want_witness: bool = False,
-) -> GirthResult:
+def girth_bfs(g: BipartiteGraph, want_witness: bool = False) -> GirthResult:
     """Exact girth of a simple bipartite graph by truncated BFS.
 
-    With `cutoff` set, returns early (flagged) as soon as any cycle of
-    length <= cutoff is seen; otherwise the returned value is exact.
     Only `g.adjacency` (one row of right neighbours per left vertex, in
     any order) and `g.n_right` are read, and neither is changed. The
-    verdict and the value do not depend on the order within a row; the
-    witness does. Each BFS is cut at the depth bound and each finished
-    root is deleted from a private copy (module docstring: both keep the
-    result exact). With `want_witness` (and no early return) the witness
-    is the cycle closed by the edge that last lowered the best length:
-    the two BFS-tree paths from that root to the edge's ends, joined by
-    the edge. They share only the root, or a shorter cycle would exist.
+    value does not depend on the order within a row; the witness does.
+    Each BFS is cut at the depth bound and each finished root is deleted
+    from a private copy (module docstring: both keep the result exact).
+    With `want_witness` the witness is the cycle closed by the edge that
+    last lowered the best length: the two BFS-tree paths from that root
+    to the edge's ends, joined by the edge. They share only the root, or
+    a shorter cycle would exist.
     """
     rows = g.adjacency
     n_left = len(rows)
@@ -166,8 +150,6 @@ def girth_bfs(
         if closed is not None:
             depth, u, w = closed
             best = depth + depth + 2
-            if cutoff is not None and best <= cutoff:
-                return GirthResult(best, at_or_below_cutoff=True)
             if want_witness:
                 # root..u, then w..(just before root)
                 side = depth & 1

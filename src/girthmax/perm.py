@@ -8,8 +8,10 @@ in rendered text (`one_based`). Composition is right-to-left:
 A cycle type is the multiset of cycle lengths of a permutation, stored
 as a tuple sorted in descending order. The cycle type of ``p ∘ q⁻¹`` is
 what relates two permutations structurally: a 2-permutation graph built
-from (p, q) has exactly one cycle of length 2*l per part l (see the
-girth module).
+from (p, q) has exactly one cycle of length 2*l per part l. Each of its
+cycles alternates the two kinds of edge, left i -> right p(i) -> left
+q⁻¹(p(i)) -> ..., so its left vertices form one cycle of ``q⁻¹ ∘ p``,
+which is conjugate to ``p ∘ q⁻¹``.
 """
 
 from __future__ import annotations

@@ -270,6 +270,18 @@ class TestSearchCommand:
         assert main(["search", "--k", "30", "--jobs", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: OverflowError: ")
 
+    def test_q1_rows_out_of_memory_exit_1(self, capsys, monkeypatch):
+        # k = 20 asks numpy for 2 EiB of q1 rows; stand in for that allocation
+        from girthmax import _levels
+
+        def refuse(n):
+            raise MemoryError(f"Unable to allocate the {n}-point q1 rows")
+
+        monkeypatch.setattr(_levels, "cycle_rows", refuse)
+        assert main(["search", "--k", "20", "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError: Unable to allocate the 20-point q1 rows\n"
+
     def test_jobs_does_not_change_report(self, capsys):
         main(["search", "--k", "4"])
         single = capsys.readouterr().out

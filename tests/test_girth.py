@@ -133,34 +133,12 @@ class TestWitnesses:
 
 
 class TestCutoff:
-    def test_flag_consistent_with_exact(self, rng):
-        for _ in range(40):
-            m = rng.randint(2, 12)
-            b = random_btu(rng, m, rng.randint(2, min(3, m)))
-            graph = b.to_bipartite()
-            exact = girth_bfs(graph).value
-            for cutoff in (4, 6, 8):
-                res = girth_bfs(graph, cutoff=cutoff)
-                if res.at_or_below_cutoff:
-                    assert res.value <= cutoff
-                    assert exact <= cutoff
-                else:
-                    assert res.value == exact
-
-    def test_cutoff_just_below_girth_is_exact(self, rng):
-        # beyond the oracle's size guard too: networkx is the reference
-        for _ in range(40):
-            b = random_btu(rng, rng.randint(3, 80), 3)
-            girth = networkx_girth(b)
-            graph = b.to_bipartite()
-            below = girth_bfs(graph, cutoff=girth - 2)
-            assert (below.value, below.at_or_below_cutoff) == (girth, False), b
-            at = girth_bfs(graph, cutoff=girth)
-            assert (at.value, at.at_or_below_cutoff) == (girth, True), b
-
     def test_no_cutoff_never_flags(self, rng):
-        b = random_btu(rng, 8, 3)
-        assert not girth_bfs(b.to_bipartite()).at_or_below_cutoff
+        # the graph_io benchmark check fails any result that carries the flag
+        for _ in range(20):
+            graph = random_btu(rng, rng.randint(3, 60), 3).to_bipartite()
+            for want_witness in (False, True):
+                assert not girth_bfs(graph, want_witness=want_witness).at_or_below_cutoff
 
 
 class TestWorkingCopy:
@@ -170,8 +148,8 @@ class TestWorkingCopy:
             rows = [list(nbrs) for nbrs in b.to_bipartite().adjacency]
             graph = SimpleNamespace(adjacency=rows, n_right=b.m)
             before = [list(nbrs) for nbrs in rows]
-            for cutoff in (None, 4, 6, 8):
-                girth_bfs(graph, cutoff, want_witness=True)
+            for want_witness in (False, True):
+                girth_bfs(graph, want_witness=want_witness)
                 assert graph.adjacency is rows and rows == before
 
     def test_shortest_cycles_avoid_left_zero(self):
@@ -197,9 +175,6 @@ class TestWorkingCopy:
             res = girth_bfs(graph, want_witness=True)
             assert res.value == expected, parts
             check_witness(graph, res.witness, expected)
-            for cutoff in (expected - 2, expected):
-                cut = girth_bfs(graph, cutoff)
-                assert (cut.value, cut.at_or_below_cutoff) == (expected, cutoff == expected)
 
 
 class TestOracleGuard:
