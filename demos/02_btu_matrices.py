@@ -50,5 +50,7 @@ print("recovered same matrix:  ", same_matrix(recovered, heawood))
 # DIMACS edge format for graph tooling: left vertices 1..m, right m+1..2m.
 print(write_dimacs(Btu([identity(3)])), end="")
 
-# numpy view for anything array-shaped downstream.
-print("dense array:\n", heawood.to_array())
+# The matrix is also the bipartite graph (left vertex i per row i, right
+# vertex c per column c) that the girth engines read; its numpy array
+# serves anything array-shaped downstream.
+print("dense array:\n", heawood.matrix().to_array())

@@ -38,7 +38,7 @@ print(format_report(cfg, result), end="")
 
 # The witness rebuilds to the reported girth.
 best = construct_candidate(result.witness_q1, result.witness_j, cfg)
-print("rebuilt girth:", girth_bfs(best.to_bipartite()).value)
+print("rebuilt girth:", girth_bfs(best.matrix()).value)
 
 # Block scaling on the same space for comparison.
 block = search_r3(SearchConfig(k=5, strategy=ScalingStrategy.BLOCK))

@@ -9,7 +9,6 @@ evaluates the classical girth/order bounds the results sit between.
 
 from .btu import (
     BinaryMatrix,
-    BipartiteGraph,
     Btu,
     DecompositionFailed,
     IncompatiblePermutations,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryMatrix",
-    "BipartiteGraph",
     "Btu",
     "CycleType",
     "DecompositionFailed",

@@ -1,11 +1,12 @@
-"""Balanced Tanner units (BTUs) and their matrix / bipartite-graph views.
+"""Balanced Tanner units (BTUs) and the 0/1 matrix that is their graph.
 
 An (m, r) BTU is an m x m 0/1 matrix with exactly r ones in every row
 and column, stored as its decomposition into r pairwise-disjoint
 permutation matrices ("compatible" permutations: no two agree at any
-position). The equivalent bipartite graph has m left (row) vertices and
-m right (column) vertices, left i adjacent to right p[i] for each
-constituent p; it is r-regular with no parallel edges.
+position). `Btu.matrix()` gives that matrix as a `BinaryMatrix`, which
+is also the bipartite graph: one left vertex per row, one right vertex
+per column, left i adjacent to right c where row i has a one in column
+c. For a BTU it is r-regular with no parallel edges.
 
 Constituent order is significant: two BTUs are equal only if their
 permutation sequences match. Use `same_matrix` for the order-insensitive
@@ -30,7 +31,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Btu",
-    "BipartiteGraph",
     "BinaryMatrix",
     "IncompatiblePermutations",
     "MalformedAlist",
@@ -95,42 +95,16 @@ def _columns(rows: Iterable[Iterable[int]], n_cols: int) -> list[list[int]]:
     return cols
 
 
-class BipartiteGraph:
-    """Adjacency view: for each left vertex, the sorted right neighbors.
-
-    Vertices are addressed per side (left 0..n_left-1, right
-    0..n_right-1); the girth module flattens them to a single numbering
-    left i -> i, right c -> n_left + c when it reports cycle witnesses.
-    """
-
-    __slots__ = ("n_left", "n_right", "adjacency")
-
-    def __init__(self, n_left: int, n_right: int, adjacency: Iterable[Iterable[int]]):
-        adj = tuple(map(tuple, adjacency))
-        if len(adj) != n_left:
-            raise ValueError(f"expected {n_left} adjacency rows, got {len(adj)}")
-        for i, nbrs in enumerate(adj):
-            if list(nbrs) != sorted(set(nbrs)):
-                if any(not 0 <= c < n_right for c in nbrs):  # range is reported first
-                    raise ValueError(f"left vertex {i}: neighbor out of range")
-                raise ValueError(f"left vertex {i}: neighbors must be sorted and duplicate-free")
-            if nbrs and (nbrs[0] < 0 or nbrs[-1] >= n_right):
-                raise ValueError(f"left vertex {i}: neighbor out of range")
-        _freeze(self, n_left=n_left, n_right=n_right, adjacency=adj)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BipartiteGraph is immutable")
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency)
-
-    def __repr__(self) -> str:
-        return f"BipartiteGraph(n_left={self.n_left}, n_right={self.n_right}, edges={self.edge_count})"
-
-
 class BinaryMatrix:
-    """A 0/1 matrix as per-row sorted column indices (the alist view)."""
+    """A 0/1 matrix as per-row sorted column indices (the alist view).
+
+    It is also the bipartite graph that the girth engines read: left
+    vertex i per row, right vertex c per column, joined where row i
+    lists column c. `rows` is a tuple of sorted, duplicate-free tuples;
+    the constructor sorts each row and drops repeats (a 0/1 matrix has
+    no double edge), and rejects a wrong row count or an index outside
+    0..n_cols-1.
+    """
 
     __slots__ = ("n_rows", "n_cols", "rows")
 
@@ -161,8 +135,9 @@ class BinaryMatrix:
         """Per-column sorted row indices (the transpose view)."""
         return tuple(map(tuple, _columns(self.rows, self.n_cols)))
 
-    def to_bipartite(self) -> BipartiteGraph:
-        return _trusted_graph(self.n_rows, self.n_cols, self.rows)
+    def to_bipartite(self) -> BinaryMatrix:
+        # the matrix is its own graph; perfbench is the only caller outside the tests
+        return self
 
     def to_array(self) -> np.ndarray:
         """Dense numpy uint8 view."""
@@ -226,18 +201,13 @@ class Btu:
     def __repr__(self) -> str:
         return f"Btu(m={self.m}, r={self.r})"
 
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
-        # images are in range, and compatibility makes each row's columns distinct
-        return tuple(map(tuple, map(sorted, zip(*(p.image for p in self.perms)))))
-
-    def to_bipartite(self) -> BipartiteGraph:
-        return _trusted_graph(self.m, self.m, self._rows())
-
     def matrix(self) -> BinaryMatrix:
-        return _trusted_matrix(self.m, self.m, self._rows())
+        # images are in range, and compatibility makes each row's columns distinct
+        rows = tuple(map(tuple, map(sorted, zip(*(p.image for p in self.perms)))))
+        return _trusted_matrix(self.m, self.m, rows)
 
-    def to_array(self) -> np.ndarray:
-        return self.matrix().to_array()
+    # an alias of `matrix`; perfbench is the only caller outside the tests
+    to_bipartite = matrix
 
     def relabel(self, row_perm: Permutation, col_perm: Permutation) -> "Btu":
         """Apply a row and a column relabeling; an isomorphism of the graph.
@@ -268,13 +238,9 @@ def _as_matrix(x: "Btu | BinaryMatrix") -> BinaryMatrix:
     return x.matrix() if isinstance(x, Btu) else x
 
 
-# Views of objects that are already validated skip the validating
-# constructors: `rows` must be a tuple of sorted, duplicate-free tuples
+# Matrices of objects that are already validated skip the validating
+# constructor: `rows` must be a tuple of sorted, duplicate-free tuples
 # of in-range indices.
-
-def _trusted_graph(n_left: int, n_right: int, rows: tuple) -> BipartiteGraph:
-    return _freeze(object.__new__(BipartiteGraph), n_left=n_left, n_right=n_right, adjacency=rows)
-
 
 def _trusted_matrix(n_rows: int, n_cols: int, rows: tuple) -> BinaryMatrix:
     return _freeze(object.__new__(BinaryMatrix), n_rows=n_rows, n_cols=n_cols, rows=rows)

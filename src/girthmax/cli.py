@@ -202,7 +202,7 @@ def _run_girth(args: argparse.Namespace) -> int:
     with open(args.path) as fh:
         text = fh.read()
     matrix = _READERS[args.format](text)
-    result = girth_bfs(matrix.to_bipartite())
+    result = girth_bfs(matrix)
     print(f"girth: {'infinite' if not result.is_finite else int(result.value)}")
     return 0
 

@@ -1,6 +1,10 @@
-"""Girth of simple bipartite graphs.
+"""Girth of the bipartite graph of a 0/1 matrix.
 
-Two deliberately independent engines:
+The graph of a `BinaryMatrix` (`Btu.matrix()` for a BTU) has one left
+vertex per row and one right vertex per column, left i adjacent to
+right c where row i lists column c; it is simple, since a 0/1 matrix
+has no double edge. The matrix need be neither square nor regular.
+Two deliberately independent engines read it:
 
 * `girth_bfs` - truncated BFS from every left vertex (every cycle
   alternates sides, so left roots suffice), cut by two reductions, each
@@ -32,7 +36,7 @@ Two deliberately independent engines:
   32 vertices. Used to cross-check `girth_bfs` in the test suite.
 
 Cycle witnesses use the flattened numbering left i -> i, right c ->
-n_left + c; they list the cycle's vertices in order (closed implicitly).
+n_rows + c; they list the cycle's vertices in order (closed implicitly).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Sequence
 
-from .btu import BipartiteGraph, _columns
+from .btu import BinaryMatrix, _columns
 
 __all__ = ["GirthResult", "TooLarge", "girth_bfs", "girth_oracle"]
 
@@ -123,25 +127,25 @@ def _tree_path(parent: tuple[list[int], list[int]], x: int, side: int, n_left: i
     return path
 
 
-def girth_bfs(g: BipartiteGraph, want_witness: bool = False) -> GirthResult:
-    """Exact girth of a simple bipartite graph by truncated BFS.
+def girth_bfs(g: BinaryMatrix, want_witness: bool = False) -> GirthResult:
+    """Exact girth of the matrix's bipartite graph by truncated BFS.
 
-    Only `g.adjacency` (one row of right neighbours per left vertex, in
-    any order) and `g.n_right` are read, and neither is changed. The
-    value does not depend on the order within a row; the witness does.
+    Only `g.rows` (each row's sorted columns: the right neighbours of
+    its left vertex) and `g.n_cols` are read, and neither is changed.
     Each BFS is cut at the depth bound and each finished root is deleted
     from a private copy (module docstring: both keep the result exact).
     With `want_witness` the witness is the cycle closed by the edge that
     last lowered the best length: the two BFS-tree paths from that root
     to the edge's ends, joined by the edge. They share only the root, or
-    a shorter cycle would exist.
+    a shorter cycle would exist. It numbers left i as i and right c as
+    n_rows + c.
     """
-    rows = g.adjacency
+    rows = g.rows
     n_left = len(rows)
-    cols = _columns(rows, g.n_right)
+    cols = _columns(rows, g.n_cols)
     adj = (rows, cols)
-    seen = ([0] * n_left, [0] * g.n_right)
-    parent = ([-1] * n_left, [-1] * g.n_right)
+    seen = ([0] * n_left, [0] * g.n_cols)
+    parent = ([-1] * n_left, [-1] * g.n_cols)
     best: int | float = inf
     witness = None
 
@@ -163,19 +167,22 @@ def girth_bfs(g: BipartiteGraph, want_witness: bool = False) -> GirthResult:
     return GirthResult(best, witness=witness)
 
 
-def girth_oracle(g: BipartiteGraph) -> GirthResult:
-    """Exact girth by exhaustive simple-cycle enumeration (small graphs).
+def girth_oracle(g: BinaryMatrix) -> GirthResult:
+    """Exact girth of the matrix's graph by exhaustive cycle enumeration.
 
-    Enumerates every simple cycle via DFS, visiting only vertices larger
-    than the start so each cycle is rooted at its minimum vertex, and
-    prunes paths that cannot close into a cycle shorter than (or tying)
-    the best found. Returns the canonical witness: the lexicographically
-    smallest vertex sequence among minimum-length cycles.
+    Reads `g.rows` and `g.n_cols`, and `g.n_rows` for the guard of at
+    most 32 vertices (rows plus columns). Enumerates every simple cycle
+    via DFS, visiting only vertices larger than the start so each cycle
+    is rooted at its minimum vertex, and prunes paths that cannot close
+    into a cycle shorter than (or tying) the best found. Returns the
+    canonical witness: the lexicographically smallest vertex sequence
+    among minimum-length cycles, with left i numbered i and right c
+    numbered n_rows + c.
     """
-    n = g.n_left + g.n_right
+    n = g.n_rows + g.n_cols
     if n > ORACLE_VERTEX_LIMIT:
         raise TooLarge(f"{n} vertices exceeds the oracle guard of {ORACLE_VERTEX_LIMIT}")
-    adj = _flat_adjacency(g.adjacency, g.n_right)
+    adj = _flat_adjacency(g.rows, g.n_cols)
     best: int | float = inf
     best_witness: tuple[int, ...] | None = None
     on_path = [False] * n

@@ -41,8 +41,8 @@ Every (b*k)-cycle q1 is scanned at each scanned shift, since the
 family has no relabeling symmetry acting on q1 alone (conjugating q1
 does not fix the circulant constituent; the transpose pairs q1 with
 q1^-1 only across the shifts j and m - j): fixing image[0] = 1 would
-lose the maximum at k = 5 and 7. The published k=5..8 girths (8, 8, 10, 10) are attained under
-interleaved scaling.
+lose the maximum at k = 5 and 7. The published k = 5..8 girths (8, 8,
+10, 10) are attained under interleaved scaling.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def _scan(j: int, state: tuple = ()) -> tuple[int, int]:
     best_g, best_q = 0, 0
     for q_idx, q1 in enumerate(q1s):
         try:
-            g = girth_bfs(construct_candidate(q1, j, cfg).to_bipartite()).value
+            g = girth_bfs(construct_candidate(q1, j, cfg).matrix()).value
         except IncompatiblePermutations:
             continue
         if g > best_g:

@@ -83,7 +83,7 @@ def candidate_space(cfg: SearchConfig):
 def reference_girth(q1: Permutation, j: int, cfg: SearchConfig) -> int:
     """Girth of the candidate (q1, j) by its definition, 0 where it is incompatible."""
     try:
-        return girth_bfs(construct_candidate(q1, j, cfg).to_bipartite()).value
+        return girth_bfs(construct_candidate(q1, j, cfg).matrix()).value
     except IncompatiblePermutations:
         return 0
 

@@ -135,7 +135,7 @@ def test_criterion_3_winner_girth_matches_networkx(k):
     result = run_search(k, ScalingStrategy.INTERLEAVED)
     cfg = SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED)
     winner = construct_candidate(result.witness_q1, result.witness_j, cfg)
-    ours = girth_bfs(winner.to_bipartite()).value
+    ours = girth_bfs(winner.matrix()).value
     theirs = networkx_girth(winner)
     verdict(
         f"3 winner girth k={k} equals networkx",
@@ -154,7 +154,7 @@ def test_criterion_4_family_ceiling_in_loop():
                 b = construct_candidate(q1, j, cfg)
             except Exception:
                 continue
-            assert girth_bfs(b.to_bipartite()).value <= 2 * cfg.b * cfg.k
+            assert girth_bfs(b.matrix()).value <= 2 * cfg.b * cfg.k
             checked += 1
     verdict("4 family girth ceiling (k<=5, in-loop)", checked > 0, f"{checked} candidates")
 
@@ -171,7 +171,7 @@ def test_criterion_4_family_ceiling_sampled():
                     b = construct_candidate(q1, j, cfg)
                 except Exception:
                     continue
-                assert girth_bfs(b.to_bipartite()).value <= 2 * cfg.b * cfg.k
+                assert girth_bfs(b.matrix()).value <= 2 * cfg.b * cfg.k
                 checked += 1
     verdict("4 family girth ceiling (k=6..8, sampled)", checked > 0, f"{checked} candidates")
 
@@ -185,7 +185,7 @@ def test_criterion_5_engine_oracle_equivalence():
         m = rng.randint(2, 12)
         r = rng.choice([x for x in (2, 3, 4) if x <= m])
         b = random_btu(rng, m, r)
-        graph = b.to_bipartite()
+        graph = b.matrix()
         fast = girth_bfs(graph).value
         assert fast == girth_oracle(graph).value
         agree += 1
@@ -203,12 +203,12 @@ def test_criterion_5_engine_oracle_equivalence():
 
 def test_criterion_6_known_fixtures():
     k33 = Btu([identity(3), circulant(3, 1), circulant(3, 2)])
-    ok = girth_bfs(k33.to_bipartite()).value == 4
+    ok = girth_bfs(k33.matrix()).value == 4
     for m in range(3, 9):
         cycle = Btu([identity(m), circulant(m, 1)])
-        ok = ok and girth_bfs(cycle.to_bipartite()).value == 2 * m
+        ok = ok and girth_bfs(cycle.matrix()).value == 2 * m
     heawood = Btu([circulant(7, 0), circulant(7, 1), circulant(7, 3)])
-    ok = ok and girth_bfs(heawood.to_bipartite()).value == 6
+    ok = ok and girth_bfs(heawood.matrix()).value == 6
     verdict("6 known-graph fixtures", ok)
 
 
@@ -238,11 +238,11 @@ def test_criterion_8_serialization_and_relabel_invariance():
         mat = read_alist(write_alist(b))
         ok = ok and mat == b.matrix()
         ok = ok and btu_from_matrix(mat).matrix() == b.matrix()
-        girth = girth_bfs(b.to_bipartite()).value
+        girth = girth_bfs(b.matrix()).value
         row = Permutation(rng.sample(range(m), m))
         col = Permutation(rng.sample(range(m), m))
-        ok = ok and girth_bfs(b.relabel(row, col).to_bipartite()).value == girth
-        ok = ok and girth_bfs(b.normalize_to_identity(rng.randrange(r)).to_bipartite()).value == girth
+        ok = ok and girth_bfs(b.relabel(row, col).matrix()).value == girth
+        ok = ok and girth_bfs(b.normalize_to_identity(rng.randrange(r)).matrix()).value == girth
     verdict("8 alist round-trip + relabel girth invariance", ok)
 
 

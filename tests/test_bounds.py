@@ -80,7 +80,7 @@ class TestGmax:
         # 2k - 2 is refuted there: each of these circulant BTUs beats it
         r = len(shifts)
         btu = Btu([circulant(m, s) for s in shifts])
-        assert girth_bfs(btu.to_bipartite()).value > 2 * factorize_bk(m, r).k - 2
+        assert girth_bfs(btu.matrix()).value > 2 * factorize_bk(m, r).k - 2
         for query in (gmax_upper, gmax_report):
             with pytest.raises(ValueError, match="k >= 4"):
                 query(m, r)

@@ -5,7 +5,6 @@ import pytest
 
 from girthmax.btu import (
     BinaryMatrix,
-    BipartiteGraph,
     Btu,
     DecompositionFailed,
     IncompatiblePermutations,
@@ -114,51 +113,42 @@ class TestConstruction:
 
 class TestBipartiteView:
     def test_all_ones_is_complete(self):
-        g = ALL_ONES_3.to_bipartite()
-        assert g.adjacency == ((0, 1, 2),) * 3
-        assert g.edge_count == 9
+        g = ALL_ONES_3.matrix()
+        assert g.rows == ((0, 1, 2),) * 3
+        assert sum(map(len, g.rows)) == 9
 
     def test_matching(self):
-        g = Btu([identity(5)]).to_bipartite()
-        assert g.adjacency == tuple((i,) for i in range(5))
+        g = Btu([identity(5)]).matrix()
+        assert g.rows == tuple((i,) for i in range(5))
 
     def test_degrees_are_r_both_sides(self, rng):
         for _ in range(20):
             m = rng.randint(2, 10)
             r = rng.randint(1, min(4, m))
             b = random_btu(rng, m, r)
-            g = b.to_bipartite()
-            assert all(len(nbrs) == r for nbrs in g.adjacency)
+            g = b.matrix()
+            assert all(len(nbrs) == r for nbrs in g.rows)
             right = [0] * m
-            for nbrs in g.adjacency:
+            for nbrs in g.rows:
                 for c in nbrs:
                     right[c] += 1
             assert right == [r] * m
 
     def test_heawood_edge_count(self):
-        assert HEAWOOD.to_bipartite().edge_count == 21
+        assert sum(map(len, HEAWOOD.matrix().rows)) == 21
 
 
 class TestValidation:
-    @pytest.mark.parametrize("rows, message", [
-        ([(0, 1), (5, 2)], "left vertex 1: neighbor out of range"),  # unsorted too
-        ([(0, 1), (2, 1)], "left vertex 1: neighbors must be sorted and duplicate-free"),
-        ([(0, 1), (1, 1)], "left vertex 1: neighbors must be sorted and duplicate-free"),
-        ([(1, 0), (0, 7)], "left vertex 0: neighbors must be sorted and duplicate-free"),
-        ([(0, 3), (1, 2)], "left vertex 0: neighbor out of range"),
-        ([(-1, 0), (1, 2)], "left vertex 0: neighbor out of range"),
-        ([(0, 1)], "expected 2 adjacency rows, got 1"),
-    ])
-    def test_bipartite_graph_messages(self, rows, message):
-        with pytest.raises(ValueError) as exc:
-            BipartiteGraph(2, 3, rows)
-        assert str(exc.value) == message
-
     def test_binary_matrix_sorts_and_range_checks(self):
+        # a 0/1 matrix has no double edge: repeats and order are normalised
         assert BinaryMatrix(2, 3, [(2, 0, 2), (1,)]).rows == ((0, 2), (1,))
+        assert BinaryMatrix(2, 3, [(0, 1), (2, 1)]).rows == ((0, 1), (1, 2))
+        assert BinaryMatrix(2, 3, [(1, 1), ()]).rows == ((1,), ())
         for rows, message in (
             ([(2, 0), (3, 1)], "row 1: column index out of range"),
+            ([(0, 1), (5, 2)], "row 1: column index out of range"),
             ([(2, -1), (1,)], "row 0: column index out of range"),
+            ([(0, 3), (1, 2)], "row 0: column index out of range"),
             ([(0,)], "expected 2 rows, got 1"),
         ):
             with pytest.raises(ValueError) as exc:
@@ -167,8 +157,8 @@ class TestValidation:
 
 
 class TestTrustedViews:
-    """`matrix()` and both `to_bipartite()` views skip re-validation; they
-    must still equal what the validating constructors build."""
+    """`matrix()` skips re-validation; it must still equal what the
+    validating constructor builds."""
 
     def test_views_equal_validated_constructions(self, rng):
         for r in range(1, 5):
@@ -179,20 +169,23 @@ class TestTrustedViews:
                 mat = b.matrix()
                 ref = BinaryMatrix(m, m, rows)
                 assert mat == ref and hash(mat) == hash(ref)
-                g = b.to_bipartite()
-                ref_g = BipartiteGraph(m, m, map(sorted, rows))
-                assert (g.n_left, g.n_right, g.adjacency) == (ref_g.n_left, ref_g.n_right, ref_g.adjacency)
-                view = mat.to_bipartite()
-                assert (view.n_left, view.n_right) == (m, m) and view.adjacency is mat.rows
                 flipped = Btu(b.perms[::-1])
                 assert same_matrix(b, flipped)
                 assert (b == flipped) == (r == 1)
 
     def test_views_are_immutable(self):
         mat = HEAWOOD.matrix()
-        for obj, name in ((mat, "rows"), (mat.to_bipartite(), "adjacency"), (HEAWOOD.to_bipartite(), "n_left")):
+        for name in ("rows", "n_rows", "n_cols"):
             with pytest.raises(AttributeError):
-                setattr(obj, name, ())
+                setattr(mat, name, ())
+
+    def test_to_bipartite_aliases(self, rng):
+        # kept only for perfbench, their one caller outside the tests
+        for _ in range(10):
+            b = random_btu(rng, rng.randint(2, 10), rng.randint(1, 2))
+            mat = b.matrix()
+            assert mat.to_bipartite() is mat
+            assert b.to_bipartite() == mat
 
 
 class TestRelabel:
@@ -222,7 +215,7 @@ class TestRelabel:
             row = Permutation(rng.sample(range(m), m))
             col = Permutation(rng.sample(range(m), m))
             rel = b.relabel(row, col)
-            assert girth_oracle(rel.to_bipartite()).value == girth_oracle(b.to_bipartite()).value
+            assert girth_oracle(rel.matrix()).value == girth_oracle(b.matrix()).value
 
     def test_relative_cycle_types_invariant(self, rng):
         for _ in range(15):
@@ -516,7 +509,7 @@ class TestDense:
             read_dense("\n10\n01\n1x\n")
 
     def test_to_array(self):
-        a = ALL_ONES_3.to_array()
+        a = ALL_ONES_3.matrix().to_array()
         assert a.shape == (3, 3) and a.sum() == 9
 
     def test_import_search_and_dense_leave_numpy_unloaded(self):
@@ -531,7 +524,7 @@ class TestDense:
             "mat = girthmax.read_alist(girthmax.write_alist(b))\n"
             "assert girthmax.read_dimacs(girthmax.write_dimacs(b)) == mat\n"
             "assert girthmax.same_matrix(girthmax.btu_from_matrix(mat), b)\n"
-            "assert girthmax.girth_bfs(mat.to_bipartite(), want_witness=True).witness\n"
+            "assert girthmax.girth_bfs(mat, want_witness=True).witness\n"
             "print('numpy' in sys.modules)\n"
         )
         assert proc.returncode == 0, proc.stderr

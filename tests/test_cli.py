@@ -190,6 +190,18 @@ class TestGirthCommand:
         assert main(["girth", "--in", str(path)]) == 0
         assert capsys.readouterr().out == "girth: infinite\n"
 
+    def test_non_square_irregular_alist(self, tmp_path, capsys):
+        # an LDPC-style 5 x 6 check matrix with zero padding and an empty
+        # row; rows 0, 1 and 2 close the only cycle, of length 6
+        path = tmp_path / "ldpc.alist"
+        path.write_text(
+            "6 5\n2 3\n2 2 2 2 1 1\n2 2 3 3 0\n"
+            "1 3\n1 2\n2 3\n3 4\n4 0\n4 0\n"
+            "1 2 0\n2 3 0\n1 3 4\n4 5 6\n0 0 0\n"
+        )
+        assert main(["girth", "--in", str(path)]) == 0
+        assert capsys.readouterr().out == "girth: 6\n"
+
     def test_missing_file_exit_1(self, capsys):
         assert main(["girth", "--in", "/nonexistent/x.alist"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -263,7 +263,7 @@ class TestSearchSmall:
         # 2 q1 x 2 shifts; check the maximum by hand
         cfg = SearchConfig(k=3)
         by_oracle = {
-            (q1.image, j): girth_oracle(construct_candidate(q1, j, cfg).to_bipartite()).value
+            (q1.image, j): girth_oracle(construct_candidate(q1, j, cfg).matrix()).value
             for q1, j in candidate_space(cfg)
         }
         assert len(by_oracle) == 4
@@ -280,7 +280,7 @@ class TestSearchSmall:
             cfg = SearchConfig(k=4, strategy=strategy)
             result = search_r3(cfg)
             rebuilt = construct_candidate(result.witness_q1, result.witness_j, cfg)
-            assert girth_bfs(rebuilt.to_bipartite()).value == result.best_girth
+            assert girth_bfs(rebuilt.matrix()).value == result.best_girth
 
     def test_each_q1_scaled_once(self, monkeypatch):
         # k = 5 interleaved runs on the engine over the image rows of the
@@ -334,7 +334,7 @@ class TestSearchSmall:
                     b = construct_candidate(q1, j, cfg)
                 except IncompatiblePermutations:
                     continue
-                assert girth_bfs(b.to_bipartite()).value <= 2 * cfg.b * cfg.k
+                assert girth_bfs(b.matrix()).value <= 2 * cfg.b * cfg.k
 
 
 class TestDeterminism:
@@ -368,7 +368,7 @@ class TestDeterminism:
                     b = construct_candidate(q1, j, cfg)
                 except IncompatiblePermutations:
                     continue
-                uncut.append((girth_bfs(b.to_bipartite()).value, j, q1))
+                uncut.append((girth_bfs(b.matrix()).value, j, q1))
             best = max(g for g, _, _ in uncut)
             first = next((j, q1) for g, j, q1 in uncut if g == best)
             assert (result.best_girth, result.witness_j, result.witness_q1) == (best, *first)
