@@ -2,8 +2,9 @@
 
 Candidates are built from a single (b*k)-cycle q1 and a circulant
 shift j:  p1 = scale_up(q1, k),  p2 = I,  p3 = C_j.  The search scores
-every pair with 2j < m (the transpose of (q1, j) is (q1^-1, m - j), with
-the same girth) and reports the best girth with a deterministic witness.
+the pairs with 2j < m (the transpose of (q1, j) is (q1^-1, m - j), with
+the same girth), up to the first shift that meets the proven girth
+ceiling, and reports the best girth with a deterministic witness.
 
 Interleaved scaling with the full q1 enumeration attains the published
 girths (k=5..8 -> 8, 8, 10, 10); block scaling tops out lower for the
@@ -23,7 +24,7 @@ from girthmax import (
     search_r3,
     valid_shifts,
 )
-from girthmax.bounds import factorize_bk
+from girthmax.bounds import factorize_bk, moore_bipartite
 
 # The shift sweep: coprime to m, away from the ends.
 print("valid shifts for m=25, lower=5:", valid_shifts(25, 5))
@@ -45,6 +46,9 @@ block = search_r3(SearchConfig(k=5, strategy=ScalingStrategy.BLOCK))
 print("block scaling best girth at k=5:", block.best_girth)
 
 # Every candidate keeps the 2*b*k cycles of p1 against the identity, so
-# girth never exceeds 2*b*k; at k=5 the maximum 8 sits just under that
-# ceiling of 10.
-print("family ceiling at k=5:", 2 * cfg.b * cfg.k)
+# girth never exceeds 2*b*k (10 at k=5); and a 3-regular bipartite graph
+# on 2m = 50 vertices has girth at most 8 by the Moore bound. The k=5
+# maximum meets that ceiling, so the search stopped at the shift that
+# reached it.
+moore = max(g for g in range(4, 2 * cfg.m, 2) if moore_bipartite(g, 3) <= 2 * cfg.m)
+print("family ceiling at k=5:", 2 * cfg.b * cfg.k, "Moore ceiling:", moore)

@@ -6,9 +6,9 @@ and the three constituents are
     p1 = scale_up(q1, k),   p2 = identity(m),   p3 = circulant(m, j)
 
 with j coprime to m and, by default, b*k < j < m - b*k. The search
-evaluates the girth of every (q1, j) candidate and reports the maximum,
-tie-broken by smallest j, then lexicographically smallest q1 image, so
-the result is reproducible for any worker count.
+reports the maximum girth over the (q1, j) candidates, tie-broken by
+smallest j, then lexicographically smallest q1 image, so the result is
+reproducible for any worker count.
 
 Only the shifts with 2j < m are scanned, since the candidate (q1, j)
 has the girth of (q1^-1, m - j) and the tie-break winner always has
@@ -20,7 +20,12 @@ the shifts, in process or, for searches large enough to repay it
 shift order, so the merge keeps the first strictly larger girth. A
 worker gives every candidate of its shift its exact girth and returns
 the shift's best (girth, q1 index); the report's counts are not
-tallied but come in closed form from `candidate_counts`. The workers:
+tallied but come in closed form from `candidate_counts`. The merge
+stops at the first shift whose best girth meets `_girth_ceiling`, the
+proven bound on every candidate's girth (2*b*k, and the bipartite Moore
+bound on 2m vertices): the later shifts can hold no larger girth and no
+earlier winner, so the in-process map never scores them and the pool
+drops those still queued. The workers:
 
 * `_level_scan`, the level engine, for searches of at least
   `_LEVEL_MIN_CANDIDATES` candidates, every k >= 5 among them. It reads
@@ -32,10 +37,6 @@ tallied but come in closed form from `candidate_counts`. The workers:
 * `_scan` for the tiny searches below that, which do not repay numpy's
   import. It scores each candidate by its definition, `girth_bfs` of
   `construct_candidate(q1, j, cfg)`, over the q1 of `enumerate_k_cycles`.
-
-Since scale_up of a (b*k)-cycle splits into k cycles of length b*k
-against the identity constituent, every candidate's girth is at most
-2*b*k.
 
 Every (b*k)-cycle q1 is scanned at each scanned shift, since the
 family has no relabeling symmetry acting on q1 alone (conjugating q1
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import multiprocessing
 import time
 from dataclasses import dataclass
 from math import comb, factorial, gcd
@@ -235,7 +235,11 @@ _LEVEL_MIN_CANDIDATES = 100
 # block (3.9 million) 0.44-0.57 s against 0.34-0.37 s, k = 9
 # interleaved (7.6 million) 2.0 s against 1.2 s. So every Table 1 search
 # (interleaved, k <= 8) and k = 7 block run in process, while k = 8
-# block and k >= 9 run on the pool.
+# block and k >= 9 run on the pool. The pairs count every scanned shift,
+# though a search that meets `_girth_ceiling` stops early; on the pool,
+# shifts already running then still finish before the search returns
+# (b = 2, k = 5 interleaved, 21.8 million pairs: 1.4 s on 1 worker, 3.7 s
+# on 2).
 _POOL_MIN_PAIRS = 2_000_000
 
 
@@ -250,6 +254,20 @@ def _root_count(cfg: SearchConfig) -> int:
     x onto one through x mod n.
     """
     return cfg.b * cfg.k if cfg.strategy is ScalingStrategy.INTERLEAVED else cfg.m
+
+
+def _girth_ceiling(cfg: SearchConfig) -> int:
+    """The proven bound on the girth of every candidate of the search.
+
+    Proof. A compatible candidate is 3-regular and bipartite on 2m
+    vertices. By the bipartite Moore bound (`bounds.moore_bipartite`),
+    girth g needs at least 2(2^(g/2) - 1) vertices, so 2^(g/2) <= m + 1
+    and g <= 2*((m + 1).bit_length() - 1). And p1 = scale_up(q1, k) is k
+    disjoint (b*k)-cycles, each of which closes a cycle of length 2*b*k
+    with the identity constituent. The Moore bound is written out here
+    to keep the import of `bounds` off the search path.
+    """
+    return min(2 * cfg.b * cfg.k, 2 * ((cfg.m + 1).bit_length() - 1))
 
 
 def _level_scan(j: int, state: tuple = ()) -> tuple[int, int]:
@@ -269,7 +287,7 @@ def search_r3(
     cfg: SearchConfig,
     progress: Callable[[int, int, int], None] | None = None,
 ) -> SearchResult:
-    """Exhaustive scan of the (q1, j) candidate space for r = 3.
+    """Exact search of the (q1, j) candidate space for r = 3.
 
     Only the shifts with 2j < m are scanned. Proof that this gives the
     full space's winner and counts. Transposing a candidate's matrix
@@ -286,8 +304,16 @@ def search_r3(
     the search raises NoValidShift before it scans; otherwise it finds
     a girth, since a compatible candidate is a 3-regular graph.
 
+    The scan stops at the first shift whose best girth equals
+    `_girth_ceiling(cfg)`. Proof that the winner is the same. No
+    candidate has a larger girth, shifts arrive in ascending j and each
+    worker returns its shift's first q1 at the maximum, so that (j, q1)
+    is the first maximum in tie-break order.
+
     `progress`, when given, is called after each scanned shift j with
-    (candidates covered, total candidates, best girth so far).
+    (candidates covered, total candidates, best girth so far); the
+    shifts that the ceiling leaves unscanned count as covered, so the
+    last call always has covered == total.
     Deterministic for a fixed cfg regardless of worker_count. A worker
     that dies raises concurrent.futures.process.BrokenProcessPool.
     """
@@ -296,6 +322,7 @@ def search_r3(
     if not evaluated:
         raise NoValidShift("every candidate pair was incompatible")
     scanned = [j for j in _shifts(cfg) if 2 * j < cfg.m]
+    ceiling = _girth_ceiling(cfg)
     n = cfg.b * cfg.k
     q1_count = factorial(n - 1)
     total = evaluated + skipped
@@ -318,6 +345,7 @@ def search_r3(
         if workers == 1:
             results = map(functools.partial(scan, state=state), scanned)
         else:
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             ctx = multiprocessing.get_context("fork")
@@ -328,9 +356,13 @@ def search_r3(
         for done, (j, (g, q_idx)) in enumerate(zip(scanned, results), 1):
             if g > best_girth:
                 best_girth, best_j, best_q = g, j, q_idx
+            stop = best_girth == ceiling
             if progress is not None:
-                # shift m - j, left unscanned, is covered with j
-                progress(2 * done * q1_count, total, best_girth)
+                # shift m - j, left unscanned, is covered with j, and at
+                # the ceiling so are the shifts after j
+                progress(total if stop else 2 * done * q1_count, total, best_girth)
+            if stop:
+                break
     return SearchResult(
         best_girth=best_girth,
         # a Permutation or a uint8 image row, read as Python ints

@@ -144,6 +144,28 @@ def test_criterion_3_winner_girth_matches_networkx(k):
     )
 
 
+def test_criterion_3_pinned_witness_b2_k5():
+    # m = 50: the winner meets the girth ceiling at the first scanned
+    # shift, so the search stops there; 1 worker, since a pool would
+    # finish the shifts already running before it returns
+    cfg = SearchConfig(k=5, b=2, strategy=ScalingStrategy.INTERLEAVED)
+    result = search_r3(cfg)
+    got = (
+        result.best_girth,
+        result.witness_j,
+        result.witness_q1.image,
+        result.candidates_evaluated,
+        result.skipped_incompatible,
+    )
+    theirs = networkx_girth(construct_candidate(result.witness_q1, result.witness_j, cfg))
+    ceiling = girthmax.search._girth_ceiling(cfg)
+    verdict(
+        "3 pinned witness b=2 k=5",
+        got == (10, 11, (1, 4, 7, 2, 9, 6, 3, 0, 5, 8), 4_354_560, 0) and theirs == ceiling == got[0],
+        f"(girth, j, q1, evaluated, skipped) {got}, networkx {theirs}, ceiling {ceiling}, {result.elapsed:.1f} s",
+    )
+
+
 def test_criterion_4_family_ceiling_in_loop():
     # exact per-candidate assertion for k <= 5
     checked = 0

@@ -339,3 +339,10 @@ def test_progress_reported_for_any_k(capsys):
     lines = capsys.readouterr().err.splitlines()
     assert lines and all(line.startswith("progress: ") for line in lines)
     assert lines[-1] == "progress: 24/24 candidates, best girth 6"
+
+
+def test_progress_ends_at_the_total_after_an_early_exit(capsys):
+    # k = 5 interleaved reaches its girth ceiling before its last shift
+    search_r3(SearchConfig(k=5, strategy="interleaved"), progress=_stderr_progress(interval=0.0))
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == "progress: 288/288 candidates, best girth 8"

@@ -1,5 +1,6 @@
 import concurrent.futures
 import itertools
+import multiprocessing
 import random
 import sys
 from math import factorial, gcd
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import girthmax.search
 from girthmax import _levels
+from girthmax.bounds import moore_bipartite
 from girthmax.btu import IncompatiblePermutations
 from girthmax.girth import girth_bfs, girth_oracle
 from girthmax.perm import Permutation, ScalingStrategy, enumerate_k_cycles, inverse, one_based, scale_up
@@ -233,6 +235,50 @@ class TestTransposeSymmetry:
             assert all(type(v) is int for v in image), image
 
 
+def full_scan_snapshot(cfg: SearchConfig, monkeypatch) -> tuple:
+    """`snapshot` of the search with the ceiling raised above every girth, so that no shift is skipped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(girthmax.search, "_girth_ceiling", lambda cfg: 2 * cfg.b * cfg.k + 2)
+        return snapshot(search_r3(cfg))
+
+
+class TestGirthCeiling:
+    def test_closed_form_is_the_moore_bound_capped_at_2bk(self):
+        for b, k in itertools.product((1, 2, 3), range(2, 13)):
+            cfg = SearchConfig(k=k, b=b)
+            moore = max(g for g in range(4, 2 * cfg.m, 2) if moore_bipartite(g, 3) <= 2 * cfg.m)
+            assert girthmax.search._girth_ceiling(cfg) == min(2 * b * k, moore), (b, k)
+        ceilings = [girthmax.search._girth_ceiling(SearchConfig(k=k)) for k in range(5, 13)]
+        assert ceilings == [8, 10, 10, 12, 12, 12, 12, 14]
+
+    def test_early_exit_equals_full_scan(self, monkeypatch):
+        configs = [(k, 1, ScalingStrategy.INTERLEAVED) for k in range(3, 9)]
+        configs += [(k, 1, ScalingStrategy.BLOCK) for k in range(3, 8)]
+        configs += [(3, 2, strategy) for strategy in ScalingStrategy]
+        stopped = 0
+        for (k, b, strategy), j_filter in itertools.product(configs, (True, False)):
+            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+            got = snapshot(search_r3(cfg))
+            assert got == full_scan_snapshot(cfg, monkeypatch), (k, b, strategy, j_filter)
+            stopped += got[0] == girthmax.search._girth_ceiling(cfg)
+        assert stopped >= 4
+
+    def test_k7_scans_up_to_the_first_shift_at_the_ceiling(self, monkeypatch):
+        # k = 7 interleaved scans 8, 9, 10, 11, 12, 13, 15, ...; the
+        # winner reaches the ceiling of 10 at j = 10
+        scanned = []
+        level_scan = girthmax.search._level_scan
+
+        def spy(j, *args, **kwargs):
+            scanned.append(j)
+            return level_scan(j, *args, **kwargs)
+
+        monkeypatch.setattr(girthmax.search, "_level_scan", spy)
+        result = search_r3(SearchConfig(k=7, strategy=ScalingStrategy.INTERLEAVED))
+        assert (result.best_girth, result.witness_j) == (10, 10)
+        assert scanned == [8, 9, 10]
+
+
 class TestCandidateCounts:
     def test_closed_form_counts_incompatible_constructions(self):
         # the definition: a candidate is skipped exactly when
@@ -440,6 +486,19 @@ class TestPool:
         assert got == expected
         assert girthmax.search._STATE == ()
 
+    def test_early_exit_on_the_pool(self, pools, monkeypatch):
+        # both searches stop at a shift below their last one; the pool's
+        # queued shifts are dropped and its workers are gone on return
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        for k in (5, 7):
+            cfg = SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED)
+            serial = search_r3(cfg)
+            pooled = search_r3(SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED, worker_count=2))
+            assert snapshot(pooled) == snapshot(serial), k
+            assert serial.best_girth == girthmax.search._girth_ceiling(cfg)
+        assert pools == [2, 2]
+        assert multiprocessing.active_children() == []
+
     def test_serial_search_starts_no_pool(self):
         code = (
             "import sys, girthmax\n"
@@ -448,6 +507,17 @@ class TestPool:
         )
         proc = run_python(code)
         assert proc.stdout.strip() == "False", proc.stderr
+
+    def test_import_and_serial_searches_leave_multiprocessing_unloaded(self):
+        code = (
+            "import sys, girthmax\n"
+            "for k in (4, 5):\n"
+            "    girthmax.search_r3(girthmax.SearchConfig(k=k, strategy='interleaved'))\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        proc = run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_killed_worker_raises_broken_pool(self):
         code = (
@@ -498,6 +568,14 @@ class TestProgress:
         done, total, best = calls[-1]
         assert done == total
         assert best == 6
+
+    def test_early_exit_reports_every_candidate_covered(self):
+        # k = 5 interleaved stops at j = 7, the second of its 6 scanned
+        # shifts, where it reaches the ceiling of 8
+        calls = []
+        cfg = SearchConfig(k=5, strategy=ScalingStrategy.INTERLEAVED)
+        search_r3(cfg, progress=lambda done, total, best: calls.append((done, total, best)))
+        assert calls == [(48, 288, 6), (288, 288, 8)]
 
 
 def test_one_based_rendering_in_reports():
