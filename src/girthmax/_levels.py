@@ -1,14 +1,16 @@
 """Level engine of the search: the exact girth of many candidates at once.
 
-For one shift j, `shift_girths` scores every candidate (q1, j) of a
-search. `chunk_girths` extends the non-backtracking walks from a set of
-roots level by level, as numpy gathers shared by a chunk of q1 rows,
-and a candidate's girth is twice the first level at which two walks
-from one root meet. This reads girth off closed non-backtracking
-walks, the view of Fossorier, "Quasi-cyclic LDPC codes from circulant
-permutation matrices" (IEEE Trans. IT 50(8), 2004). `chunk_girths`
-proves the level test; the roots that suffice are the search's choice
+For one shift j, `shift_girths` scores candidates (q1, j) of a search.
+`chunk_girths` extends the non-backtracking walks from a set of roots
+level by level, as numpy gathers shared by a chunk of q1 rows, and a
+candidate's girth is twice the first level at which two walks from one
+root meet. This reads girth off closed non-backtracking walks, the
+view of Fossorier, "Quasi-cyclic LDPC codes from circulant permutation
+matrices" (IEEE Trans. IT 50(8), 2004). `chunk_girths` proves the
+level test; the roots that suffice are the search's choice
 (`search._root_count` proves them) and the scaling is `perm._scale_map`.
+`survivors` drops, before `shift_girths` runs, the candidates that one
+root proves to have a girth no larger than a floor.
 
 `cycle_rows` and `images` build the q1 and p1 rows that the engine
 reads. This module loads numpy; `search` imports it only for searches
@@ -80,17 +82,21 @@ def images(q_rows, k: int, strategy: ScalingStrategy):
     `cycle_rows`' or a list of tuples). Returns numpy arrays of shape
     (len(q_rows), m), uint8 while m <= 256, else uint16. The rows apply
     `perm._scale_map`; since scale_up(q1)^-1 = scale_up(q1^-1), the
-    inverse rows scale the inverse q1 rows.
+    inverse rows scale the inverse q1 rows. The arrays are C-ordered (as
+    `take` leaves them, unlike indexing by `src`), so that a slice of
+    rows is contiguous and `chunk_girths` can gather on it without a
+    copy.
     """
     n = len(q_rows[0])
     dtype = np.uint8 if n * k <= 256 else np.uint16
     q = np.asarray(q_rows, dtype)
     src, offset, factor = _scale_map(n, k, strategy)
     offset = np.array(offset, dtype)
-    return tuple(rows[:, src] * factor + offset for rows in (q, q.argsort(axis=1).astype(dtype)))
+    inverse = q.argsort(axis=1).astype(dtype)
+    return tuple(rows.take(src, axis=1) * factor + offset for rows in (q, inverse))
 
 
-def chunk_girths(p, pinv, j: int, roots, scratch: Scratch):
+def chunk_girths(p, pinv, j: int, roots, scratch: Scratch, cap: int | None = None):
     """Girth of each candidate (p[i], I, C_j) of one chunk; 0 if incompatible.
 
     Level L extends, from every root, the non-backtracking walks of
@@ -115,6 +121,12 @@ def chunk_girths(p, pinv, j: int, roots, scratch: Scratch):
     round a shortest cycle both ways from a root on it meet after s
     steps. So the first level with a meeting, over roots that meet
     every shortest cycle, is half the girth.
+
+    With a `cap`, the walks stop after level `cap`, and a candidate
+    whose walks do not meet by then gets 2 * cap + 2. So over roots
+    that meet every shortest cycle and double edge the result is
+    min(girth, 2 * cap + 2); over any roots, a result r <= 2 * cap
+    proves girth <= r, and incompatibility when r = 0.
     """
     count, m = p.shape
     x = np.arange(m)
@@ -146,6 +158,9 @@ def chunk_girths(p, pinv, j: int, roots, scratch: Scratch):
             girths[alive[met]] = 2 * level
         if met.all():
             return girths
+        if level == cap:
+            girths[alive[~met]] = 2 * cap + 2
+            return girths
         if met.any():
             keep = ~met
             alive, p, pinv = alive[keep], p[keep], pinv[keep]
@@ -164,18 +179,60 @@ def chunk_girths(p, pinv, j: int, roots, scratch: Scratch):
         level += 1
 
 
-def shift_girths(p, pinv, j: int, roots: int, scratch: Scratch | None = None):
-    """Girth of every candidate (p[i], I, C_j), one per row of p; 0 if incompatible.
+def _girths(p, pinv, j: int, rows, roots, scratch: Scratch, cap: int | None = None):
+    """`chunk_girths` of the candidates p[rows] from `roots`, in chunks of about `CHUNK_ROOTS` (row, root) pairs.
+
+    `rows` ascends without repeats, so when it holds every row of p the
+    chunks are slices rather than copies.
+    """
+    step = max(1, CHUNK_ROOTS // len(roots))
+    if len(rows) == len(p):
+        chunks = [slice(i, i + step) for i in range(0, len(p), step)]
+    else:
+        chunks = [rows[i : i + step] for i in range(0, len(rows), step)]
+    girths = [chunk_girths(p[c], pinv[c], j, roots, scratch, cap) for c in chunks]
+    return np.concatenate(girths) if girths else np.zeros(0, np.int32)
+
+
+def shift_girths(p, pinv, j: int, roots: int, scratch: Scratch | None = None, rows=None):
+    """Girth of each candidate (p[i], I, C_j), i in `rows` (default every row of p); 0 if incompatible.
 
     Walks start at the left vertices 0..roots-1, which must meet every
-    shortest cycle and double edge (`search._root_count`). Rows go
-    through `chunk_girths` in chunks of about `CHUNK_ROOTS` (row, root)
-    pairs; pass one `scratch` to every shift of a search, so that its
-    work arrays are allocated once.
+    shortest cycle and double edge (`search._root_count`). Pass one
+    `scratch` to every shift of a search, so that its work arrays are
+    allocated once.
     """
-    rows = max(1, CHUNK_ROOTS // roots)
-    starts = np.arange(roots)
+    rows = np.arange(len(p)) if rows is None else rows
     scratch = Scratch() if scratch is None else scratch
-    return np.concatenate([
-        chunk_girths(p[i : i + rows], pinv[i : i + rows], j, starts, scratch) for i in range(0, len(p), rows)
-    ])
+    return _girths(p, pinv, j, rows, np.arange(roots), scratch)
+
+
+def survivors(p, pinv, j: int, roots: int, floor: int, scratch: Scratch | None = None):
+    """Indices, ascending, of the candidates (p[i], I, C_j) whose girth exceeds `floor`.
+
+    The roots 0..roots-1 are taken in groups that at least double in
+    size (0, then 1-2, then 3-6, ...) and that fill at least one chunk
+    of `CHUNK_ROOTS` pairs with the candidates still alive, since a
+    smaller call costs about as much. Each group walks those candidates
+    up to level cap = max(1, floor // 2), and a candidate is dropped as
+    soon as the walks from one root meet. Proof. A meeting at level 1
+    is a double edge, and one at a level 1 < L <= cap shows girth
+    <= 2L <= floor (`chunk_girths`); either way the candidate does not
+    beat the floor. Conversely, a candidate that does not beat it is
+    incompatible or has an even girth g <= floor, so g / 2 <= cap; a
+    root on one of its double edges or shortest cycles, which the roots
+    hold as `shift_girths` asks, meets at level 1 or g / 2, in its own
+    group if not before. The first groups are small because, below the
+    best girth found so far, most candidates close a short cycle
+    through root 0 already.
+    """
+    cap = max(1, floor // 2)
+    scratch = Scratch() if scratch is None else scratch
+    alive = np.arange(len(p))
+    start, size = 0, 1
+    while start < roots and len(alive):
+        size = max(size, CHUNK_ROOTS // len(alive))
+        group = np.arange(start, min(roots, start + size))
+        alive = alive[_girths(p, pinv, j, alive, group, scratch, cap) > 2 * cap]
+        start, size = start + size, 2 * size
+    return alive

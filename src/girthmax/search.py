@@ -14,29 +14,34 @@ Only the shifts with 2j < m are scanned, since the candidate (q1, j)
 has the girth of (q1^-1, m - j) and the tie-break winner always has
 2j < m (`search_r3` has the proof). Candidates are scanned j-major
 (ascending j, then lex-ascending q1), which is exactly the tie-break
-order. Each scanned shift j is one task; one worker function maps over
-the shifts, in process or, for searches large enough to repay it
-(`_POOL_MIN_PAIRS`), on a fork pool, and both maps return results in
-shift order, so the merge keeps the first strictly larger girth. A
-worker gives every candidate of its shift its exact girth and returns
-the shift's best (girth, q1 index); the report's counts are not
-tallied but come in closed form from `candidate_counts`. The merge
-stops at the first shift whose best girth meets `_girth_ceiling`, the
-proven bound on every candidate's girth (2*b*k, and the bipartite Moore
-bound on 2m vertices): the later shifts can hold no larger girth and no
-earlier winner, so the in-process map never scores them and the pool
-drops those still queued. The workers:
+order. Each scanned shift j is one task; one worker function runs the
+shifts, in process or, for searches large enough to repay it
+(`_POOL_MIN_PAIRS`), on a fork pool, and both return results in shift
+order, so the merge keeps the first strictly larger girth. A worker
+takes a floor, the largest girth already returned by a shift with a
+smaller j, gives every candidate of its shift that can beat the floor
+its exact girth and returns the shift's best (girth, q1 index); the
+report's counts are not tallied but come in closed form from
+`candidate_counts`. The merge stops at the first shift whose best
+girth meets `_girth_ceiling`, the proven bound on every candidate's
+girth (2*b*k, and the bipartite Moore bound on 2m vertices): the later
+shifts can hold no larger girth and no earlier winner, so no later
+shift is started, though on the pool those already running finish.
+The workers:
 
 * `_level_scan`, the level engine, for searches of at least
   `_LEVEL_MIN_CANDIDATES` candidates, every k >= 5 among them. It reads
   the girths off batched non-backtracking walks over the p1 images,
   which `search_r3` scales once per search from the q1 image rows of
   `_levels.cycle_rows`; only the winner's row becomes a `Permutation`.
+  Before that, `_levels.survivors` drops the candidates whose walks
+  from one root show a girth no larger than the floor.
   The engine is the private module `_levels`; it loads numpy and is
   imported only when a search uses it.
 * `_scan` for the tiny searches below that, which do not repay numpy's
   import. It scores each candidate by its definition, `girth_bfs` of
-  `construct_candidate(q1, j, cfg)`, over the q1 of `enumerate_k_cycles`.
+  `construct_candidate(q1, j, cfg)`, over the q1 of `enumerate_k_cycles`,
+  and does not read the floor.
 
 Every (b*k)-cycle q1 is scanned at each scanned shift, since the
 family has no relabeling symmetry acting on q1 alone (conjugating q1
@@ -191,12 +196,12 @@ def _install(*state) -> None:
     _STATE = state
 
 
-def _scan(j: int, state: tuple = ()) -> tuple[int, int]:
+def _scan(j: int, floor: int, state: tuple = ()) -> tuple[int, int]:
     """Score every candidate (q1, j) of one shift j by its definition.
 
     Returns the shift's best (girth, q_idx): the largest exact girth
     under j with the index of the first q1 attaining it (girth 0 when
-    every candidate is incompatible).
+    every candidate is incompatible). The floor is not used.
     """
     q1s, cfg = state or _STATE
     best_g, best_q = 0, 0
@@ -228,19 +233,21 @@ _LEVEL_MIN_CANDIDATES = 100
 # is the level engine's unit of work: a candidate has b*k roots under
 # interleaved scaling and m under block scaling, and only the shifts
 # with 2j < m are scanned. Starting the pool costs more than it saves
-# below this. Measured as search_r3's elapsed time, each search in a
-# fresh interpreter, 1 worker against 2 (pool forced), on the host of
-# the threshold above: k = 7 block (0.53 million pairs) 0.16 s against
-# 0.16 s, k = 8 interleaved (0.48 million) 0.20 s against 0.19 s, k = 8
-# block (3.9 million) 0.44-0.57 s against 0.34-0.37 s, k = 9
-# interleaved (7.6 million) 2.0 s against 1.2 s. So every Table 1 search
-# (interleaved, k <= 8) and k = 7 block run in process, while k = 8
-# block and k >= 9 run on the pool. The pairs count every scanned shift,
-# though a search that meets `_girth_ceiling` stops early; on the pool,
-# shifts already running then still finish before the search returns
-# (b = 2, k = 5 interleaved, 21.8 million pairs: 1.4 s on 1 worker, 3.7 s
-# on 2).
-_POOL_MIN_PAIRS = 2_000_000
+# below this. With floors, a search's first shift, scored in full, costs
+# most; on the pool the first shift of each worker is scored in full.
+# Measured as search_r3's elapsed time, each search in a fresh
+# interpreter, 1 worker against 2 (pool forced), on the host of the
+# threshold above: k = 7 block (0.53 million pairs) 0.10-0.12 s against
+# 0.15-0.17 s, k = 8 interleaved (0.48 million) 0.10-0.14 s against
+# 0.15-0.21 s, k = 8 block (3.9 million) 0.13-0.20 s against 0.20-0.23 s,
+# k = 9 interleaved (7.6 million) 0.65-0.71 s against 0.50-0.54 s, k = 10
+# interleaved (58 million) 5.0 s against 3.7 s. So every Table 1 search
+# (interleaved, k <= 8) and block k <= 8 run in process, while k >= 9
+# runs on the pool. The pairs count every scanned shift, though a search
+# that meets `_girth_ceiling` stops early; on the pool, shifts already
+# running then still finish before the search returns (b = 2, k = 5
+# interleaved, 21.8 million pairs: 1.25 s on 1 worker, 1.6 s on 2).
+_POOL_MIN_PAIRS = 5_000_000
 
 
 def _root_count(cfg: SearchConfig) -> int:
@@ -270,17 +277,62 @@ def _girth_ceiling(cfg: SearchConfig) -> int:
     return min(2 * cfg.b * cfg.k, 2 * ((cfg.m + 1).bit_length() - 1))
 
 
-def _level_scan(j: int, state: tuple = ()) -> tuple[int, int]:
-    """Score every candidate (q1, j) of one shift j with the level engine.
+def _level_scan(j: int, floor: int, state: tuple = ()) -> tuple[int, int]:
+    """Score the candidates (q1, j) of one shift j that can beat `floor` with the level engine.
 
-    Returns the shift's best (girth, q_idx) as `_scan` does.
+    Returns the shift's best (girth, q_idx) as `_scan` does when that
+    girth exceeds the floor, else (0, 0). `_levels.survivors` keeps
+    exactly the candidates whose girth exceeds the floor, in ascending
+    q1 order, so a maximum above the floor is attained only among them
+    and the first survivor at it is the shift's first q1 at it. At
+    floor 0 every candidate is scored, since the survivors would only
+    lack the incompatible ones, which score 0.
     """
     from . import _levels
 
     p, pinv, roots, scratch = state or _STATE
-    girths = _levels.shift_girths(p, pinv, j, roots, scratch)
-    best_q = int(girths.argmax())
-    return int(girths[best_q]), best_q
+    alive = _levels.survivors(p, pinv, j, roots, floor, scratch) if floor else None
+    girths = _levels.shift_girths(p, pinv, j, roots, scratch, rows=alive)
+    if not len(girths):
+        return 0, 0
+    best = int(girths.argmax())
+    return int(girths[best]), best if alive is None else int(alive[best])
+
+
+def _in_process(scan, shifts):
+    """scan(j, floor) for each shift in order, each with the largest girth returned before it as floor."""
+    floor = 0
+    for j in shifts:
+        girth, q_idx = scan(j, floor)
+        floor = max(floor, girth)
+        yield girth, q_idx
+
+
+def _on_pool(pool, scan, shifts, width: int):
+    """scan(j, floor) for each shift, in shift order, run on `pool`.
+
+    At most `width` shifts run at once. Each is submitted with the
+    largest girth returned so far as its floor; every shift returned
+    before a submission was submitted before it, so it has a smaller j
+    and the floor is valid whatever the timing. Once the caller stops
+    reading, no further shift is submitted.
+    """
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    futures, floor = [], 0
+
+    def refill():
+        nonlocal floor
+        while len(futures) < len(shifts) and sum(not f.done() for f in futures) < width:
+            floor = max([floor] + [f.result()[0] for f in futures if f.done()])
+            futures.append(pool.submit(scan, shifts[len(futures)], floor))
+
+    for head in range(len(shifts)):
+        refill()
+        while not futures[head].done():
+            wait([f for f in futures if not f.done()], return_when=FIRST_COMPLETED)
+            refill()
+        yield futures[head].result()
 
 
 def search_r3(
@@ -309,6 +361,14 @@ def search_r3(
     candidate has a larger girth, shifts arrive in ascending j and each
     worker returns its shift's first q1 at the maximum, so that (j, q1)
     is the first maximum in tie-break order.
+
+    Each shift is scored against a floor, a girth returned by a shift
+    with a smaller j (`_in_process`, `_on_pool`), and reports its best
+    only if that beats the floor. Proof that the winner is the same.
+    When shift j is merged, the running best is at least its floor, so
+    a shift whose best does not beat the floor could not have replaced
+    the running best, which only a strictly larger girth does; and a
+    best above the floor is reported with its first q1.
 
     `progress`, when given, is called after each scanned shift j with
     (candidates covered, total candidates, best girth so far); the
@@ -343,7 +403,7 @@ def search_r3(
     best_girth, best_j, best_q = 0, 0, 0
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            results = map(functools.partial(scan, state=state), scanned)
+            results = _in_process(functools.partial(scan, state=state), scanned)
         else:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -351,7 +411,7 @@ def search_r3(
             ctx = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(workers, mp_context=ctx, initializer=_install, initargs=state)
             stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(scan, scanned)
+            results = _on_pool(pool, scan, scanned, workers)
         # results come in scan order, which is the tie-break order
         for done, (j, (g, q_idx)) in enumerate(zip(scanned, results), 1):
             if g > best_girth:

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict
-lines; the extended one-worker k=10 search needs `-m extended`.
+lines.
 """
 
 import io
@@ -53,6 +53,15 @@ WITNESSES = {
     8: (10, 9, (1, 6, 3, 0, 5, 2, 7, 4)),
     9: (10, 10, (4, 0, 6, 2, 8, 3, 7, 1, 5)),
     10: (10, 11, (1, 4, 3, 6, 5, 8, 7, 0, 9, 2)),
+}
+
+# (best girth, witness j, witness q1 image, 0-based, candidates
+# evaluated) of the block-scaling searches, which skip no candidate
+BLOCK_WINNERS = {
+    5: (6, 6, (1, 2, 3, 4, 0), 288),
+    6: (6, 7, (1, 2, 3, 4, 5, 0), 960),
+    7: (8, 22, (1, 2, 5, 6, 0, 3, 4), 21_600),
+    8: (8, 25, (1, 2, 3, 6, 7, 0, 4, 5), 120_960),
 }
 
 _search_cache: dict[tuple[int, ScalingStrategy, int], object] = {}
@@ -141,6 +150,29 @@ def test_criterion_3_winner_girth_matches_networkx(k):
         f"3 winner girth k={k} equals networkx",
         ours == theirs == result.best_girth,
         f"girth_bfs {ours}, networkx {theirs}, search {result.best_girth}",
+    )
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_criterion_3_pinned_block_witness(k):
+    result = run_search(k, ScalingStrategy.BLOCK)
+    got = (result.best_girth, result.witness_j, result.witness_q1.image, result.candidates_evaluated)
+    verdict(
+        f"3 pinned block witness k={k}",
+        got == BLOCK_WINNERS[k] and result.skipped_incompatible == 0,
+        f"(girth, j, q1, evaluated) {got}, skipped {result.skipped_incompatible}, {result.elapsed:.2f} s",
+    )
+
+
+def test_criterion_3_block_winner_girth_matches_networkx():
+    # rebuilt from the cached k = 8 block search
+    result = run_search(8, ScalingStrategy.BLOCK)
+    winner = construct_candidate(result.witness_q1, result.witness_j, SearchConfig(k=8))
+    theirs = networkx_girth(winner)
+    verdict(
+        "3 block winner girth k=8 equals networkx",
+        theirs == result.best_girth == BLOCK_WINNERS[8][0],
+        f"networkx {theirs}, search {result.best_girth}",
     )
 
 
@@ -268,9 +300,9 @@ def test_criterion_8_serialization_and_relabel_invariance():
     verdict("8 alist round-trip + relabel girth invariance", ok)
 
 
-@pytest.mark.extended
 def test_criterion_7_k10_one_worker_equals_pool():
-    # k = 10 is large enough for the pool, so the two runs differ in kind
+    # k = 10 is large enough for the pool, so the two runs differ in kind;
+    # the pooled search is the cached criterion-3 one when WORKERS >= 2
     def snapshot(result):
         return (
             result.best_girth,

@@ -1,10 +1,14 @@
 import concurrent.futures
+import dataclasses
+import functools
 import itertools
 import multiprocessing
 import random
 import sys
+import time
 from math import factorial, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,22 +94,127 @@ def snapshot(result):
     )
 
 
+@functools.cache
+def shift_references(cfg: SearchConfig) -> dict[int, list[int]]:
+    """`reference_girth` of every candidate of every admissible shift j, by q1 in enumeration order."""
+    q1s = list(enumerate_k_cycles(cfg.b * cfg.k))
+    shifts = valid_shifts(cfg.m, cfg.b * cfg.k if cfg.j_range_filter else 0)
+    return {j: [reference_girth(q1, j, cfg) for q1 in q1s] for j in shifts}
+
+
+def engine_inputs(cfg: SearchConfig) -> tuple:
+    """(p, pinv, roots) of the level engine for a search."""
+    p, pinv = _levels.images(_levels.cycle_rows(cfg.b * cfg.k), cfg.k, cfg.strategy)
+    return p, pinv, girthmax.search._root_count(cfg)
+
+
+ENGINE_SIZES = [(3, 1), (4, 1), (5, 1), (6, 1), (3, 2)]
+
+
 class TestLevelEngine:
-    @pytest.mark.parametrize("k, b", [(3, 1), (4, 1), (5, 1), (6, 1), (3, 2)])
+    @pytest.mark.parametrize("k, b", ENGINE_SIZES)
     def test_girths_match_girth_bfs_on_every_candidate(self, k, b):
         incompatible = 0
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
-            q1s = list(enumerate_k_cycles(b * k))
-            p, pinv = _levels.images(_levels.cycle_rows(b * k), k, strategy)
-            roots = girthmax.search._root_count(cfg)
-            for j in valid_shifts(cfg.m, b * k if j_filter else 0):
-                want = [reference_girth(q1, j, cfg) for q1 in q1s]
+            p, pinv, roots = engine_inputs(cfg)
+            for j, want in shift_references(cfg).items():
                 assert _levels.shift_girths(p, pinv, j, roots).tolist() == want, (strategy, j)
                 incompatible += want.count(0)
         assert incompatible > 0
 
-    @pytest.mark.parametrize("k, b", [(3, 1), (4, 1), (5, 1), (6, 1), (3, 2)])
+    @pytest.mark.parametrize("k, b", ENGINE_SIZES)
+    def test_capped_walks_mark_the_girths_up_to_twice_the_cap(self, k, b):
+        # from every root: min(girth, 2 * cap + 2), so a candidate is
+        # marked (<= 2 * cap) exactly when its girth is at most 2 * cap
+        scratch = _levels.Scratch()
+        for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
+            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+            p, pinv, roots = engine_inputs(cfg)
+            for (j, want), cap in itertools.product(shift_references(cfg).items(), (1, 2, 3, 4, 5)):
+                got = _levels.chunk_girths(p, pinv, j, np.arange(roots), scratch, cap).tolist()
+                assert got == [min(g, 2 * cap + 2) for g in want], (strategy, j, cap)
+
+    @pytest.mark.parametrize("chunk_roots", [_levels.CHUNK_ROOTS, 64])
+    @pytest.mark.parametrize("k, b", ENGINE_SIZES)
+    def test_survivors_are_the_candidates_above_the_floor(self, k, b, chunk_roots, monkeypatch):
+        # 64 (row, root) pairs per chunk split the roots into several
+        # groups and the rows into several chunks
+        monkeypatch.setattr(_levels, "CHUNK_ROOTS", chunk_roots)
+        kept = dropped = 0
+        for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
+            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+            p, pinv, roots = engine_inputs(cfg)
+            for (j, want), floor in itertools.product(shift_references(cfg).items(), (0, 4, 6, 8)):
+                got = _levels.survivors(p, pinv, j, roots, floor).tolist()
+                assert got == [i for i, g in enumerate(want) if g > floor], (strategy, j, floor)
+                kept += len(got)
+                dropped += len(want) - len(got)
+        assert kept and dropped
+
+    def test_survivors_scored_exactly_in_larger_searches(self):
+        # block k = 7 and interleaved k = 8 split their roots and rows over
+        # several groups and chunks at the default chunk size; the
+        # survivors are checked against the engine's exact girths
+        scratch = _levels.Scratch()
+        for k, strategy in ((7, ScalingStrategy.BLOCK), (8, ScalingStrategy.INTERLEAVED)):
+            cfg = SearchConfig(k=k, strategy=strategy)
+            p, pinv, roots = engine_inputs(cfg)
+            for j in valid_shifts(cfg.m, k)[:6]:
+                girths = _levels.shift_girths(p, pinv, j, roots, scratch)
+                for floor in (6, 8):
+                    want = np.flatnonzero(girths > floor)
+                    got = _levels.survivors(p, pinv, j, roots, floor, scratch)
+                    assert got.tolist() == want.tolist(), (k, strategy, j, floor)
+                    assert _levels.shift_girths(p, pinv, j, roots, scratch, rows=got).tolist() == girths[want].tolist()
+
+    @pytest.mark.parametrize(
+        "k, strategy, j, floor, chunk_roots",
+        [
+            # one (row, root) pair per chunk leaves groups of 1, 2, 4, ...
+            # roots, the last of them the lone root 3 (interleaved, 4
+            # roots) or 15 (block, 16 roots)
+            (4, ScalingStrategy.INTERLEAVED, 5, 4, 1),
+            (4, ScalingStrategy.BLOCK, 5, 4, 1),
+            (8, ScalingStrategy.INTERLEAVED, 9, 8, _levels.CHUNK_ROOTS),
+            (7, ScalingStrategy.BLOCK, 22, 6, _levels.CHUNK_ROOTS),
+        ],
+    )
+    def test_cascade_groups_cover_every_root(self, k, strategy, j, floor, chunk_roots, monkeypatch):
+        # some candidates of the shift beat the floor, so they must be
+        # walked from every root: the groups run over 0..roots-1 without
+        # gap or overlap, each at least twice the one before
+        monkeypatch.setattr(_levels, "CHUNK_ROOTS", chunk_roots)
+        groups = []
+        girths = _levels._girths
+
+        def spy(p, pinv, j, rows, roots, *args):
+            groups.append(roots.tolist())
+            return girths(p, pinv, j, rows, roots, *args)
+
+        monkeypatch.setattr(_levels, "_girths", spy)
+        p, pinv, roots = engine_inputs(SearchConfig(k=k, strategy=strategy))
+        assert len(_levels.survivors(p, pinv, j, roots, floor)) > 0
+        assert sum(groups, []) == list(range(roots)), groups
+        assert all(len(b) >= 2 * len(a) for a, b in zip(groups, groups[1:-1])), groups
+        if chunk_roots == 1:
+            assert [len(g) for g in groups[:-1]] == [2**i for i in range(len(groups) - 1)], groups
+
+    def test_rows_select_candidates(self):
+        cfg = SearchConfig(k=5)
+        p, pinv, roots = engine_inputs(cfg)
+        girths = _levels.shift_girths(p, pinv, 7, roots)
+        for rows in (np.arange(1, len(p)), np.arange(len(p) - 1), np.array([0, 5, 7]), np.arange(0)):
+            assert _levels.shift_girths(p, pinv, 7, roots, rows=rows).tolist() == girths[rows].tolist()
+
+    def test_image_rows_are_contiguous(self):
+        # a slice of rows is then a view, which chunk_girths gathers on
+        # without a copy at every level
+        for strategy in ScalingStrategy:
+            p, pinv = _levels.images(_levels.cycle_rows(5), 5, strategy)
+            assert p.flags.c_contiguous and pinv.flags.c_contiguous, strategy
+
+    @pytest.mark.parametrize("k, b", ENGINE_SIZES)
     def test_forced_engine_search_equals_bfs_search(self, k, b, monkeypatch):
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
@@ -163,6 +272,7 @@ class TestLevelEngine:
         assert small < girthmax.search._LEVEL_MIN_CANDIDATES <= large
 
 
+@functools.cache
 def full_scan(cfg: SearchConfig):
     """The search without the transpose reduction: every admissible shift, on the level engine.
 
@@ -277,6 +387,122 @@ class TestGirthCeiling:
         result = search_r3(SearchConfig(k=7, strategy=ScalingStrategy.INTERLEAVED))
         assert (result.best_girth, result.witness_j) == (10, 10)
         assert scanned == [8, 9, 10]
+
+
+# the searches of TestLevelEngine and TestGirthCeiling, j filter on and off
+FLOOR_CONFIGS = [
+    SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+    for (k, b, strategy), j_filter in itertools.product(
+        sorted(
+            {(k, b, s) for k, b in ENGINE_SIZES for s in ScalingStrategy}
+            | {(k, 1, ScalingStrategy.INTERLEAVED) for k in range(3, 9)}
+            | {(k, 1, ScalingStrategy.BLOCK) for k in range(3, 8)}
+        ),
+        (True, False),
+    )
+]
+
+
+class TestFloor:
+    @pytest.fixture
+    def floors(self, monkeypatch):
+        """Every search on the engine; the positive floors its shifts were scored against, in order."""
+        monkeypatch.setattr(girthmax.search, "_LEVEL_MIN_CANDIDATES", 0)
+        seen = []
+        survivors = _levels.survivors
+
+        def spy(p, pinv, j, roots, floor, *args):
+            seen.append(floor)
+            return survivors(p, pinv, j, roots, floor, *args)
+
+        monkeypatch.setattr(_levels, "survivors", spy)
+        return seen
+
+    @staticmethod
+    def answer(result) -> tuple:
+        return (
+            result.best_girth,
+            result.witness_j,
+            result.witness_q1.image,
+            result.candidates_evaluated,
+            result.skipped_incompatible,
+        )
+
+    def test_floored_search_equals_floor_free_scan(self, floors):
+        for cfg in FLOOR_CONFIGS:
+            assert self.answer(search_r3(cfg)) == full_scan(cfg), cfg
+        assert len(floors) > 50 and min(floors) >= 4
+
+    def test_floored_pool_equals_floor_free_scan(self, floors, monkeypatch):
+        # the searches of at least 100 candidates; the pool takes its
+        # floors from the shifts returned so far, in the forked workers,
+        # so the spy sees none of them
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        for cfg in (cfg for cfg in FLOOR_CONFIGS if cfg.b * cfg.k >= 5 or cfg.b > 1):
+            pooled = search_r3(dataclasses.replace(cfg, worker_count=2))
+            assert self.answer(pooled) == full_scan(cfg), cfg
+        assert multiprocessing.active_children() == []
+
+    def test_k7_block_drops_every_shift_below_the_winner(self, monkeypatch):
+        # the 12 shifts j = 9..20 after the first hold girth 6 at best,
+        # the running best: none of their candidates is scored exactly
+        exact = []
+        shift_girths = _levels.shift_girths
+
+        def spy(p, pinv, j, roots, scratch=None, rows=None):
+            exact.append((j, len(p) if rows is None else len(rows)))
+            return shift_girths(p, pinv, j, roots, scratch, rows)
+
+        monkeypatch.setattr(_levels, "shift_girths", spy)
+        result = search_r3(SearchConfig(k=7))
+        assert (result.best_girth, result.witness_j) == (8, 22)
+        assert exact[0] == (8, 720)
+        assert [j for j, rows in exact if rows] == [8, 22]
+        assert 0 < dict(exact)[22] < 720
+
+    def test_pool_window_floors_and_order(self):
+        # a thread pool of 6 stands in for the process pool, with a window
+        # of 3: shifts finish out of order, at most 3 are in flight, and
+        # each floor is a girth returned by a shift with a smaller j
+        girths = {j: (j * 7) % 11 for j in range(40)}
+        rng = random.Random(5)
+        delays = {j: rng.random() * 0.002 for j in girths}
+        submitted, futures = [], []
+
+        def scan(j, floor):
+            time.sleep(delays[j])
+            return girths[j], j
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, j, floor):
+                assert sum(not f.done() for f in futures) < 3, j
+                submitted.append((j, floor))
+                futures.append(super().submit(fn, j, floor))
+                return futures[-1]
+
+        shifts = list(girths)
+        with Recording(6) as pool:
+            got = list(girthmax.search._on_pool(pool, scan, shifts, 3))
+        assert got == [(girths[j], j) for j in shifts]
+        assert [j for j, _ in submitted] == shifts
+        for j, floor in submitted:
+            assert floor == 0 or floor in {girths[i] for i in shifts if i < j}, (j, floor)
+        assert any(floor for _, floor in submitted)
+
+    def test_pool_window_submits_nothing_after_the_reader_stops(self):
+        submitted = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, j, floor):
+                submitted.append(j)
+                return super().submit(fn, j, floor)
+
+        with Recording(2) as pool:
+            results = girthmax.search._on_pool(pool, lambda j, floor: (j, 0), list(range(10)), 2)
+            assert next(results) == (0, 0)
+            before = len(submitted)
+            results.close()
+        assert len(submitted) == before < 10
 
 
 class TestCandidateCounts:
@@ -463,15 +689,15 @@ class TestPool:
 
     def test_pool_threshold_splits_searches(self):
         # scanned (candidate, root) pairs: every Table 1 search
-        # (interleaved, k <= 8) and block k = 7 run in process; block
-        # k = 8 and interleaved k = 9 run on the pool
+        # (interleaved, k <= 8) and block k = 7, 8 run in process;
+        # interleaved k = 9 runs on the pool
         def pairs(k, roots):
             m = k * k
             scanned = sum(1 for j in range(k + 1, m - k) if gcd(j, m) == 1 and 2 * j < m)
             return scanned * factorial(k - 1) * roots
 
         threshold = girthmax.search._POOL_MIN_PAIRS
-        assert max(pairs(8, 8), pairs(7, 49)) < threshold <= min(pairs(8, 64), pairs(9, 9))
+        assert max(pairs(8, 8), pairs(7, 49), pairs(8, 64)) < threshold <= pairs(9, 9)
 
     def test_concurrent_serial_searches_do_not_share_state(self):
         cfgs = [SearchConfig(k=k, strategy=s) for k in (4, 5) for s in ScalingStrategy]
@@ -568,6 +794,17 @@ class TestProgress:
         done, total, best = calls[-1]
         assert done == total
         assert best == 6
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_k7_block_calls(self, workers, monkeypatch):
+        # 15 scanned shifts of 1,440 candidates (each with its transpose);
+        # girth 6 from the first, 8 from j = 22, the 13th; the ceiling
+        # is 10, so every shift is scanned; identical on the pool
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        calls = []
+        cfg = SearchConfig(k=7, worker_count=workers)
+        search_r3(cfg, progress=lambda done, total, best: calls.append((done, total, best)))
+        assert calls == [(1440 * i, 21600, 6 if i < 13 else 8) for i in range(1, 16)]
 
     def test_early_exit_reports_every_candidate_covered(self):
         # k = 5 interleaved stops at j = 7, the second of its 6 scanned
