@@ -14,19 +14,18 @@ Only the shifts with 2j < m are scanned, since the candidate (q1, j)
 has the girth of (q1^-1, m - j) and the tie-break winner always has
 2j < m (`search_r3` has the proof). Candidates are scanned j-major
 (ascending j, then lex-ascending q1), which is exactly the tie-break
-order. Each scanned shift j is one task; one worker function runs the
-shifts, in process or, for searches large enough to repay it
-(`_POOL_MIN_PAIRS`), on a fork pool, and both return results in shift
+order. Each scanned shift j is one task for a worker function, run in
+process or, for searches large enough to repay it (`_POOL_MIN_PAIRS`),
+on a fork pool; on either, `_in_order` returns the results in shift
 order, so the merge keeps the first strictly larger girth. A worker
-takes a floor, the largest girth already returned by a shift with a
+takes a floor, the largest girth already read from a shift with a
 smaller j, gives every candidate of its shift that can beat the floor
 its exact girth and returns the shift's best (girth, q1 index); the
-report's counts are not tallied but come in closed form from
-`candidate_counts`. The merge stops at the first shift whose best
-girth meets `_girth_ceiling`, the proven bound on every candidate's
-girth (2*b*k, and the bipartite Moore bound on 2m vertices): the later
-shifts can hold no larger girth and no earlier winner, so no later
-shift is started, though on the pool those already running finish.
+report's counts come in closed form from `candidate_counts`. The merge
+stops at the first shift whose best girth meets `_girth_ceiling`, the
+proven bound on every candidate's girth (2*b*k, and the bipartite Moore
+bound on 2m vertices), and starts no later shift, though on the pool
+those already running finish.
 The workers:
 
 * `_level_scan`, the level engine, for searches of at least
@@ -43,12 +42,20 @@ The workers:
   `construct_candidate(q1, j, cfg)`, over the q1 of `enumerate_k_cycles`,
   and does not read the floor.
 
-Every (b*k)-cycle q1 is scanned at each scanned shift, since the
-family has no relabeling symmetry acting on q1 alone (conjugating q1
-does not fix the circulant constituent; the transpose pairs q1 with
-q1^-1 only across the shifts j and m - j): fixing image[0] = 1 would
-lose the maximum at k = 5 and 7. The published k = 5..8 girths (8, 8,
-10, 10) are attained under interleaved scaling.
+Every (b*k)-cycle q1 is scanned at each scanned shift, though the
+family has relabelings that act on q1 within a shift. With n = b*k and
+rho(i) = n - 1 - i, (q1, j) and (rho q1^-1 rho, j) give isomorphic
+graphs under both scalings, and under block scaling so do (q1, j) and
+(r q1 r^-1, j) for every rotation r(i) = i + c mod n. Proof. Relabel
+both sides by sigma(x) = m - 1 - x (block) or (n - 1 - x) mod m
+(interleaved): sigma fixes I, turns C_j into C_{m-j} and scale_up(q1)
+into scale_up(rho q1 rho), and the transpose (`search_r3`) takes
+(rho q1 rho, m - j) to (rho q1^-1 rho, j). Under block scaling
+x -> x + c*k commutes with I and C_j and conjugates scale_up(q1) into
+scale_up(r q1 r^-1). The search does not use these symmetries yet.
+Fixing image[0] = 1 is not one of them: it would lose the maximum at
+k = 5 and 7. The published k = 5..8 girths (8, 8, 10, 10) are attained
+under interleaved scaling.
 """
 
 from __future__ import annotations
@@ -233,20 +240,22 @@ _LEVEL_MIN_CANDIDATES = 100
 # is the level engine's unit of work: a candidate has b*k roots under
 # interleaved scaling and m under block scaling, and only the shifts
 # with 2j < m are scanned. Starting the pool costs more than it saves
-# below this. With floors, a search's first shift, scored in full, costs
-# most; on the pool the first shift of each worker is scored in full.
-# Measured as search_r3's elapsed time, each search in a fresh
-# interpreter, 1 worker against 2 (pool forced), on the host of the
-# threshold above: k = 7 block (0.53 million pairs) 0.10-0.12 s against
-# 0.15-0.17 s, k = 8 interleaved (0.48 million) 0.10-0.14 s against
-# 0.15-0.21 s, k = 8 block (3.9 million) 0.13-0.20 s against 0.20-0.23 s,
-# k = 9 interleaved (7.6 million) 0.65-0.71 s against 0.50-0.54 s, k = 10
-# interleaved (58 million) 5.0 s against 3.7 s. So every Table 1 search
-# (interleaved, k <= 8) and block k <= 8 run in process, while k >= 9
-# runs on the pool. The pairs count every scanned shift, though a search
-# that meets `_girth_ceiling` stops early; on the pool, shifts already
-# running then still finish before the search returns (b = 2, k = 5
-# interleaved, 21.8 million pairs: 1.25 s on 1 worker, 1.6 s on 2).
+# below this. On the pool, `_in_order` keeps at most worker_count shifts
+# started and not yet read, each with the best girth read so far as its
+# floor, so the first shift of each worker is scored in full. Measured
+# as search_r3's elapsed time, each search in a fresh interpreter, 1
+# worker against 2 (pool forced), alternated, on the host of the
+# threshold above: k = 7 block (0.53 million pairs) 0.09-0.14 s against
+# 0.14-0.20 s, k = 8 interleaved (0.48 million) 0.10-0.15 s against
+# 0.17-0.22 s, k = 8 block (3.9 million) 0.14-0.23 s against 0.21-0.26 s,
+# k = 9 interleaved (7.6 million) 0.41-0.55 s against 0.33-0.47 s, k = 10
+# interleaved (58 million) 2.8-3.5 s against 2.0-2.7 s. So every Table 1
+# search (interleaved, k <= 8) and block k <= 8 run in process, while
+# k >= 9 runs on the pool. The pairs count every scanned shift, though a
+# search that meets `_girth_ceiling` stops early; on the pool, shifts
+# already running then still finish before the search returns (b = 2,
+# k = 5 interleaved, 21.8 million pairs: 0.7-1.1 s on 1 worker, 0.8-1.4 s
+# on 2).
 _POOL_MIN_PAIRS = 5_000_000
 
 
@@ -299,40 +308,23 @@ def _level_scan(j: int, floor: int, state: tuple = ()) -> tuple[int, int]:
     return int(girths[best]), best if alive is None else int(alive[best])
 
 
-def _in_process(scan, shifts):
-    """scan(j, floor) for each shift in order, each with the largest girth returned before it as floor."""
-    floor = 0
-    for j in shifts:
-        girth, q_idx = scan(j, floor)
-        floor = max(floor, girth)
-        yield girth, q_idx
+def _in_order(start, shifts, width: int):
+    """Yield each shift's (girth, q_idx) in shift order; start(j, floor) returns its reader.
 
-
-def _on_pool(pool, scan, shifts, width: int):
-    """scan(j, floor) for each shift, in shift order, run on `pool`.
-
-    At most `width` shifts run at once. Each is submitted with the
-    largest girth returned so far as its floor; every shift returned
-    before a submission was submitted before it, so it has a smaller j
-    and the floor is valid whatever the timing. Once the caller stops
-    reading, no further shift is submitted.
+    At most `width` shifts are started and not yet read. Each starts
+    with the largest girth read so far as its floor, which came from
+    shifts with a smaller j. Once the caller stops reading, no further
+    shift is started.
     """
-    from concurrent.futures import FIRST_COMPLETED, wait
-
-    futures, floor = [], 0
-
-    def refill():
-        nonlocal floor
-        while len(futures) < len(shifts) and sum(not f.done() for f in futures) < width:
-            floor = max([floor] + [f.result()[0] for f in futures if f.done()])
-            futures.append(pool.submit(scan, shifts[len(futures)], floor))
-
-    for head in range(len(shifts)):
-        refill()
-        while not futures[head].done():
-            wait([f for f in futures if not f.done()], return_when=FIRST_COMPLETED)
-            refill()
-        yield futures[head].result()
+    window, floor = [], 0
+    for j in shifts:
+        if len(window) == width:
+            result = window.pop(0)()
+            floor = max(floor, result[0])
+            yield result
+        window.append(start(j, floor))
+    while window:
+        yield window.pop(0)()
 
 
 def search_r3(
@@ -362,13 +354,12 @@ def search_r3(
     worker returns its shift's first q1 at the maximum, so that (j, q1)
     is the first maximum in tie-break order.
 
-    Each shift is scored against a floor, a girth returned by a shift
-    with a smaller j (`_in_process`, `_on_pool`), and reports its best
-    only if that beats the floor. Proof that the winner is the same.
-    When shift j is merged, the running best is at least its floor, so
-    a shift whose best does not beat the floor could not have replaced
-    the running best, which only a strictly larger girth does; and a
-    best above the floor is reported with its first q1.
+    Each shift is scored against a floor, the largest girth that
+    `_in_order` has read before starting it (from shifts with a smaller
+    j), and reports its best only if that beats the floor. Proof that
+    the winner is the same. The running best is at least the floor, and
+    only a strictly larger girth replaces it; a best above the floor
+    comes with its first q1.
 
     `progress`, when given, is called after each scanned shift j with
     (candidates covered, total candidates, best girth so far); the
@@ -403,7 +394,7 @@ def search_r3(
     best_girth, best_j, best_q = 0, 0, 0
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            results = _in_process(functools.partial(scan, state=state), scanned)
+            start = lambda j, floor: functools.partial(scan, j, floor, state)
         else:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -411,7 +402,8 @@ def search_r3(
             ctx = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(workers, mp_context=ctx, initializer=_install, initargs=state)
             stack.callback(pool.shutdown, cancel_futures=True)
-            results = _on_pool(pool, scan, scanned, workers)
+            start = lambda j, floor: pool.submit(scan, j, floor).result
+        results = _in_order(start, scanned, workers)
         # results come in scan order, which is the tie-break order
         for done, (j, (g, q_idx)) in enumerate(zip(scanned, results), 1):
             if g > best_girth:

@@ -198,6 +198,21 @@ def test_criterion_3_pinned_witness_b2_k5():
     )
 
 
+@pytest.mark.extended
+def test_criterion_3_pinned_witness_k11():
+    # m = 121, 1 worker: about 90 s and 1.4 GB; run with
+    # `pytest -m extended`
+    cfg = SearchConfig(k=11, strategy=ScalingStrategy.INTERLEAVED)
+    result = search_r3(cfg)
+    got = (result.best_girth, result.witness_j, result.witness_q1.image)
+    ours = girth_bfs(construct_candidate(result.witness_q1, result.witness_j, cfg).matrix()).value
+    verdict(
+        "3 pinned witness k=11",
+        got == (10, 12, (1, 3, 5, 8, 6, 10, 7, 9, 2, 0, 4)) and ours == got[0],
+        f"(girth, j, q1) {got}, girth_bfs {ours}, {result.elapsed:.0f} s",
+    )
+
+
 def test_criterion_4_family_ceiling_in_loop():
     # exact per-candidate assertion for k <= 5
     checked = 0

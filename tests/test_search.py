@@ -314,6 +314,51 @@ class TestTransposeSymmetry:
                 incompatible += g == 0
         assert incompatible > 0
 
+    @pytest.mark.parametrize("k, b", [(4, 1), (5, 1), (3, 2)])
+    def test_relabelings_within_a_shift_keep_the_girth(self, k, b):
+        # with n = b*k and rho(i) = n - 1 - i: (q1, j) has the girth of
+        # (rho q1^-1 rho, j) under both scalings, and under block scaling
+        # that of (r q1 r^-1, j) for every rotation r(i) = i + c mod n,
+        # as the search module's docstring proves; no j filter
+        n = b * k
+        q1s = list(enumerate_k_cycles(n))
+        index = {q1: i for i, q1 in enumerate(q1s)}
+        moved, seen = 0, set()
+        for strategy in ScalingStrategy:
+            girths = shift_references(SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=False))
+            seen |= {g for row in girths.values() for g in row}
+            for q1 in q1s:
+                inv = inverse(q1).image
+                images = [Permutation(n - 1 - inv[n - 1 - i] for i in range(n))]
+                if strategy is ScalingStrategy.BLOCK:
+                    images += [Permutation((q1[(i - c) % n] + c) % n for i in range(n)) for c in range(1, n)]
+                for image in images:
+                    moved += image != q1
+                    for j, row in girths.items():
+                        assert row[index[image]] == row[index[q1]], (strategy, q1, image, j)
+        assert moved > 0 and len(seen) > 2
+
+    def test_relabelings_within_a_shift_keep_the_engine_girth_at_k7(self):
+        # the same maps where block girths differ (6 and 8; at the sizes
+        # above every block candidate has girth 6), on the level engine
+        n = 7
+        rows = _levels.cycle_rows(n)
+        index = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
+        inv = rows.argsort(axis=1)
+        images = [n - 1 - inv[:, ::-1]]
+        images += [(np.roll(rows, c, axis=1) + c) % n for c in range(1, n)]
+        maps = [np.array([index[row] for row in map(tuple, image.tolist())]) for image in images]
+        for strategy in ScalingStrategy:
+            cfg = SearchConfig(k=7, strategy=strategy, j_range_filter=False)
+            p, pinv, roots = engine_inputs(cfg)
+            seen = set()
+            for j in valid_shifts(cfg.m, 0):
+                girths = _levels.shift_girths(p, pinv, j, roots)
+                seen |= set(girths.tolist())
+                for to in maps if strategy is ScalingStrategy.BLOCK else maps[:1]:
+                    assert (girths[to] == girths).all(), (strategy, j)
+            assert len(seen) > 1, strategy
+
     def test_sampled_candidates_of_k4_b2(self):
         # 80,640 candidates per strategy: too many to build each one
         rng = random.Random(32)
@@ -460,49 +505,88 @@ class TestFloor:
         assert [j for j, rows in exact if rows] == [8, 22]
         assert 0 < dict(exact)[22] < 720
 
+    def test_k7_block_floors_are_the_running_best(self, monkeypatch):
+        # 1 worker: each shift starts with the largest girth of the shifts
+        # before it; the ceiling of 10 is never met, so all 15 shifts run
+        seen = []
+        level_scan = girthmax.search._level_scan
+
+        def spy(j, floor, *args):
+            seen.append((j, floor))
+            return level_scan(j, floor, *args)
+
+        monkeypatch.setattr(girthmax.search, "_level_scan", spy)
+        search_r3(SearchConfig(k=7))
+        shifts = [8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20, 22, 23, 24]
+        assert seen == [(j, 0 if j == 8 else 6 if j <= 22 else 8) for j in shifts]
+
     def test_pool_window_floors_and_order(self):
-        # a thread pool of 6 stands in for the process pool, with a window
-        # of 3: shifts finish out of order, at most 3 are in flight, and
-        # each floor is a girth returned by a shift with a smaller j
+        # a thread pool of 6 runs the shifts with a window of 3: they
+        # finish out of order, yet at most 3 are started and unread, the
+        # results come in shift order, and shift i starts with the
+        # largest girth of shifts 0..i - 3, whatever the timing
         girths = {j: (j * 7) % 11 for j in range(40)}
         rng = random.Random(5)
         delays = {j: rng.random() * 0.002 for j in girths}
-        submitted, futures = [], []
+        started, read = [], []
 
         def scan(j, floor):
             time.sleep(delays[j])
             return girths[j], j
 
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def submit(self, fn, j, floor):
-                assert sum(not f.done() for f in futures) < 3, j
-                submitted.append((j, floor))
-                futures.append(super().submit(fn, j, floor))
-                return futures[-1]
+        with concurrent.futures.ThreadPoolExecutor(6) as pool:
 
-        shifts = list(girths)
-        with Recording(6) as pool:
-            got = list(girthmax.search._on_pool(pool, scan, shifts, 3))
-        assert got == [(girths[j], j) for j in shifts]
-        assert [j for j, _ in submitted] == shifts
-        for j, floor in submitted:
-            assert floor == 0 or floor in {girths[i] for i in shifts if i < j}, (j, floor)
-        assert any(floor for _, floor in submitted)
+            def start(j, floor):
+                assert len(started) - len(read) < 3, j
+                started.append((j, floor))
+                future = pool.submit(scan, j, floor)
+
+                def reader():
+                    read.append(j)
+                    return future.result()
+
+                return reader
+
+            got = list(girthmax.search._in_order(start, list(girths), 3))
+        assert got == [(girths[j], j) for j in girths]
+        assert read == list(girths)
+        assert started == [(j, max([0] + [girths[i] for i in range(j - 2)])) for j in girths]
+        assert any(floor for _, floor in started)
+
+    def test_width_one_runs_each_shift_at_its_read_with_the_running_best(self):
+        # the in-process case: start only binds the call, which runs when
+        # the shift is read, before the next shift is started
+        girths = [3, 0, 5, 4, 5, 7, 2]
+        events = []
+
+        def scan(j, floor):
+            events.append(("run", j))
+            return girths[j], j
+
+        def start(j, floor):
+            events.append(("start", j, floor))
+            return functools.partial(scan, j, floor)
+
+        got = list(girthmax.search._in_order(start, range(len(girths)), 1))
+        assert got == [(g, j) for j, g in enumerate(girths)]
+        floors = [0, 3, 3, 5, 5, 5, 7]
+        assert events == [e for j, floor in enumerate(floors) for e in (("start", j, floor), ("run", j))]
 
     def test_pool_window_submits_nothing_after_the_reader_stops(self):
-        submitted = []
+        started = []
 
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def submit(self, fn, j, floor):
-                submitted.append(j)
-                return super().submit(fn, j, floor)
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
 
-        with Recording(2) as pool:
-            results = girthmax.search._on_pool(pool, lambda j, floor: (j, 0), list(range(10)), 2)
+            def start(j, floor):
+                started.append(j)
+                return pool.submit(lambda: (j, 0)).result
+
+            results = girthmax.search._in_order(start, list(range(10)), 2)
             assert next(results) == (0, 0)
-            before = len(submitted)
+            assert started == [0, 1]
             results.close()
-        assert len(submitted) == before < 10
+            assert next(results, None) is None
+        assert started == [0, 1]
 
 
 class TestCandidateCounts:
