@@ -13,8 +13,11 @@ level test; the roots that suffice are the search's choice
 root proves to have a girth no larger than a floor.
 
 `cycle_rows` and `images` build the q1 and p1 rows that the engine
-reads. This module loads numpy; `search` imports it only for searches
-large enough to repay that (`search._LEVEL_MIN_CANDIDATES`).
+reads, and `orbit_minima` keeps one q1 row of each class of q1 that
+give isomorphic graphs at every shift (`search` proves the relabelings
+and that the winner is kept). This module loads numpy; `search`
+imports it only for searches large enough to repay that
+(`search._LEVEL_MIN_CANDIDATES`).
 """
 
 from __future__ import annotations
@@ -73,6 +76,40 @@ def cycle_rows(n: int):
     rows[np.arange(count)[:, None], cycles] = np.roll(cycles, -1, axis=1)
     # lexsort sorts by its last key first
     return rows[np.lexsort(rows.T[::-1])]
+
+
+def orbit_minima(rows, strategy: ScalingStrategy):
+    """The rows of `cycle_rows` that are lexicographically least in their orbit, in order.
+
+    The orbit of q is its images under the relabelings that keep the
+    graph of (q, j) for every j (`search` proves them): q and
+    phi(q) = rho q^-1 rho, rho(i) = n-1-i, under either scaling, and
+    under block scaling also r q r^-1 and r phi(q) r^-1 for the
+    rotations r(i) = i + c mod n. The image rows are compared with the
+    rows a column at a time, each map only on the rows that every map
+    before it kept and each column only on the rows tied so far, so the
+    work shrinks quickly and no (rows, n) index array is built.
+    """
+    count, n = rows.shape
+    # cols[i], inverse[i] and phi[i] hold entry i of every row's q, q^-1 and phi(q)
+    cols = np.ascontiguousarray(rows.T)
+    inverse, every = np.empty_like(cols), np.arange(count)
+    for i in range(n):
+        inverse[cols[i], every] = i
+    phi = n - 1 - inverse[::-1]
+    kept = np.ones(count, bool)
+    for c in range(n) if strategy is ScalingStrategy.BLOCK else range(1):
+        # rotate[v] = v + c mod n; column i of r q r^-1 is rotate[q[i - c]]
+        rotate = np.roll(np.arange(n, dtype=rows.dtype), -c)
+        for source in (cols, phi) if c else (phi,):
+            tied = np.flatnonzero(kept)
+            for i in range(n):
+                row, image = cols[i, tied], rotate.take(source[i - c, tied])
+                kept[tied[image < row]] = False
+                tied = tied[image == row]
+                if not len(tied):
+                    break
+    return rows[kept]
 
 
 def images(q_rows, k: int, strategy: ScalingStrategy):

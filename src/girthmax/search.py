@@ -32,7 +32,8 @@ The workers:
   `_LEVEL_MIN_CANDIDATES` candidates, every k >= 5 among them. It reads
   the girths off batched non-backtracking walks over the p1 images,
   which `search_r3` scales once per search from the q1 image rows of
-  `_levels.cycle_rows`; only the winner's row becomes a `Permutation`.
+  `_levels.orbit_minima`, one q1 per isomorphism class (below); only
+  the winner's row becomes a `Permutation`.
   Before that, `_levels.survivors` drops the candidates whose walks
   from one root show a girth no larger than the floor.
   The engine is the private module `_levels`; it loads numpy and is
@@ -42,18 +43,28 @@ The workers:
   `construct_candidate(q1, j, cfg)`, over the q1 of `enumerate_k_cycles`,
   and does not read the floor.
 
-Every (b*k)-cycle q1 is scanned at each scanned shift, though the
-family has relabelings that act on q1 within a shift. With n = b*k and
-rho(i) = n - 1 - i, (q1, j) and (rho q1^-1 rho, j) give isomorphic
-graphs under both scalings, and under block scaling so do (q1, j) and
-(r q1 r^-1, j) for every rotation r(i) = i + c mod n. Proof. Relabel
-both sides by sigma(x) = m - 1 - x (block) or (n - 1 - x) mod m
-(interleaved): sigma fixes I, turns C_j into C_{m-j} and scale_up(q1)
-into scale_up(rho q1 rho), and the transpose (`search_r3`) takes
-(rho q1 rho, m - j) to (rho q1^-1 rho, j). Under block scaling
-x -> x + c*k commutes with I and C_j and conjugates scale_up(q1) into
-scale_up(r q1 r^-1). The search does not use these symmetries yet.
-Fixing image[0] = 1 is not one of them: it would lose the maximum at
+The level engine scans one q1 per isomorphism class within a shift.
+With n = b*k and rho(i) = n - 1 - i, (q1, j) and (rho q1^-1 rho, j)
+give isomorphic graphs under both scalings, and under block scaling so
+do (q1, j) and (r q1 r^-1, j) for every rotation r(i) = i + c mod n.
+Proof. Relabel both sides by sigma(x) = m - 1 - x (block) or
+(n - 1 - x) mod m (interleaved): sigma fixes I, turns C_j into C_{m-j}
+and scale_up(q1) into scale_up(rho q1 rho), and the transpose
+(`search_r3`) takes (rho q1 rho, m - j) to (rho q1^-1 rho, j). Under
+block scaling x -> x + c*k commutes with I and C_j and conjugates
+scale_up(q1) into scale_up(r q1 r^-1). These maps generate a group of
+order 2 (interleaved) or 2n (block), and the engine scans only the q1
+that are lexicographically least in their orbit, in ascending order
+(`_levels.orbit_minima`): 384 of the 720 q1 at n = 7 interleaved, 78
+under block scaling. Proof that the winner is the same. Isomorphic
+candidates have equal girth and the same double edges, so every q1 at
+a shift's maximum has its orbit minimum, which is <= it, at that
+maximum too. The shift's lex-first q1 at the maximum, the tie-break
+winner, is therefore an orbit minimum, and the first one at the
+maximum; the same holds above a floor, for `_levels.survivors`. The
+counts and progress still cover every q1, in closed form
+(`candidate_counts`), and `_scan` scores every q1. Fixing
+image[0] = 1 is not such a relabeling: it would lose the maximum at
 k = 5 and 7. The published k = 5..8 girths (8, 8, 10, 10) are attained
 under interleaved scaling.
 """
@@ -236,26 +247,27 @@ def _scan(j: int, floor: int, state: tuple = ()) -> tuple[int, int]:
 _LEVEL_MIN_CANDIDATES = 100
 
 # Searches of at least this many scanned (candidate, root) pairs run on
-# a pool of cfg.worker_count processes, smaller ones in process. A pair
-# is the level engine's unit of work: a candidate has b*k roots under
-# interleaved scaling and m under block scaling, and only the shifts
-# with 2j < m are scanned. Starting the pool costs more than it saves
+# a pool of cfg.worker_count processes, smaller ones in process. The
+# pairs measure a search's size, not the engine's work: they count
+# every q1 of the shifts with 2j < m, though the engine scores only the
+# orbit minima, and a candidate has b*k roots under interleaved scaling
+# and m under block scaling. Starting the pool costs more than it saves
 # below this. On the pool, `_in_order` keeps at most worker_count shifts
 # started and not yet read, each with the best girth read so far as its
 # floor, so the first shift of each worker is scored in full. Measured
 # as search_r3's elapsed time, each search in a fresh interpreter, 1
-# worker against 2 (pool forced), alternated, on the host of the
-# threshold above: k = 7 block (0.53 million pairs) 0.09-0.14 s against
-# 0.14-0.20 s, k = 8 interleaved (0.48 million) 0.10-0.15 s against
-# 0.17-0.22 s, k = 8 block (3.9 million) 0.14-0.23 s against 0.21-0.26 s,
-# k = 9 interleaved (7.6 million) 0.41-0.55 s against 0.33-0.47 s, k = 10
-# interleaved (58 million) 2.8-3.5 s against 2.0-2.7 s. So every Table 1
+# worker against 2 (pool forced below the threshold), on the host of the
+# threshold above: k = 7 block (0.53 million pairs) 0.07-0.12 s against
+# 0.12-0.19 s, k = 8 interleaved (0.48 million) 0.10-0.14 s against
+# 0.17-0.23 s, k = 8 block (3.9 million) 0.09-0.14 s against 0.15-0.21 s,
+# k = 9 interleaved (7.6 million) 0.34-0.49 s against 0.37-0.48 s, k = 10
+# interleaved (58 million) 2.5-2.9 s against 1.9-2.3 s. So every Table 1
 # search (interleaved, k <= 8) and block k <= 8 run in process, while
-# k >= 9 runs on the pool. The pairs count every scanned shift, though a
-# search that meets `_girth_ceiling` stops early; on the pool, shifts
-# already running then still finish before the search returns (b = 2,
-# k = 5 interleaved, 21.8 million pairs: 0.7-1.1 s on 1 worker, 0.8-1.4 s
-# on 2).
+# k >= 9 runs on the pool, where k = 9 breaks even. The pairs count every
+# scanned shift, though a search that meets `_girth_ceiling` stops early;
+# on the pool, shifts already running then still finish before the
+# search returns (b = 2, k = 5 interleaved, 21.8 million pairs:
+# 0.78-0.94 s on 1 worker, 0.95-1.11 s on 2).
 _POOL_MIN_PAIRS = 5_000_000
 
 
@@ -290,7 +302,8 @@ def _level_scan(j: int, floor: int, state: tuple = ()) -> tuple[int, int]:
     """Score the candidates (q1, j) of one shift j that can beat `floor` with the level engine.
 
     Returns the shift's best (girth, q_idx) as `_scan` does when that
-    girth exceeds the floor, else (0, 0). `_levels.survivors` keeps
+    girth exceeds the floor, else (0, 0); q_idx indexes the rows of p,
+    one per orbit minimum. `_levels.survivors` keeps
     exactly the candidates whose girth exceeds the floor, in ascending
     q1 order, so a maximum above the floor is attained only among them
     and the first survivor at it is the shift's first q1 at it. At
@@ -384,7 +397,7 @@ def search_r3(
     if total >= _LEVEL_MIN_CANDIDATES:
         from . import _levels
 
-        q1s = _levels.cycle_rows(n)
+        q1s = _levels.orbit_minima(_levels.cycle_rows(n), cfg.strategy)
         p, pinv = _levels.images(q1s, cfg.k, cfg.strategy)
         scan, state = _level_scan, (p, pinv, roots, _levels.Scratch())
     else:

@@ -200,7 +200,7 @@ def test_criterion_3_pinned_witness_b2_k5():
 
 @pytest.mark.extended
 def test_criterion_3_pinned_witness_k11():
-    # m = 121, 1 worker: about 90 s and 1.4 GB; run with
+    # m = 121, 1 worker: about 60 s and 0.75 GB; run with
     # `pytest -m extended`
     cfg = SearchConfig(k=11, strategy=ScalingStrategy.INTERLEAVED)
     result = search_r3(cfg)

@@ -359,6 +359,37 @@ class TestTransposeSymmetry:
                     assert (girths[to] == girths).all(), (strategy, j)
             assert len(seen) > 1, strategy
 
+    @pytest.mark.parametrize("k, b", [(3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (3, 2), (4, 2)])
+    def test_orbit_minima_are_the_least_q1_of_each_orbit(self, k, b):
+        # the orbits closed under the two maps above, rho q1^-1 rho and
+        # (block only) the rotation by 1, which generate the others
+        n = b * k
+        q1s = [q1.image for q1 in enumerate_k_cycles(n)]
+        for strategy in ScalingStrategy:
+
+            def moves(q1):
+                inv = inverse(Permutation(q1)).image
+                yield tuple(n - 1 - inv[n - 1 - i] for i in range(n))
+                if strategy is ScalingStrategy.BLOCK:
+                    yield tuple((q1[(i - 1) % n] + 1) % n for i in range(n))
+
+            orbits, seen = [], set()
+            for q1 in q1s:
+                if q1 in seen:
+                    continue
+                orbit, todo = {q1}, [q1]
+                while todo:
+                    for image in moves(todo.pop()):
+                        if image not in orbit:
+                            orbit.add(image)
+                            todo.append(image)
+                orbits.append(orbit)
+                seen |= orbit
+            assert seen == set(q1s)
+            got = [tuple(row) for row in _levels.orbit_minima(_levels.cycle_rows(n), strategy).tolist()]
+            assert got == sorted(min(orbit) for orbit in orbits), strategy
+            assert len(got) < len(q1s) or n == 3, strategy
+
     def test_sampled_candidates_of_k4_b2(self):
         # 80,640 candidates per strategy: too many to build each one
         rng = random.Random(32)
@@ -489,8 +520,9 @@ class TestFloor:
         assert multiprocessing.active_children() == []
 
     def test_k7_block_drops_every_shift_below_the_winner(self, monkeypatch):
-        # the 12 shifts j = 9..20 after the first hold girth 6 at best,
-        # the running best: none of their candidates is scored exactly
+        # the engine scans the 78 orbit minima of the 720 q1; the 12
+        # shifts j = 9..20 after the first hold girth 6 at best, the
+        # running best: none of their candidates is scored exactly
         exact = []
         shift_girths = _levels.shift_girths
 
@@ -501,9 +533,9 @@ class TestFloor:
         monkeypatch.setattr(_levels, "shift_girths", spy)
         result = search_r3(SearchConfig(k=7))
         assert (result.best_girth, result.witness_j) == (8, 22)
-        assert exact[0] == (8, 720)
+        assert exact[0] == (8, 78)
         assert [j for j, rows in exact if rows] == [8, 22]
-        assert 0 < dict(exact)[22] < 720
+        assert 0 < dict(exact)[22] < 78
 
     def test_k7_block_floors_are_the_running_best(self, monkeypatch):
         # 1 worker: each shift starts with the largest girth of the shifts
