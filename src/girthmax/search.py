@@ -14,18 +14,19 @@ Only the shifts with 2j < m are scanned, since the candidate (q1, j)
 has the girth of (q1^-1, m - j) and the tie-break winner always has
 2j < m (`search_r3` has the proof). Candidates are scanned j-major
 (ascending j, then lex-ascending q1), which is exactly the tie-break
-order. Each scanned shift j is one task for a worker function, run in
-process or, for searches large enough to repay it (`_POOL_MIN_PAIRS`),
-on a fork pool; on either, `_in_order` returns the results in shift
-order, so the merge keeps the first strictly larger girth. A worker
-takes a floor, the largest girth already read from a shift with a
-smaller j, gives every candidate of its shift that can beat the floor
-its exact girth and returns the shift's best (girth, q1 index); the
-report's counts come in closed form from `candidate_counts`. The merge
-stops at the first shift whose best girth meets `_girth_ceiling`, the
-proven bound on every candidate's girth (2*b*k, and the bipartite Moore
-bound on 2m vertices), and starts no later shift, though on the pool
-those already running finish.
+order. The shifts are scored one after another, each against a floor,
+the best girth of the shifts before it, by a worker function that
+takes a contiguous range of the q1 rows: in process one call covers
+every row, and on a fork pool, for searches large enough to repay it
+(`_POOL_MIN_PAIRS`), the rows are cut into one range per worker, all
+scored at the same floor. A worker gives every candidate of its range
+that can beat the floor its exact girth and returns the range's best
+(girth, q1 index); the merge keeps the first strictly larger girth,
+and the report's counts come in closed form from `candidate_counts`.
+The merge stops at the first shift whose best girth meets
+`_girth_ceiling`, the proven bound on every candidate's girth (2*b*k,
+and the bipartite Moore bound on 2m vertices), and no later shift is
+started, in process or on the pool.
 The workers:
 
 * `_level_scan`, the level engine, for searches of at least
@@ -72,7 +73,6 @@ under interleaved scaling.
 from __future__ import annotations
 
 import contextlib
-import functools
 import time
 from dataclasses import dataclass
 from math import comb, factorial, gcd
@@ -214,16 +214,16 @@ def _install(*state) -> None:
     _STATE = state
 
 
-def _scan(j: int, floor: int, state: tuple = ()) -> tuple[int, int]:
-    """Score every candidate (q1, j) of one shift j by its definition.
+def _scan(j: int, floor: int, lo: int, hi: int, state: tuple = ()) -> tuple[int, int]:
+    """Score every candidate (q1, j), q1 in rows lo:hi, of one shift j by its definition.
 
-    Returns the shift's best (girth, q_idx): the largest exact girth
+    Returns the range's best (girth, q_idx): the largest exact girth
     under j with the index of the first q1 attaining it (girth 0 when
     every candidate is incompatible). The floor is not used.
     """
     q1s, cfg = state or _STATE
     best_g, best_q = 0, 0
-    for q_idx, q1 in enumerate(q1s):
+    for q_idx, q1 in enumerate(q1s[lo:hi], lo):
         try:
             g = girth_bfs(construct_candidate(q1, j, cfg).matrix()).value
         except IncompatiblePermutations:
@@ -252,22 +252,17 @@ _LEVEL_MIN_CANDIDATES = 100
 # every q1 of the shifts with 2j < m, though the engine scores only the
 # orbit minima, and a candidate has b*k roots under interleaved scaling
 # and m under block scaling. Starting the pool costs more than it saves
-# below this. On the pool, `_in_order` keeps at most worker_count shifts
-# started and not yet read, each with the best girth read so far as its
-# floor, so the first shift of each worker is scored in full. Measured
-# as search_r3's elapsed time, each search in a fresh interpreter, 1
-# worker against 2 (pool forced below the threshold), on the host of the
-# threshold above: k = 7 block (0.53 million pairs) 0.07-0.12 s against
-# 0.12-0.19 s, k = 8 interleaved (0.48 million) 0.10-0.14 s against
-# 0.17-0.23 s, k = 8 block (3.9 million) 0.09-0.14 s against 0.15-0.21 s,
-# k = 9 interleaved (7.6 million) 0.34-0.49 s against 0.37-0.48 s, k = 10
-# interleaved (58 million) 2.5-2.9 s against 1.9-2.3 s. So every Table 1
-# search (interleaved, k <= 8) and block k <= 8 run in process, while
-# k >= 9 runs on the pool, where k = 9 breaks even. The pairs count every
-# scanned shift, though a search that meets `_girth_ceiling` stops early;
-# on the pool, shifts already running then still finish before the
-# search returns (b = 2, k = 5 interleaved, 21.8 million pairs:
-# 0.78-0.94 s on 1 worker, 0.95-1.11 s on 2).
+# below this. Measured as search_r3's elapsed time, each search in a
+# fresh interpreter, medians of 6 or 8 runs on 1 worker against 2 (pool
+# forced below the threshold), on the host of the threshold above: k = 7
+# block (0.53 million pairs) 0.09 s against 0.15 s, k = 8 interleaved
+# (0.48 million) 0.09 against 0.18 s, k = 8 block (3.9 million) 0.12
+# against 0.18 s, k = 9 interleaved (7.6 million) 0.44 against 0.41 s,
+# b = 2, k = 5 interleaved (21.8 million, stops at its ceiling on the
+# second shift) 0.82 against 0.67 s, k = 10 interleaved (58 million) 2.2
+# against 1.8 s. So every Table 1 search (interleaved, k <= 8) and block
+# k <= 8 run in process, while k >= 9 runs on the pool, where k = 9
+# about breaks even.
 _POOL_MIN_PAIRS = 5_000_000
 
 
@@ -298,46 +293,29 @@ def _girth_ceiling(cfg: SearchConfig) -> int:
     return min(2 * cfg.b * cfg.k, 2 * ((cfg.m + 1).bit_length() - 1))
 
 
-def _level_scan(j: int, floor: int, state: tuple = ()) -> tuple[int, int]:
-    """Score the candidates (q1, j) of one shift j that can beat `floor` with the level engine.
+def _level_scan(j: int, floor: int, lo: int, hi: int, state: tuple = ()) -> tuple[int, int]:
+    """Score the candidates (q1, j), q1 in rows lo:hi, that can beat `floor` with the level engine.
 
-    Returns the shift's best (girth, q_idx) as `_scan` does when that
+    Returns the range's best (girth, q_idx) as `_scan` does when that
     girth exceeds the floor, else (0, 0); q_idx indexes the rows of p,
     one per orbit minimum. `_levels.survivors` keeps
     exactly the candidates whose girth exceeds the floor, in ascending
     q1 order, so a maximum above the floor is attained only among them
-    and the first survivor at it is the shift's first q1 at it. At
+    and the first survivor at it is the range's first q1 at it. At
     floor 0 every candidate is scored, since the survivors would only
-    lack the incompatible ones, which score 0.
+    lack the incompatible ones, which score 0. The rows of p and pinv
+    are C-ordered (`_levels.images`), so their slices are views.
     """
     from . import _levels
 
     p, pinv, roots, scratch = state or _STATE
+    p, pinv = p[lo:hi], pinv[lo:hi]
     alive = _levels.survivors(p, pinv, j, roots, floor, scratch) if floor else None
     girths = _levels.shift_girths(p, pinv, j, roots, scratch, rows=alive)
     if not len(girths):
         return 0, 0
     best = int(girths.argmax())
-    return int(girths[best]), best if alive is None else int(alive[best])
-
-
-def _in_order(start, shifts, width: int):
-    """Yield each shift's (girth, q_idx) in shift order; start(j, floor) returns its reader.
-
-    At most `width` shifts are started and not yet read. Each starts
-    with the largest girth read so far as its floor, which came from
-    shifts with a smaller j. Once the caller stops reading, no further
-    shift is started.
-    """
-    window, floor = [], 0
-    for j in shifts:
-        if len(window) == width:
-            result = window.pop(0)()
-            floor = max(floor, result[0])
-            yield result
-        window.append(start(j, floor))
-    while window:
-        yield window.pop(0)()
+    return int(girths[best]), lo + (best if alive is None else int(alive[best]))
 
 
 def search_r3(
@@ -363,16 +341,20 @@ def search_r3(
 
     The scan stops at the first shift whose best girth equals
     `_girth_ceiling(cfg)`. Proof that the winner is the same. No
-    candidate has a larger girth, shifts arrive in ascending j and each
-    worker returns its shift's first q1 at the maximum, so that (j, q1)
-    is the first maximum in tie-break order.
+    candidate has a larger girth, shifts are scored in ascending j and
+    each returns its first q1 at the maximum, so that (j, q1) is the
+    first maximum in tie-break order.
 
-    Each shift is scored against a floor, the largest girth that
-    `_in_order` has read before starting it (from shifts with a smaller
-    j), and reports its best only if that beats the floor. Proof that
-    the winner is the same. The running best is at least the floor, and
-    only a strictly larger girth replaces it; a best above the floor
-    comes with its first q1.
+    Each shift is scored against a floor, the running best (the largest
+    girth of the shifts with a smaller j), and reports its best only if
+    that beats the floor. Proof that the winner is the same. Only a
+    strictly larger girth replaces the running best, and a best above
+    the floor comes with its first q1. On the pool the shift's rows are
+    cut into ranges, ascending in q1, all scored at that floor. Proof
+    that the shift's result is the same. Each range returns its own
+    first q1 at its maximum when that beats the floor; the first range
+    at the largest of these maxima holds the shift's first q1 at it, and
+    `max` over the ranges in order keeps the first.
 
     `progress`, when given, is called after each scanned shift j with
     (candidates covered, total candidates, best girth so far); the
@@ -391,8 +373,6 @@ def search_r3(
     q1_count = factorial(n - 1)
     total = evaluated + skipped
     roots = _root_count(cfg)
-    pairs = len(scanned) * q1_count * roots
-    workers = min(cfg.worker_count, len(scanned)) if pairs >= _POOL_MIN_PAIRS else 1
 
     if total >= _LEVEL_MIN_CANDIDATES:
         from . import _levels
@@ -403,11 +383,14 @@ def search_r3(
     else:
         q1s = list(enumerate_k_cycles(n))
         scan, state = _scan, (q1s, cfg)
+    rows = len(q1s)
+    pairs = len(scanned) * q1_count * roots
+    workers = min(cfg.worker_count, rows) if pairs >= _POOL_MIN_PAIRS else 1
 
     best_girth, best_j, best_q = 0, 0, 0
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            start = lambda j, floor: functools.partial(scan, j, floor, state)
+            score = lambda j, floor: scan(j, floor, 0, rows, state)
         else:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -415,10 +398,16 @@ def search_r3(
             ctx = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(workers, mp_context=ctx, initializer=_install, initargs=state)
             stack.callback(pool.shutdown, cancel_futures=True)
-            start = lambda j, floor: pool.submit(scan, j, floor).result
-        results = _in_order(start, scanned, workers)
-        # results come in scan order, which is the tie-break order
-        for done, (j, (g, q_idx)) in enumerate(zip(scanned, results), 1):
+            cuts = [rows * w // workers for w in range(workers + 1)]
+
+            def score(j, floor):
+                # the ranges ascend in q1, and max keeps the first range at the maximum
+                futures = [pool.submit(scan, j, floor, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+                return max((future.result() for future in futures), key=lambda result: result[0])
+
+        # shifts are scored in scan order, which is the tie-break order
+        for done, j in enumerate(scanned, 1):
+            g, q_idx = score(j, best_girth)
             if g > best_girth:
                 best_girth, best_j, best_q = g, j, q_idx
             stop = best_girth == ceiling

@@ -5,7 +5,6 @@ import itertools
 import multiprocessing
 import random
 import sys
-import time
 from math import factorial, gcd
 
 import numpy as np
@@ -537,88 +536,61 @@ class TestFloor:
         assert [j for j, rows in exact if rows] == [8, 22]
         assert 0 < dict(exact)[22] < 78
 
-    def test_k7_block_floors_are_the_running_best(self, monkeypatch):
-        # 1 worker: each shift starts with the largest girth of the shifts
-        # before it; the ceiling of 10 is never met, so all 15 shifts run
-        seen = []
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_k7_block_floors_are_the_running_best(self, workers, submitted, monkeypatch):
+        # each shift is scored at the largest girth of the shifts before
+        # it, whatever the worker count: on 1 worker in one call over the
+        # 78 rows, on 2 in two ranges of 39 rows, as the parent submits
+        # them; the ceiling of 10 is never met, so all 15 shifts run
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
         level_scan = girthmax.search._level_scan
 
-        def spy(j, floor, *args):
-            seen.append((j, floor))
-            return level_scan(j, floor, *args)
+        def spy(*args):
+            submitted.append(args[:4])
+            return level_scan(*args)
 
-        monkeypatch.setattr(girthmax.search, "_level_scan", spy)
-        search_r3(SearchConfig(k=7))
+        if workers == 1:
+            monkeypatch.setattr(girthmax.search, "_level_scan", spy)
+        search_r3(SearchConfig(k=7, worker_count=workers))
         shifts = [8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20, 22, 23, 24]
-        assert seen == [(j, 0 if j == 8 else 6 if j <= 22 else 8) for j in shifts]
+        floors = [(j, 0 if j == 8 else 6 if j <= 22 else 8) for j in shifts]
+        ranges = [(0, 78)] if workers == 1 else [(0, 39), (39, 78)]
+        assert submitted == [(j, floor, lo, hi) for j, floor in floors for lo, hi in ranges]
 
-    def test_pool_window_floors_and_order(self):
-        # a thread pool of 6 runs the shifts with a window of 3: they
-        # finish out of order, yet at most 3 are started and unread, the
-        # results come in shift order, and shift i starts with the
-        # largest girth of shifts 0..i - 3, whatever the timing
-        girths = {j: (j * 7) % 11 for j in range(40)}
-        rng = random.Random(5)
-        delays = {j: rng.random() * 0.002 for j in girths}
-        started, read = [], []
+    def test_pool_submits_no_range_after_the_ceiling_shift(self, submitted, monkeypatch):
+        # k = 5 interleaved meets its ceiling of 8 at j = 7, the second of
+        # its 6 scanned shifts, and k = 7 its ceiling of 10 at j = 10, the
+        # third of 15; each shift up to there is cut into 2 ranges
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        for k, ceiling, shifts in ((5, 8, [6, 7]), (7, 10, [8, 9, 10])):
+            submitted.clear()
+            result = search_r3(SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED, worker_count=2))
+            assert (result.best_girth, result.witness_j) == (ceiling, shifts[-1]), k
+            assert [args[0] for args in submitted] == [j for j in shifts for _ in range(2)], k
 
-        def scan(j, floor):
-            time.sleep(delays[j])
-            return girths[j], j
-
-        with concurrent.futures.ThreadPoolExecutor(6) as pool:
-
-            def start(j, floor):
-                assert len(started) - len(read) < 3, j
-                started.append((j, floor))
-                future = pool.submit(scan, j, floor)
-
-                def reader():
-                    read.append(j)
-                    return future.result()
-
-                return reader
-
-            got = list(girthmax.search._in_order(start, list(girths), 3))
-        assert got == [(girths[j], j) for j in girths]
-        assert read == list(girths)
-        assert started == [(j, max([0] + [girths[i] for i in range(j - 2)])) for j in girths]
-        assert any(floor for _, floor in started)
-
-    def test_width_one_runs_each_shift_at_its_read_with_the_running_best(self):
-        # the in-process case: start only binds the call, which runs when
-        # the shift is read, before the next shift is started
-        girths = [3, 0, 5, 4, 5, 7, 2]
-        events = []
-
-        def scan(j, floor):
-            events.append(("run", j))
-            return girths[j], j
-
-        def start(j, floor):
-            events.append(("start", j, floor))
-            return functools.partial(scan, j, floor)
-
-        got = list(girthmax.search._in_order(start, range(len(girths)), 1))
-        assert got == [(g, j) for j, g in enumerate(girths)]
-        floors = [0, 3, 3, 5, 5, 5, 7]
-        assert events == [e for j, floor in enumerate(floors) for e in (("start", j, floor), ("run", j))]
-
-    def test_pool_window_submits_nothing_after_the_reader_stops(self):
-        started = []
-
-        with concurrent.futures.ThreadPoolExecutor(2) as pool:
-
-            def start(j, floor):
-                started.append(j)
-                return pool.submit(lambda: (j, 0)).result
-
-            results = girthmax.search._in_order(start, list(range(10)), 2)
-            assert next(results) == (0, 0)
-            assert started == [0, 1]
-            results.close()
-            assert next(results, None) is None
-        assert started == [0, 1]
+    @pytest.mark.parametrize(
+        "k, b, engine", [(k, b, True) for k, b in ENGINE_SIZES] + [(3, 1, False), (4, 1, False)]
+    )
+    def test_merged_ranges_equal_the_whole_shift(self, k, b, engine):
+        # the pool cuts a shift's rows into contiguous ranges, all scored
+        # at one floor, and keeps the first range at the largest girth;
+        # the engine reports (0, 0) for a shift with no girth above the
+        # floor, while `_scan` ignores the floor
+        for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
+            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+            if engine:
+                p, pinv, roots = engine_inputs(cfg)
+                scan, state = girthmax.search._level_scan, (p, pinv, roots, _levels.Scratch())
+            else:
+                scan, state = girthmax.search._scan, (list(enumerate_k_cycles(b * k)), cfg)
+            rows = len(state[0])
+            for (j, want), floor in itertools.product(shift_references(cfg).items(), (0, 4, 6, 8)):
+                best = max(want)
+                whole = (best, want.index(best)) if best > floor or not engine else (0, 0)
+                for parts in range(1, min(5, rows) + 1):
+                    cuts = [rows * w // parts for w in range(parts + 1)]
+                    results = [scan(j, floor, lo, hi, state) for lo, hi in zip(cuts, cuts[1:])]
+                    assert max(results, key=lambda r: r[0]) == whole, (strategy, j_filter, j, floor, parts)
 
 
 class TestCandidateCounts:
@@ -776,13 +748,28 @@ def pools(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def submitted(monkeypatch):
+    """The arguments, after the function, of every task submitted to a ProcessPoolExecutor, in order."""
+    seen = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            seen.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return seen
+
+
 class TestPool:
     def test_workers_capped_at_task_count(self, pools, monkeypatch):
-        # k = 4 has 4 shifts (5, 7, 9, 11) of which 2j < 16 scans 2: 2 tasks
+        # a worker scores a range of q1 rows, so the workers are capped at
+        # the rows: k = 3 has 2 q1, and 3 workers start 2 processes
         monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
-        pooled = search_r3(SearchConfig(k=4, worker_count=8))
+        pooled = search_r3(SearchConfig(k=3, worker_count=3))
         assert pools == [2]
-        serial = search_r3(SearchConfig(k=4))
+        serial = search_r3(SearchConfig(k=3))
         assert snapshot(pooled) == snapshot(serial)
 
     def test_small_search_starts_no_pool(self, pools):
