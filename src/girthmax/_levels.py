@@ -78,6 +78,22 @@ def cycle_rows(n: int):
     return rows[np.lexsort(rows.T[::-1])]
 
 
+def _inverse_rows(rows):
+    """The inverse of each permutation row of `rows`, C-ordered, in its dtype.
+
+    Row r of the result maps rows[r, x] back to x. It is scattered one
+    column x at a time into the flat result, so no index array larger
+    than one entry per row is built (sorting each row would build a
+    (rows, n) int64 one).
+    """
+    count, n = rows.shape
+    inverse = np.empty((count, n), rows.dtype)
+    flat, starts = inverse.reshape(-1), np.arange(count) * n
+    for x in range(n):
+        flat[starts + rows[:, x]] = x
+    return inverse
+
+
 def orbit_minima(rows, strategy: ScalingStrategy):
     """The rows of `cycle_rows` that are lexicographically least in their orbit, in order.
 
@@ -91,12 +107,9 @@ def orbit_minima(rows, strategy: ScalingStrategy):
     work shrinks quickly and no (rows, n) index array is built.
     """
     count, n = rows.shape
-    # cols[i], inverse[i] and phi[i] hold entry i of every row's q, q^-1 and phi(q)
+    # cols[i] and phi[i] hold entry i of every row's q and phi(q)
     cols = np.ascontiguousarray(rows.T)
-    inverse, every = np.empty_like(cols), np.arange(count)
-    for i in range(n):
-        inverse[cols[i], every] = i
-    phi = n - 1 - inverse[::-1]
+    phi = np.ascontiguousarray(n - 1 - _inverse_rows(rows)[:, ::-1].T)
     kept = np.ones(count, bool)
     for c in range(n) if strategy is ScalingStrategy.BLOCK else range(1):
         # rotate[v] = v + c mod n; column i of r q r^-1 is rotate[q[i - c]]
@@ -119,18 +132,17 @@ def images(q_rows, k: int, strategy: ScalingStrategy):
     `cycle_rows`' or a list of tuples). Returns numpy arrays of shape
     (len(q_rows), m), uint8 while m <= 256, else uint16. The rows apply
     `perm._scale_map`; since scale_up(q1)^-1 = scale_up(q1^-1), the
-    inverse rows scale the inverse q1 rows. The arrays are C-ordered (as
-    `take` leaves them, unlike indexing by `src`), so that a slice of
-    rows is contiguous and `chunk_girths` can gather on it without a
-    copy.
+    inverse rows scale the inverse q1 rows (`_inverse_rows`). The arrays
+    are C-ordered (as `take` leaves them, unlike indexing by `src`), so
+    that a slice of rows is contiguous and `chunk_girths` can gather on
+    it without a copy.
     """
     n = len(q_rows[0])
     dtype = np.uint8 if n * k <= 256 else np.uint16
     q = np.asarray(q_rows, dtype)
     src, offset, factor = _scale_map(n, k, strategy)
     offset = np.array(offset, dtype)
-    inverse = q.argsort(axis=1).astype(dtype)
-    return tuple(rows.take(src, axis=1) * factor + offset for rows in (q, inverse))
+    return tuple(rows.take(src, axis=1) * factor + offset for rows in (q, _inverse_rows(q)))
 
 
 def chunk_girths(p, pinv, j: int, roots, scratch: Scratch, cap: int | None = None):

@@ -17,13 +17,14 @@ has the girth of (q1^-1, m - j) and the tie-break winner always has
 order. The shifts are scored one after another, each against a floor,
 the best girth of the shifts before it, by a worker function that
 takes a contiguous range of the q1 rows: in process one call covers
-every row, and on a fork pool, for searches large enough to repay it
-(`_POOL_MIN_PAIRS`), the rows are cut into one range per worker, all
-scored at the same floor. A worker gives every candidate of its range
-that can beat the floor its exact girth and returns the range's best
-(girth, q1 index); the merge keeps the first strictly larger girth,
-and the report's counts come in closed form from `candidate_counts`.
-The merge stops at the first shift whose best girth meets
+every row, and on a fork pool, for searches whose shifts are large
+enough to repay it (`_POOL_MIN_PAIRS` scanned (row, root) pairs per
+shift), the rows are cut into one range per worker, all scored at the
+same floor. A worker gives every candidate of its range that can beat
+the floor its exact girth and returns the range's best (girth, q1
+index); the merge keeps the first strictly larger girth, and the
+report's counts come in closed form from `candidate_counts`. The merge
+stops at the first shift whose best girth meets
 `_girth_ceiling`, the proven bound on every candidate's girth (2*b*k,
 and the bipartite Moore bound on 2m vertices), and no later shift is
 started, in process or on the pool.
@@ -246,24 +247,25 @@ def _scan(j: int, floor: int, lo: int, hi: int, state: tuple = ()) -> tuple[int,
 # and up) run on the engine: a lone cold k = 5 search takes about 0.1 s.
 _LEVEL_MIN_CANDIDATES = 100
 
-# Searches of at least this many scanned (candidate, root) pairs run on
-# a pool of cfg.worker_count processes, smaller ones in process. The
-# pairs measure a search's size, not the engine's work: they count
-# every q1 of the shifts with 2j < m, though the engine scores only the
-# orbit minima, and a candidate has b*k roots under interleaved scaling
-# and m under block scaling. Starting the pool costs more than it saves
-# below this. Measured as search_r3's elapsed time, each search in a
-# fresh interpreter, medians of 6 or 8 runs on 1 worker against 2 (pool
-# forced below the threshold), on the host of the threshold above: k = 7
-# block (0.53 million pairs) 0.09 s against 0.15 s, k = 8 interleaved
-# (0.48 million) 0.09 against 0.18 s, k = 8 block (3.9 million) 0.12
-# against 0.18 s, k = 9 interleaved (7.6 million) 0.44 against 0.41 s,
-# b = 2, k = 5 interleaved (21.8 million, stops at its ceiling on the
-# second shift) 0.82 against 0.67 s, k = 10 interleaved (58 million) 2.2
-# against 1.8 s. So every Table 1 search (interleaved, k <= 8) and block
-# k <= 8 run in process, while k >= 9 runs on the pool, where k = 9
-# about breaks even.
-_POOL_MIN_PAIRS = 5_000_000
+# Searches whose shifts hold at least this many scanned (row, root) pairs
+# run on a pool of cfg.worker_count processes, smaller ones in process. A
+# shift is what the pool splits, one range of its rows per worker; its
+# rows are the q1 that the search scans (the orbit minima on the level
+# engine, every q1 on `_scan`), and a row has `_root_count` roots, b*k
+# under interleaved scaling and m under block scaling. Measured as
+# search_r3's elapsed time, each search in a fresh interpreter, medians
+# of 6 runs on 1 worker against 2 (pool forced), alternating, on the
+# host of the threshold above, whose run-to-run spread is about 20 %:
+# block k = 9 (2,438 rows * 81 roots = 197,478 pairs) 0.23 s against
+# 0.28 s, interleaved k = 9 (183,168) 0.46 against 0.36 s, block b = 2,
+# k = 5 (937,200) 0.39 against 0.42 s, block k = 10 (1,874,400) 0.73
+# against 0.73 s, interleaved b = 2, k = 5 (1,824,000) 0.79 against
+# 0.67 s, interleaved k = 10 (1,824,000) 2.2 against 1.7 s. So every
+# Table 1 search up to k = 9 and block k <= 9 run in process, while
+# k = 10 and interleaved b = 2, k = 5 run on the pool. Interleaved k = 9
+# would gain from the pool, but it has fewer pairs than block k = 9,
+# which loses, so no threshold in this unit sends it there alone.
+_POOL_MIN_PAIRS = 1_000_000
 
 
 def _root_count(cfg: SearchConfig) -> int:
@@ -384,8 +386,7 @@ def search_r3(
         q1s = list(enumerate_k_cycles(n))
         scan, state = _scan, (q1s, cfg)
     rows = len(q1s)
-    pairs = len(scanned) * q1_count * roots
-    workers = min(cfg.worker_count, rows) if pairs >= _POOL_MIN_PAIRS else 1
+    workers = min(cfg.worker_count, rows) if rows * roots >= _POOL_MIN_PAIRS else 1
 
     best_girth, best_j, best_q = 0, 0, 0
     with contextlib.ExitStack() as stack:

@@ -5,7 +5,6 @@ import itertools
 import multiprocessing
 import random
 import sys
-from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -212,6 +211,18 @@ class TestLevelEngine:
         for strategy in ScalingStrategy:
             p, pinv = _levels.images(_levels.cycle_rows(5), 5, strategy)
             assert p.flags.c_contiguous and pinv.flags.c_contiguous, strategy
+
+    def test_image_rows_invert(self):
+        # pinv[r, p[r, x]] == x on the orbit minima that the engine scans,
+        # and on random uint16 rows (k = 17, m = 289)
+        rng = np.random.default_rng(17)
+        cases = [(_levels.orbit_minima(_levels.cycle_rows(k), s), k, s) for k in range(5, 9) for s in ScalingStrategy]
+        cases += [(np.array([rng.permutation(17) for _ in range(20)]), 17, s) for s in ScalingStrategy]
+        for q_rows, k, strategy in cases:
+            p, pinv = _levels.images(q_rows, k, strategy)
+            assert pinv.dtype == ("uint16" if k == 17 else "uint8"), (k, strategy)
+            every = np.broadcast_to(np.arange(k * k), p.shape)
+            assert (np.take_along_axis(pinv, p.astype(np.intp), axis=1) == every).all(), (k, strategy)
 
     @pytest.mark.parametrize("k, b", ENGINE_SIZES)
     def test_forced_engine_search_equals_bfs_search(self, k, b, monkeypatch):
@@ -782,25 +793,36 @@ class TestPool:
         assert snapshot(two) == snapshot(serial)
 
     def test_pool_rule_counts_scanned_pairs(self, pools, monkeypatch):
-        # k = 5 interleaved scans 6 of its 12 shifts: 6 * 24 q1 * 5 roots
-        # = 720 pairs, against 1,440 over the full space
+        # k = 5 interleaved scans 16 orbit-minimum rows of its 24 q1 per
+        # shift, from 5 roots: 80 (row, root) pairs, whatever the shifts
         cfg = SearchConfig(k=5, strategy=ScalingStrategy.INTERLEAVED, worker_count=2)
-        for threshold, started in ((721, []), (720, [2])):
+        for threshold, started in ((81, []), (80, [2])):
             monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", threshold)
             search_r3(cfg)
             assert pools == started, threshold
 
     def test_pool_threshold_splits_searches(self):
-        # scanned (candidate, root) pairs: every Table 1 search
-        # (interleaved, k <= 8) and block k = 7, 8 run in process;
-        # interleaved k = 9 runs on the pool
-        def pairs(k, roots):
-            m = k * k
-            scanned = sum(1 for j in range(k + 1, m - k) if gcd(j, m) == 1 and 2 * j < m)
-            return scanned * factorial(k - 1) * roots
+        # (row, root) pairs of one shift: every Table 1 search
+        # (interleaved, k <= 9), block k <= 9 and block b = 2, k = 5 run
+        # in process; interleaved and block k = 10 and interleaved b = 2,
+        # k = 5 run on the pool
+        rows = functools.cache(lambda n, strategy: len(_levels.orbit_minima(_levels.cycle_rows(n), strategy)))
 
+        def pairs(k, b=1, strategy=ScalingStrategy.INTERLEAVED):
+            cfg = SearchConfig(k=k, b=b, strategy=strategy)
+            return rows(b * k, strategy) * girthmax.search._root_count(cfg)
+
+        block = ScalingStrategy.BLOCK
+        assert [rows(n, s) for n in (9, 10) for s in (ScalingStrategy.INTERLEAVED, block)] == [
+            20_352,
+            2_438,
+            182_400,
+            18_744,
+        ]
+        in_process = [pairs(k, 1, s) for k in range(5, 10) for s in ScalingStrategy] + [pairs(5, 2, block)]
+        pooled = [pairs(10), pairs(10, 1, block), pairs(5, 2)]
         threshold = girthmax.search._POOL_MIN_PAIRS
-        assert max(pairs(8, 8), pairs(7, 49), pairs(8, 64)) < threshold <= pairs(9, 9)
+        assert max(in_process) < threshold <= min(pooled)
 
     def test_concurrent_serial_searches_do_not_share_state(self):
         cfgs = [SearchConfig(k=k, strategy=s) for k in (4, 5) for s in ScalingStrategy]
