@@ -4,10 +4,14 @@ For one shift j, `shift_girths` scores candidates (q1, j) of a search.
 `chunk_girths` extends the non-backtracking walks from a set of roots
 level by level, as numpy gathers shared by a chunk of q1 rows, and a
 candidate's girth is twice the first level at which two walks from one
-root meet. This reads girth off closed non-backtracking walks, the
-view of Fossorier, "Quasi-cyclic LDPC codes from circulant permutation
-matrices" (IEEE Trans. IT 50(8), 2004). `chunk_girths` proves the
-level test; the roots that suffice are the search's choice
+root meet. A level's walks are one array, stacked by last label, so
+that a level costs a fixed number of numpy calls, and the endpoint
+masks are built only for the walks whose last step moved: an I step
+keeps the vertex, so the I walks take the masks of the level before.
+This reads girth off closed non-backtracking walks, the view of
+Fossorier, "Quasi-cyclic LDPC codes from circulant permutation
+matrices" (IEEE Trans. IT 50(8), 2004). `chunk_girths` proves the level
+test; the roots that suffice are the search's choice
 (`search._root_count` proves them) and the scaling is `perm._scale_map`.
 `survivors` drops, before `shift_girths` runs, the candidates that one
 root proves to have a girth no larger than a floor.
@@ -151,25 +155,30 @@ def chunk_girths(p, pinv, j: int, roots, scratch: Scratch, cap: int | None = Non
     Level L extends, from every root, the non-backtracking walks of
     length L: a step follows a label (p1, I or C_j) other than the one
     of the step before, so every candidate has the same 3 * 2^(L-1)
-    label sequences. The walks are kept in three arrays by last label,
-    each of shape (walks, candidates, roots): a p1 step gathers on p
-    (left to right) or pinv (right to left), an I step leaves the
-    vertex as it is and a C_j step adds or subtracts j mod m. Beside
-    each array, a 64-bit mask per (candidate, root) and per 64 vertices
-    records the vertices its walks end at; since an I step keeps the
-    vertex, its mask is the OR of its two sources' masks.
+    label sequences. The walks are kept in one array of shape (3,
+    walks, candidates, roots), indexed by last label in the order (p1,
+    C_j, I): a p1 step gathers on p (left to right) or pinv (right to
+    left) from the C_j and I walks, which are one contiguous slice; a
+    C_j step adds or subtracts j mod m on the p1 and I walks; an I step
+    leaves the vertex as it is, so it copies the p1 and C_j walks.
+    A 64-bit mask per 64 vertices and per (candidate, root) records the
+    vertices that the p1 and C_j walks end at, so each level builds
+    masks over two thirds of its walks.
 
     A candidate is done at the first level where two walks from one
-    root end at the same vertex, i.e. where a root's masks hold fewer
-    bits than it has walks: at level 1 that is a double edge, so it is
-    incompatible; at level L > 1 its girth is 2L. Proof. If the two
-    walks' edges formed a forest, both walks would be paths in it (a
-    non-backtracking walk in a forest is a path) from the root to the
-    same vertex, hence equal; so their at most 2L edges hold a cycle
-    of length <= 2L. Conversely, if the girth is 2s, the walks that go
-    round a shortest cycle both ways from a root on it meet after s
-    steps. So the first level with a meeting, over roots that meet
-    every shortest cycle, is half the girth.
+    root end at the same vertex, i.e. where a root's masks, those of
+    its p1 and C_j walks ORed with those of its I walks, hold fewer
+    bits than it has walks. The I walks' mask at level L + 1 is the
+    p1 and C_j walks' mask of level L, because an I step keeps the
+    vertex number. At level 1 a meeting is a double edge, so the
+    candidate is incompatible; at level L > 1 its girth is 2L. Proof.
+    If the two walks' edges formed a forest, both walks would be paths
+    in it (a non-backtracking walk in a forest is a path) from the root
+    to the same vertex, hence equal; so their at most 2L edges hold a
+    cycle of length <= 2L. Conversely, if the girth is 2s, the walks
+    that go round a shortest cycle both ways from a root on it meet
+    after s steps. So the first level with a meeting, over roots that
+    meet every shortest cycle, is half the girth.
 
     With a `cap`, the walks stop after level `cap`, and a candidate
     whose walks do not meet by then gets 2 * cap + 2. So over roots
@@ -178,53 +187,63 @@ def chunk_girths(p, pinv, j: int, roots, scratch: Scratch, cap: int | None = Non
     proves girth <= r, and incompatibility when r = 0.
     """
     count, m = p.shape
-    x = np.arange(m)
-    fwd = ((x + j) % m).astype(p.dtype)
-    back = ((x - j) % m).astype(p.dtype)
+    j %= m
+    x = np.arange(m, dtype=p.dtype)
+    fwd, back = np.concatenate((x[j:], x[:j])), np.concatenate((x[m - j :], x[: m - j]))
     one = np.uint64(1)
     # a shift by 64 or more gives 0, and so does a wrapped (negative) one
-    lows = [np.array(low, p.dtype) for low in range(0, m, 64)]
+    lows = range(0, m, 64)
 
     def masks(walks):
+        """Masks of shape (words, candidates, roots) of the vertices that `walks` end at."""
+        walks = walks.reshape(-1, *walks.shape[-2:])
         bits = scratch.array(np.uint64, walks.shape)
-        return [
-            np.bitwise_or.reduce(np.left_shift(one, walks - low if low else walks, out=bits), axis=0)
-            for low in lows
-        ]
+        out = np.empty((len(lows), *walks.shape[1:]), np.uint64)
+        for word, low in zip(out, lows):
+            np.bitwise_or.reduce(np.left_shift(one, walks - low if low else walks, out=bits), axis=0, out=word)
+        return out
 
-    shape = (1, count, len(roots))
-    a = p[:, roots].reshape(shape)
-    i = np.broadcast_to(roots.astype(p.dtype), shape)
-    c = np.broadcast_to(fwd[roots], shape)
-    mask_a, mask_i, mask_c = masks(a), masks(i), masks(c)
+    # w[label, walk, candidate, root], labels (p1, C_j, I)
+    w = np.empty((3, 1, count, len(roots)), p.dtype)
+    p.take(roots, axis=1, out=w[0, 0])
+    w[1, 0], w[2, 0] = fwd[roots], roots
+    # the I walks of level 1 end at the roots, whatever the candidate
+    held, mask = masks(w[2, :, :1]), masks(w[:2])
     girths = np.zeros(count, np.int32)
     alive = np.arange(count)
+    # row starts in the flat p and pinv, whose rows are never dropped
+    starts = alive[:, None] * m
+    flat_p, flat_pinv = p.ravel(), pinv.ravel()
     level = 1
     while True:
-        distinct = sum(np.bitwise_count(wa | wi | wc) for wa, wi, wc in zip(mask_a, mask_i, mask_c))
-        met = (distinct < 3 << (level - 1)).any(axis=1)
-        if level > 1:
+        counts = np.bitwise_count(mask | held)
+        # one word counts at most 64 bits; several are summed in int32,
+        # since from level 8 on a root has 384 walks or more
+        distinct = counts[0] if len(counts) == 1 else counts.sum(axis=0, dtype=np.int32)
+        met = distinct.min(axis=1) < 3 << (level - 1)
+        done = np.count_nonzero(met)
+        if done and level > 1:
             girths[alive[met]] = 2 * level
-        if met.all():
+        if done == len(met):
             return girths
         if level == cap:
             girths[alive[~met]] = 2 * cap + 2
             return girths
-        if met.any():
+        if done:
             keep = ~met
-            alive, p, pinv = alive[keep], p[keep], pinv[keep]
-            a, i, c = a[:, keep], i[:, keep], c[:, keep]
-            mask_a, mask_i, mask_c = ([w[keep] for w in ms] for ms in (mask_a, mask_i, mask_c))
+            alive, starts = alive[keep], starts[keep]
+            w, mask = np.compress(keep, w, axis=2), np.compress(keep, mask, axis=1)
         # after an even level the walks sit on left vertices
-        image, shift = (p, fwd) if level % 2 == 0 else (pinv, back)
-        row_starts = (np.arange(len(alive)) * m)[:, None]
-        index = scratch.array(np.intp, (2 * len(i), *i.shape[1:]))
-        a, i, c = (
-            image.ravel().take(np.add(np.concatenate((i, c)), row_starts, out=index)),
-            np.concatenate((a, c)),
-            shift.take(np.concatenate((a, i))),
-        )
-        mask_a, mask_i, mask_c = masks(a), [wa | wc for wa, wc in zip(mask_a, mask_c)], masks(c)
+        image, shift = (flat_p, fwd) if level % 2 == 0 else (flat_pinv, back)
+        walks = w.shape[1]
+        new = np.empty((3, 2 * walks, *w.shape[2:]), p.dtype)
+        index = np.add(w[1:].reshape(new.shape[1:]), starts, out=scratch.array(np.intp, new.shape[1:]))
+        # every index is in range; under the default mode, `take` would
+        # gather into a temporary and copy that into `out`
+        image.take(index, out=new[0], mode="clip")
+        shift.take(w[::2], out=new[1].reshape(w[::2].shape), mode="clip")
+        new[2] = w[:2].reshape(new.shape[1:])
+        w, held, mask = new, mask, masks(new[:2])
         level += 1
 
 

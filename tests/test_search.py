@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import itertools
+import math
 import multiprocessing
 import random
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import girthmax.search
 from girthmax import _levels
 from girthmax.bounds import moore_bipartite
-from girthmax.btu import IncompatiblePermutations
+from girthmax.btu import BinaryMatrix, IncompatiblePermutations
 from girthmax.girth import girth_bfs, girth_oracle
 from girthmax.perm import Permutation, ScalingStrategy, enumerate_k_cycles, inverse, one_based, scale_up
 from girthmax.search import (
@@ -107,6 +108,55 @@ def engine_inputs(cfg: SearchConfig) -> tuple:
 
 
 ENGINE_SIZES = [(3, 1), (4, 1), (5, 1), (6, 1), (3, 2)]
+
+
+def engine_rows(rows, m: int) -> tuple:
+    """(p, pinv) of permutation rows of size m, in the engine's dtype."""
+    dtype = np.uint8 if m <= 256 else np.uint16
+    p = np.array(rows, dtype)
+    return p, np.argsort(p, axis=1).astype(dtype)
+
+
+def affine_rows(rng, m: int, count: int, j: int) -> list[list[int]]:
+    """`count` rows x -> a*x + b mod m, a a unit, that share no position with I or C_j.
+
+    Unlike uniformly random rows, which nearly always close a 4-cycle,
+    these reach girths up to 12.
+    """
+    rows = []
+    while len(rows) < count:
+        a, b = (int(v) for v in rng.integers(1, m, 2))
+        row = [(a * x + b) % m for x in range(m)]
+        if math.gcd(a, m) == 1 and all(y not in (x, (x + j) % m) for x, y in enumerate(row)):
+            rows.append(row)
+    return rows
+
+
+def row_girth(row: list[int], j: int) -> int:
+    """girth_bfs of the candidate (row, I, C_j), 0 where a left vertex repeats a column."""
+    m = len(row)
+    neighbours = [(row[x], x, (x + j) % m) for x in range(m)]
+    if any(len(set(n)) < 3 for n in neighbours):
+        return 0
+    return girth_bfs(BinaryMatrix(m, m, neighbours)).value
+
+
+def walk_girth(row: list[int], inverse_row: list[int], j: int, root: int, cap: int) -> int:
+    """`chunk_girths` of one candidate from one root, by walking every label sequence in Python."""
+    m = len(row)
+    walks = [(root, None)]
+    for level in range(1, cap + 1):
+        # odd levels step from left to right vertices
+        image, step = (row, j) if level % 2 else (inverse_row, -j)
+        walks = [
+            (end, label)
+            for vertex, last in walks
+            for label, end in (("p", image[vertex]), ("i", vertex), ("c", (vertex + step) % m))
+            if label != last
+        ]
+        if len({end for end, _ in walks}) < len(walks):
+            return 0 if level == 1 else 2 * level
+    return 2 * cap + 2
 
 
 class TestLevelEngine:
@@ -262,6 +312,36 @@ class TestLevelEngine:
                 q1 = Permutation(rng.sample(range(17), 17))
                 j = rng.randrange(1, cfg.m)
                 assert engine_girth(q1, j, cfg) == reference_girth(q1, j, cfg), (strategy, q1, j)
+
+    def test_random_rows_across_mask_words(self):
+        # one to five 64-vertex mask words, uint8 walks up to m = 256 and
+        # uint16 above; from every left vertex the engine is exact, and
+        # capped it gives min(girth, 2 * cap + 2)
+        scratch = _levels.Scratch()
+        girths = set()
+        for m in (63, 64, 65, 128, 129, 255, 256, 257, 300):
+            rng = np.random.default_rng(m)
+            for j in (1, m // 2, int(rng.integers(2, m - 1))):
+                p, pinv = engine_rows(affine_rows(rng, m, 3, j) + [rng.permutation(m) for _ in range(2)], m)
+                want = [row_girth(row, j) for row in p.tolist()]
+                assert _levels.shift_girths(p, pinv, j, m, scratch).tolist() == want, (m, j)
+                for cap in (1, 2, 3, 4):
+                    got = _levels.chunk_girths(p, pinv, j, np.arange(m), scratch, cap).tolist()
+                    assert got == [min(g, 2 * cap + 2) for g in want], (m, j, cap)
+                girths.update(want)
+        assert {0, 4, 6, 8, 10} <= girths, girths
+
+    def test_distinct_endpoints_counted_past_255(self):
+        # from level 8 on a root has 3 * 2^7 = 384 walks or more, so its
+        # distinct endpoints overflow a uint8 count; at m = 60,000 the
+        # walks of many candidates stay apart up to the cap
+        rng = np.random.default_rng(8)
+        m, j, cap = 60_000, 12_345, 8
+        p, pinv = engine_rows([rng.permutation(m) for _ in range(40)], m)
+        got = _levels.chunk_girths(p, pinv, j, np.array([0]), _levels.Scratch(), cap).tolist()
+        want = [walk_girth(row, inv, j, 0, cap) for row, inv in zip(p.tolist(), pinv.tolist())]
+        assert got == want
+        assert want.count(2 * cap + 2) >= 5, want
 
     def test_cycle_rows_match_enumerate_k_cycles(self):
         for n in range(2, 10):
