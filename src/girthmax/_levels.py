@@ -17,7 +17,8 @@ test; the roots that suffice are the search's choice
 root proves to have a girth no larger than a floor.
 
 `cycle_rows` and `images` build the q1 and p1 rows that the engine
-reads, and `orbit_minima` keeps one q1 row of each class of q1 that
+reads (`cycle_rows` builds `perm.enumerate_k_cycles`' rows the same way,
+in numpy), and `orbit_minima` keeps one q1 row of each class of q1 that
 give isomorphic graphs at every shift (`search` proves the relabelings
 and that the winner is kept). This module loads numpy; `search`
 imports it only for searches large enough to repay that
@@ -66,7 +67,8 @@ class Scratch:
 def cycle_rows(n: int):
     """Image rows of the (n-1)! single n-cycles, in `perm.enumerate_k_cycles`' order.
 
-    A uint8 array of shape ((n-1)!, n) for n <= 256. Each arrangement
+    A uint8 array of shape ((n-1)!, n) for n <= 256, built as
+    `perm.enumerate_k_cycles` builds its rows, in numpy: each arrangement
     s of 1..n-1 is the cycle 0 -> s[0] -> ... -> s[n-2] -> 0, so the
     rows are scattered from those cycles, then sorted lexicographically.
     """

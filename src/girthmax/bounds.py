@@ -7,12 +7,14 @@ graph on m + m vertices (so per_side values double into vertex counts).
 
 The calculators:
 
+* hoory_lower     - the tree count on one side of an r-regular
+  bipartite graph of girth g: m >= ((r-1)^(g/2) - 1)/(r-2).
 * moore_bipartite - even-girth Moore bound 2*((d-1)^(g/2) - 1)/(d-2) on
-  the vertex count of a graph with minimum degree d and girth g.
-* hoory_lower     - the same tree-count specialized to one side of an
-  r-regular bipartite graph: m >= ((r-1)^(g/2) - 1)/(r-2).
+  the vertex count of a graph with minimum degree d and girth g: twice
+  the tree count.
 * erdos_sachs_bounds - degree-3 existence window
-  2^(g/2) - 1 <= n(g,3) <= 2^g - 1, improved upper bound 2^(g-1).
+  2^(g/2) - 1 <= n(g,3) <= 2^g - 1, improved upper bound 2^(g-1); the
+  lower end is the degree-3 tree count.
 * moore_odd       - odd-girth Moore bound 1 + D*((D-1)^r - 1)/(D-2),
   g = 2r + 1 (does not apply to bipartite graphs; provided for
   comparison).
@@ -33,7 +35,7 @@ the CLI prints; their output is byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
 __all__ = [
@@ -183,7 +185,7 @@ def moore_bipartite(g: int, delta: int) -> int:
         raise ValueError("girth must be >= 4")
     if delta < 3:
         raise ValueError("degree must be >= 3")
-    return 2 * ((delta - 1) ** (g // 2) - 1) // (delta - 2)
+    return 2 * hoory_lower(g, delta)
 
 
 def erdos_sachs_bounds(g: int, delta: int = 3) -> BoundReport:
@@ -199,7 +201,7 @@ def erdos_sachs_bounds(g: int, delta: int = 3) -> BoundReport:
     return BoundReport(
         query=(("g", g), ("delta", delta)),
         entries=(
-            BoundEntry("lower", 2 ** (g // 2) - 1, "lower", "vertices"),
+            BoundEntry("lower", hoory_lower(g, 3), "lower", "vertices"),
             BoundEntry("upper", 2**g - 1, "upper", "vertices"),
             BoundEntry("improved_upper", 2 ** (g - 1), "upper", "vertices"),
         ),
@@ -232,14 +234,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == [n]
 
 
 def lazebnik_min_m(g: int, r: int) -> int:
@@ -309,11 +304,8 @@ def bound_report(g: int, delta: int) -> BoundReport:
         if delta >= 3:
             entries.append(BoundEntry("hoory_per_side", hoory_lower(g, delta), "lower", "per_side"))
         if delta == 3:
-            es = erdos_sachs_bounds(g, delta)
-            entries.append(BoundEntry("erdos_sachs_lower", es.value("lower"), "lower", "vertices"))
-            entries.append(BoundEntry("erdos_sachs_upper", es.value("upper"), "upper", "vertices"))
-            entries.append(
-                BoundEntry("erdos_sachs_improved_upper", es.value("improved_upper"), "upper", "vertices")
+            entries.extend(
+                replace(e, name=f"erdos_sachs_{e.name}") for e in erdos_sachs_bounds(g, delta).entries
             )
         if g >= 8 and delta >= 2 and len(_prime_factors(delta)) == 1:
             entries.append(

@@ -54,23 +54,22 @@ _WRITERS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(lo: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than lo."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
 
-def _k_value(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
-    return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
 
 
 def _jobs(text: str) -> int:
     try:
-        return _positive_int(text)
+        return _at_least(1)(text)
     except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
             f"--jobs or GIRTHMAX_JOBS must be a positive integer, got {text!r}"
@@ -88,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_search = sub.add_parser("search", help="enumeration search for one (k, b)")
-    p_search.add_argument("--k", type=_k_value, required=True, help="scale factor; m = b*k^2")
-    p_search.add_argument("--b", type=_positive_int, default=1)
+    p_search.add_argument("--k", type=_at_least(2), required=True, help="scale factor; m = b*k^2")
+    p_search.add_argument("--b", type=_at_least(1), default=1)
     p_search.add_argument(
         "--strategy", choices=[s.value for s in ScalingStrategy], default=ScalingStrategy.BLOCK.value,
         help="scaling of q1 (the published Table 1 girths need interleaved, as in 'tables --which 1')",
@@ -113,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_bounds.add_mutually_exclusive_group(required=True)
     group.add_argument("--table", type=int, choices=(2, 3, 5))
     group.add_argument("--query", nargs=2, type=int, metavar=("G", "DELTA"))
-    group.add_argument("--gmax", nargs=2, type=_positive_int, metavar=("M", "R"))
+    group.add_argument("--gmax", nargs=2, type=_at_least(1), metavar=("M", "R"))
 
     p_tables = sub.add_parser("tables", help="print reference tables")
     p_tables.add_argument(
@@ -121,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="1,2,3,4,5",
         help="comma-separated subset of 1..5 (default: all)",
     )
-    p_tables.add_argument("--max-k", type=_k_value, default=8, help="last k of table 1")
+    p_tables.add_argument("--max-k", type=_at_least(5), default=8, help="last k of table 1")
     p_tables.add_argument("--jobs", type=_jobs, default=jobs)
 
     p_conv = sub.add_parser("convert", help="rewrite a matrix between formats")

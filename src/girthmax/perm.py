@@ -16,6 +16,7 @@ which is conjugate to ``p ∘ q⁻¹``.
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -187,38 +188,21 @@ def scale_up(q: Permutation, k: int, strategy: ScalingStrategy = ScalingStrategy
 def enumerate_k_cycles(k: int) -> Iterator[Permutation]:
     """Yield the (k-1)! permutations of S_k that are a single k-cycle.
 
-    Emitted in lexicographic order of the image sequence.
+    Each arrangement s of 1..k-1 is the cycle 0 -> s[0] -> ... ->
+    s[k-2] -> 0 (`_levels.cycle_rows` builds the same rows in numpy).
+    All (k-1)! image rows are built and sorted before the first one is
+    yielded, so they come in lexicographic order of the image sequence.
     """
     if k < 2:
         raise ValueError("k must be >= 2 for a k-cycle")
-    image = [-1] * k
-
-    def closes_short_cycle(i: int, v: int) -> bool:
-        # Following assigned images from v ends at the unique index whose
-        # image is still unassigned; the new edge i -> v closes a cycle
-        # exactly when that end is i itself. Positions are filled left to
-        # right, so a premature closure is any closure before i = k-1.
-        j = v
-        while image[j] != -1:
-            j = image[j]
-        return j == i and i != k - 1
-
-    used = [False] * k
-
-    def place(i: int) -> Iterator[Permutation]:
-        if i == k:
-            yield Permutation(image)
-            return
-        for v in range(k):
-            if used[v] or closes_short_cycle(i, v):
-                continue
-            image[i] = v
-            used[v] = True
-            yield from place(i + 1)
-            image[i] = -1
-            used[v] = False
-
-    yield from place(0)
+    rows = []
+    for tail in itertools.permutations(range(1, k)):
+        image = [0] * k
+        for v, w in zip((0, *tail), (*tail, 0)):
+            image[v] = w
+        rows.append(image)
+    rows.sort()
+    yield from map(Permutation, rows)
 
 
 def one_based(p: Permutation) -> str:

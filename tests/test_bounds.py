@@ -1,6 +1,7 @@
 import pytest
 
 from girthmax.bounds import (
+    _is_prime,
     FactorizationResult,
     bound_report,
     erdos_sachs_bounds,
@@ -135,8 +136,9 @@ class TestMooreBipartite:
             moore_bipartite(7, 3)
 
     def test_twice_the_per_side_bound(self):
-        for g in range(4, 22, 2):
-            assert moore_bipartite(g, 3) == 2 * hoory_lower(g, 3)
+        for delta in range(3, 8):
+            for g in range(4, 22, 2):
+                assert moore_bipartite(g, delta) == 2 * hoory_lower(g, delta)
 
     def test_higher_degree(self):
         assert moore_bipartite(4, 4) == 8  # 2*(3^2-1)/2
@@ -228,6 +230,11 @@ class TestLegendre:
                 continue
             expected = -1 if q % 8 in (3, 5) else 1
             assert legendre(2, q) == expected
+
+    def test_primality_is_one_prime_factor(self):
+        # `legendre` and `lps_min_q` test primality as _prime_factors(n) == [n]
+        for n in range(-3, 2001):
+            assert _is_prime(n) == is_prime(n), n
 
 
 class TestLps:

@@ -149,6 +149,10 @@ class TestTablesCommand:
     def test_rejects_unknown_table(self, capsys):
         assert main(["tables", "--which", "7"]) == 1
 
+    def test_max_k_below_5_is_a_usage_error(self, capsys):
+        assert main(["tables", "--which", "1", "--max-k", "4"]) == 2
+        assert "argument --max-k: must be >= 5, got 4" in capsys.readouterr().err
+
     def test_table_1_small(self, capsys):
         # only k=5: a sub-second search
         assert main(["tables", "--which", "1", "--max-k", "5"]) == 0
