@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime failure (message names the error),
 2 usage error. GIRTHMAX_JOBS sets the default worker count; a value
-that is not a positive integer is a usage error.
+that is not a positive integer is a usage error, and so is a `--which`
+that is not a comma-separated subset of 1..5.
 """
 
 from __future__ import annotations
@@ -41,16 +42,11 @@ _TABLES = {
     5: ("degree-3 Ramanujan graphs", bounds_mod.ramanujan_table_text),
 }
 
-_FORMATS = ("alist", "dimacs", "dense")
-_READERS = {
-    "alist": btu_mod.read_alist,
-    "dimacs": btu_mod.read_dimacs,
-    "dense": btu_mod.read_dense,
-}
-_WRITERS = {
-    "alist": btu_mod.write_alist,
-    "dimacs": btu_mod.write_dimacs,
-    "dense": btu_mod.write_dense,
+# format name -> (reader, writer)
+_FORMATS = {
+    "alist": (btu_mod.read_alist, btu_mod.write_alist),
+    "dimacs": (btu_mod.read_dimacs, btu_mod.write_dimacs),
+    "dense": (btu_mod.read_dense, btu_mod.write_dense),
 }
 
 
@@ -74,6 +70,17 @@ def _jobs(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"--jobs or GIRTHMAX_JOBS must be a positive integer, got {text!r}"
         ) from None
+
+
+def _tables(text: str) -> list[int]:
+    """An argparse type: a comma-separated subset of 1..5, as sorted table numbers."""
+    try:
+        which = sorted({int(tok) for tok in text.split(",") if tok.strip()})
+    except ValueError:
+        which = []
+    if not which or not {1, *_TABLES}.issuperset(which):
+        raise argparse.ArgumentTypeError(f"must be a comma-separated subset of 1..5, got {text!r}")
+    return which
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,31 +110,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--out", help="write the best graph to this path")
     p_search.add_argument("--format", choices=_FORMATS, default="alist")
     p_search.add_argument("--json", action="store_true", help="machine-readable report")
+    p_search.set_defaults(handler=_run_search)
 
     p_girth = sub.add_parser("girth", help="girth of a graph file")
     p_girth.add_argument("--in", dest="path", required=True)
     p_girth.add_argument("--format", choices=_FORMATS, default="alist")
+    p_girth.set_defaults(handler=_run_girth)
 
     p_bounds = sub.add_parser("bounds", help="bound tables and queries")
     group = p_bounds.add_mutually_exclusive_group(required=True)
     group.add_argument("--table", type=int, choices=(2, 3, 5))
     group.add_argument("--query", nargs=2, type=int, metavar=("G", "DELTA"))
     group.add_argument("--gmax", nargs=2, type=_at_least(1), metavar=("M", "R"))
+    p_bounds.set_defaults(handler=_run_bounds)
 
     p_tables = sub.add_parser("tables", help="print reference tables")
     p_tables.add_argument(
         "--which",
+        type=_tables,
         default="1,2,3,4,5",
         help="comma-separated subset of 1..5 (default: all)",
     )
     p_tables.add_argument("--max-k", type=_at_least(5), default=8, help="last k of table 1")
     p_tables.add_argument("--jobs", type=_jobs, default=jobs)
+    p_tables.set_defaults(handler=_run_tables)
 
     p_conv = sub.add_parser("convert", help="rewrite a matrix between formats")
     p_conv.add_argument("--in", dest="src", required=True)
     p_conv.add_argument("--out", dest="dst", required=True)
     p_conv.add_argument("--from", dest="src_format", choices=_FORMATS, required=True)
     p_conv.add_argument("--to", dest="dst_format", choices=_FORMATS, required=True)
+    p_conv.set_defaults(handler=_run_convert)
 
     return parser
 
@@ -193,14 +206,14 @@ def _run_search(args: argparse.Namespace) -> int:
     if args.out:
         best = construct_candidate(result.witness_q1, result.witness_j, cfg)
         with open(args.out, "w") as fh:
-            fh.write(_WRITERS[args.format](best))
+            fh.write(_FORMATS[args.format][1](best))
     return 0
 
 
 def _run_girth(args: argparse.Namespace) -> int:
     with open(args.path) as fh:
         text = fh.read()
-    matrix = _READERS[args.format](text)
+    matrix = _FORMATS[args.format][0](text)
     result = girth_bfs(matrix)
     print(f"girth: {'infinite' if not result.is_finite else int(result.value)}")
     return 0
@@ -219,14 +232,8 @@ def _run_bounds(args: argparse.Namespace) -> int:
 
 
 def _run_tables(args: argparse.Namespace) -> int:
-    try:
-        which = sorted({int(tok) for tok in args.which.split(",") if tok.strip()})
-    except ValueError:
-        which = []
-    if not which or any(t != 1 and t not in _TABLES for t in which):
-        raise ValueError(f"--which must be a comma-separated subset of 1..5, got {args.which!r}")
     chunks = []
-    for t in which:
+    for t in args.which:
         if t == 1:
             chunks.append("table 1: search results (r = 3)\n" + emit_table_1(args.max_k, jobs=args.jobs))
         else:
@@ -238,22 +245,11 @@ def _run_tables(args: argparse.Namespace) -> int:
 
 def _run_convert(args: argparse.Namespace) -> int:
     with open(args.src) as fh:
-        matrix = _READERS[args.src_format](fh.read())
-    text = _WRITERS[args.dst_format](matrix)  # before `dst` is opened: a refusal leaves no file
+        matrix = _FORMATS[args.src_format][0](fh.read())
+    text = _FORMATS[args.dst_format][1](matrix)  # before `dst` is opened: a refusal leaves no file
     with open(args.dst, "w") as fh:
         fh.write(text)
     return 0
-
-
-def run(args: argparse.Namespace) -> int:
-    handlers = {
-        "search": _run_search,
-        "girth": _run_girth,
-        "bounds": _run_bounds,
-        "tables": _run_tables,
-        "convert": _run_convert,
-    }
-    return handlers[args.command](args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -264,7 +260,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return run(args)
+        return args.handler(args)
     except (OSError, ValueError, OverflowError, MemoryError, BrokenExecutor) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

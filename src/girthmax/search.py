@@ -163,7 +163,7 @@ def _shifts(cfg: SearchConfig) -> list[int]:
     if not shifts:
         raise NoValidShift(
             f"no shift j with gcd(j, {cfg.m}) = 1 in the required range"
-            + (" (try j_range_filter=False)" if cfg.j_range_filter else "")
+            + (" (try j_range_filter=False, or --no-j-filter on the command line)" if cfg.j_range_filter else "")
         )
     return shifts
 

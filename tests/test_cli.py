@@ -147,7 +147,17 @@ class TestTablesCommand:
             assert chunk in out
 
     def test_rejects_unknown_table(self, capsys):
-        assert main(["tables", "--which", "7"]) == 1
+        assert main(["tables", "--which", "7"]) == 2
+        assert "argument --which: must be a comma-separated subset of 1..5, got '7'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["x", ",", "1,,6"])
+    def test_rejects_malformed_which(self, capsys, which):
+        assert main(["tables", "--which", which]) == 2
+        assert f"argument --which: must be a comma-separated subset of 1..5, got {which!r}" in capsys.readouterr().err
+
+    def test_which_is_parsed_to_sorted_table_numbers(self):
+        assert parse_args(["tables", "--which", "5, 2,2"]).which == [2, 5]
+        assert parse_args(["tables"]).which == [1, 2, 3, 4, 5]
 
     def test_max_k_below_5_is_a_usage_error(self, capsys):
         assert main(["tables", "--which", "1", "--max-k", "4"]) == 2
@@ -280,6 +290,10 @@ class TestSearchCommand:
     def test_no_valid_shift_exit_1(self, capsys):
         assert main(["search", "--k", "2"]) == 1
         assert "NoValidShift" in capsys.readouterr().err
+
+    def test_no_valid_shift_names_the_cli_flag(self, capsys):
+        assert main(["search", "--k", "2"]) == 1
+        assert "--no-j-filter" in capsys.readouterr().err
 
     def test_q1_rows_too_large_exit_1(self, capsys):
         # 29! * 29 image bytes overflow numpy's count before anything is allocated

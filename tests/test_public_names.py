@@ -21,3 +21,13 @@ def test_all_entries_resolve(name):
 def test_the_public_modules_declare_all():
     declared = [name for name in MODULES if hasattr(importlib.import_module(name), "__all__")]
     assert declared == ["girthmax", "girthmax.bounds", "girthmax.btu", "girthmax.girth", "girthmax.perm", "girthmax.search"]
+
+
+SUBMODULES = [girthmax.btu, girthmax.girth, girthmax.perm, girthmax.search]
+
+
+def test_the_package_exports_each_submodules_all():
+    assert set(girthmax.__all__) == {name for module in SUBMODULES for name in module.__all__}
+    for module in SUBMODULES:
+        for name in module.__all__:
+            assert getattr(girthmax, name) is getattr(module, name), (module.__name__, name)
