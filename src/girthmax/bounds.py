@@ -212,6 +212,8 @@ def hoory_lower(g: int, r: int) -> int:
     """Per-side lower bound for an r-regular bipartite graph of girth g."""
     if g % 2 != 0:
         raise ValueError("even girth required")
+    if g < 4:
+        raise ValueError("girth must be >= 4")
     if r == 2:
         raise ValueError("r = 2 degenerates; the limiting value is g/2")
     if r < 2:
@@ -322,7 +324,7 @@ def bound_report(g: int, delta: int) -> BoundReport:
 
 def render_table(headers: list[str], rows: list[list[str]]) -> str:
     """Two-space-separated, left-justified columns; byte-stable output."""
-    widths = [max(len(h), *(len(row[c]) for row in rows)) for c, h in enumerate(headers)]
+    widths = [max(map(len, (h, *(row[c] for row in rows)))) for c, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
     for row in rows:
         lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())

@@ -21,6 +21,7 @@ debugging.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -52,20 +53,24 @@ class IncompatiblePermutations(ValueError):
     """Two constituents place a one in the same matrix position."""
 
     def __init__(self, position: int, first: int, second: int):
+        super().__init__(position, first, second)  # the fields, from which unpickling rebuilds it
         self.position = position
         self.first = first
         self.second = second
-        super().__init__(
-            f"constituents {first} and {second} collide at position {position}"
-        )
+
+    def __str__(self) -> str:
+        return f"constituents {self.first} and {self.second} collide at position {self.position}"
 
 
 class MalformedAlist(ValueError):
     """Structural problem in an alist file; carries the 1-based line number."""
 
     def __init__(self, line: int, message: str):
+        super().__init__(line, message)  # the fields, from which unpickling rebuilds it
         self.line = line
-        super().__init__(f"line {line}: {message}")
+
+    def __str__(self) -> str:
+        return "line {}: {}".format(*self.args)
 
 
 class MalformedDimacs(ValueError):
@@ -95,6 +100,7 @@ def _columns(rows: Iterable[Iterable[int]], n_cols: int) -> list[list[int]]:
     return cols
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class BinaryMatrix:
     """A 0/1 matrix as per-row sorted column indices (the alist view).
 
@@ -102,13 +108,17 @@ class BinaryMatrix:
     vertex i per row, right vertex c per column, joined where row i
     lists column c. `rows` is a tuple of sorted, duplicate-free tuples;
     the constructor sorts each row and drops repeats (a 0/1 matrix has
-    no double edge), and rejects a wrong row count or an index outside
-    0..n_cols-1.
+    no double edge), and rejects a negative dimension, a wrong row count
+    or an index outside 0..n_cols-1.
     """
 
-    __slots__ = ("n_rows", "n_cols", "rows")
+    n_rows: int
+    n_cols: int
+    rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, n_rows: int, n_cols: int, rows: Iterable[Iterable[int]]):
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError(f"negative dimension: {n_rows}x{n_cols}")
         rws = tuple(map(tuple, map(sorted, map(set, rows))))
         if len(rws) != n_rows:
             raise ValueError(f"expected {n_rows} rows, got {len(rws)}")
@@ -116,20 +126,6 @@ class BinaryMatrix:
             if r and (r[0] < 0 or r[-1] >= n_cols):
                 raise ValueError(f"row {i}: column index out of range")
         _freeze(self, n_rows=n_rows, n_cols=n_cols, rows=rws)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryMatrix is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BinaryMatrix)
-            and self.n_rows == other.n_rows
-            and self.n_cols == other.n_cols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_rows, self.n_cols, self.rows))
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Per-column sorted row indices (the transpose view)."""
@@ -153,10 +149,14 @@ class BinaryMatrix:
         return f"BinaryMatrix({self.n_rows}x{self.n_cols}, ones={ones})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Btu:
-    """r compatible permutations on m points; an (m, r) BTU."""
+    """r compatible permutations on m points; an (m, r) BTU.
 
-    __slots__ = ("perms",)
+    Equality is order-sensitive; `same_matrix` compares the matrices.
+    """
+
+    perms: tuple[Permutation, ...]
 
     def __init__(self, perms: Sequence[Permutation]):
         perms = tuple(perms)
@@ -180,9 +180,6 @@ class Btu:
                     seen[v] = t
         object.__setattr__(self, "perms", perms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Btu is immutable")
-
     @property
     def m(self) -> int:
         return self.perms[0].size
@@ -190,13 +187,6 @@ class Btu:
     @property
     def r(self) -> int:
         return len(self.perms)
-
-    def __eq__(self, other: object) -> bool:
-        # order-sensitive; use same_matrix() to compare the matrices
-        return isinstance(other, Btu) and self.perms == other.perms
-
-    def __hash__(self) -> int:
-        return hash(self.perms)
 
     def __repr__(self) -> str:
         return f"Btu(m={self.m}, r={self.r})"

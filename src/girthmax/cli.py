@@ -10,7 +10,8 @@ Subcommands:
              the search; it is never stored)
     convert  rewrite a matrix between alist / dimacs / dense
 
-Exit codes: 0 success, 1 runtime failure (message names the error),
+Exit codes: 0 success, 1 runtime failure (message names the error;
+a failed table 1 row is one, reported after the other rows print),
 2 usage error. GIRTHMAX_JOBS sets the default worker count; a value
 that is not a positive integer is a usage error, and so is a `--which`
 that is not a comma-separated subset of 1..5.
@@ -161,24 +162,27 @@ def _stderr_progress(interval: float = 5.0) -> Callable[[int, int, int], None]:
     return emit
 
 
-def emit_table_1(max_k: int, jobs: int = 1) -> str:
+def emit_table_1(max_k: int, jobs: int = 1) -> tuple[str, list[int]]:
     """Search results table: rows (k, m, r, girth) for k = 5..max_k.
 
     Always recomputed by running the search (interleaved scaling, full
     q1 enumeration: the configuration that attains the published
-    values); failures are reported on stderr and the remaining rows
-    still run.
+    values). A failed row is reported on stderr and left out, and the
+    remaining rows still run. Returns the table and the k of the
+    failed rows.
     """
     if max_k < 5:
         raise ValueError("max_k must be >= 5")
     headers = ["k", "m", "r", "girth"]
     rows = []
+    failed = []
     for k in range(5, max_k + 1):
         cfg = SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED, worker_count=jobs)
         try:
             result = search_r3(cfg, progress=_stderr_progress())
         except Exception as exc:  # a failed row must not kill the remaining rows
             print(f"table 1, k={k}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failed.append(k)
             continue
         rows.append([str(k), str(cfg.m), "3", str(result.best_girth)])
         expected = TABLE_GIRTHS.get(k)
@@ -187,7 +191,7 @@ def emit_table_1(max_k: int, jobs: int = 1) -> str:
                 f"table 1, k={k}: computed girth {result.best_girth} differs from published {expected}",
                 file=sys.stderr,
             )
-    return bounds_mod.render_table(headers, rows)
+    return bounds_mod.render_table(headers, rows), failed
 
 
 def _run_search(args: argparse.Namespace) -> int:
@@ -233,14 +237,16 @@ def _run_bounds(args: argparse.Namespace) -> int:
 
 def _run_tables(args: argparse.Namespace) -> int:
     chunks = []
+    failed: list[int] = []
     for t in args.which:
         if t == 1:
-            chunks.append("table 1: search results (r = 3)\n" + emit_table_1(args.max_k, jobs=args.jobs))
+            text, failed = emit_table_1(args.max_k, jobs=args.jobs)
+            chunks.append("table 1: search results (r = 3)\n" + text)
         else:
             title, render = _TABLES[t]
             chunks.append(f"table {t}: {title}\n" + render())
     print("\n".join(chunks), end="")
-    return 0
+    return 1 if failed else 0
 
 
 def _run_convert(args: argparse.Namespace) -> int:

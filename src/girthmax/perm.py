@@ -17,6 +17,7 @@ which is conjugate to ``p ∘ q⁻¹``.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -46,10 +47,11 @@ class ScalingStrategy(str, Enum):
     INTERLEAVED = "interleaved"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Permutation:
     """A bijection on {0..n-1} in one-line notation (immutable)."""
 
-    __slots__ = ("image",)
+    image: tuple[int, ...]
 
     def __init__(self, image: Iterable[int]):
         img = tuple(image)
@@ -75,15 +77,6 @@ class Permutation:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.image)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self.image == other.image
-
-    def __hash__(self) -> int:
-        return hash(self.image)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.image)})"

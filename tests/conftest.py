@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -92,6 +94,11 @@ def networkx_girth(btu: Btu):
     """Girth of the BTU's graph by networkx, an implementation independent of girth_bfs."""
     nx = pytest.importorskip("networkx")
     return nx.girth(nx.Graph((("row", i), ("col", p[i])) for p in btu.perms for i in range(btu.m)))
+
+
+def round_trips(value) -> list:
+    """`value` after copy.copy, after copy.deepcopy and after a pickle round trip."""
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
 
 
 def run_python(code: str, dying_workers: bool = False) -> subprocess.CompletedProcess:

@@ -11,6 +11,7 @@ from girthmax.bounds import (
     hoory_lower,
     irregular_girth_reference,
     irregular_reference_table_text,
+    render_table,
     lazebnik_min_m,
     legendre,
     lps_min_q,
@@ -181,6 +182,10 @@ class TestHoory:
             hoory_lower(8, 2)
         with pytest.raises(ValueError):
             hoory_lower(7, 3)
+        # girth below 4, as moore_bipartite rejects it (g = -2 gave the float -1.0)
+        for g in (-2, 0, 2):
+            with pytest.raises(ValueError, match="girth must be >= 4"):
+                hoory_lower(g, 3)
 
 
 class TestLazebnik:
@@ -289,3 +294,6 @@ class TestTableRendering:
         assert order_bounds_table_text().splitlines()[4] == "10  31     1023   512"
         assert irregular_reference_table_text().splitlines()[1] == "6      5"
         assert ramanujan_table_text().splitlines()[2] == "8      11     1320  2  3"
+
+    def test_no_rows_is_the_header_line(self):
+        assert render_table(["k", "m", "r", "girth"], []) == "k  m  r  girth\n"

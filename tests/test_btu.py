@@ -1,4 +1,7 @@
+import concurrent.futures
+import dataclasses
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -24,7 +27,7 @@ from girthmax.girth import girth_oracle
 from girthmax.perm import Permutation, circulant, identity, relative_cycle_type
 from girthmax.search import SearchConfig, construct_candidate
 
-from conftest import random_btu, run_python
+from conftest import random_btu, round_trips, run_python
 
 HEAWOOD = Btu([circulant(7, 0), circulant(7, 1), circulant(7, 3)])
 ALL_ONES_3 = Btu([identity(3), circulant(3, 1), circulant(3, 2)])
@@ -48,6 +51,11 @@ class TestConstruction:
             Btu(perms)
         assert (exc.value.position, exc.value.first, exc.value.second) == (2, 1, 2)
         assert str(exc.value) == "constituents 1 and 2 collide at position 2"
+        # the error pickles, so that it crosses a process boundary as itself
+        loaded = pickle.loads(pickle.dumps(exc.value))
+        assert type(loaded) is IncompatiblePermutations
+        assert (loaded.position, loaded.first, loaded.second) == (2, 1, 2)
+        assert str(loaded) == str(exc.value)
 
     def test_collision_fields_match_a_position_scan(self, rng):
         for _ in range(200):
@@ -144,15 +152,18 @@ class TestValidation:
         assert BinaryMatrix(2, 3, [(2, 0, 2), (1,)]).rows == ((0, 2), (1,))
         assert BinaryMatrix(2, 3, [(0, 1), (2, 1)]).rows == ((0, 1), (1, 2))
         assert BinaryMatrix(2, 3, [(1, 1), ()]).rows == ((1,), ())
-        for rows, message in (
-            ([(2, 0), (3, 1)], "row 1: column index out of range"),
-            ([(0, 1), (5, 2)], "row 1: column index out of range"),
-            ([(2, -1), (1,)], "row 0: column index out of range"),
-            ([(0, 3), (1, 2)], "row 0: column index out of range"),
-            ([(0,)], "expected 2 rows, got 1"),
+        for n_rows, n_cols, rows, message in (
+            (2, 3, [(2, 0), (3, 1)], "row 1: column index out of range"),
+            (2, 3, [(0, 1), (5, 2)], "row 1: column index out of range"),
+            (2, 3, [(2, -1), (1,)], "row 0: column index out of range"),
+            (2, 3, [(0, 3), (1, 2)], "row 0: column index out of range"),
+            (2, 3, [(0,)], "expected 2 rows, got 1"),
+            # write_alist would write a header that read_alist rejects
+            (2, -3, [(), ()], "negative dimension: 2x-3"),
+            (-1, 3, [], "negative dimension: -1x3"),
         ):
             with pytest.raises(ValueError) as exc:
-                BinaryMatrix(2, 3, rows)
+                BinaryMatrix(n_rows, n_cols, rows)
             assert str(exc.value) == message
 
 
@@ -168,16 +179,30 @@ class TestTrustedViews:
                 rows = [[p.image[i] for p in b.perms] for i in range(m)]
                 mat = b.matrix()
                 ref = BinaryMatrix(m, m, rows)
-                assert mat == ref and hash(mat) == hash(ref)
+                read = read_alist(write_alist(b))
+                assert mat == ref == read and hash(mat) == hash(ref) == hash(read)
                 flipped = Btu(b.perms[::-1])
                 assert same_matrix(b, flipped)
                 assert (b == flipped) == (r == 1)
+                # equal values, hashes and reprs after copy, deepcopy and pickle
+                for value in (b, mat, ref, read):
+                    for copied in round_trips(value):
+                        assert copied == value and hash(copied) == hash(value) and repr(copied) == repr(value)
 
     def test_views_are_immutable(self):
-        mat = HEAWOOD.matrix()
-        for name in ("rows", "n_rows", "n_cols"):
-            with pytest.raises(AttributeError):
-                setattr(mat, name, ())
+        for value, names in (
+            (HEAWOOD.matrix(), ("rows", "n_rows", "n_cols")),
+            (BinaryMatrix(2, 3, [(0, 2), (1,)]), ("rows", "n_rows", "n_cols")),
+            (read_alist(write_alist(HEAWOOD)), ("rows", "n_rows", "n_cols")),
+            (HEAWOOD, ("perms",)),
+        ):
+            before = dataclasses.astuple(value)
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, ())
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(value, name)
+            assert dataclasses.astuple(value) == before
 
     def test_to_bipartite_aliases(self, rng):
         # kept only for perfbench, their one caller outside the tests
@@ -259,9 +284,18 @@ class TestAlist:
             read_alist("\n".join(text.splitlines()[:6]))
 
     def test_bad_field(self):
+        bad = "3 x\n3 3\n3 3 3\n3 3 3\n"
         with pytest.raises(MalformedAlist) as exc:
-            read_alist("3 x\n3 3\n3 3 3\n3 3 3\n")
+            read_alist(bad)
         assert exc.value.line == 1
+        # the error pickles, so that it crosses a process boundary as itself
+        loaded = pickle.loads(pickle.dumps(exc.value))
+        assert type(loaded) is MalformedAlist and loaded.line == 1
+        assert str(loaded) == str(exc.value) == "line 1: non-integer field 'x'"
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(MalformedAlist) as pooled:
+                pool.submit(read_alist, bad).result()
+        assert pooled.value.line == 1 and str(pooled.value) == str(exc.value)
 
     def test_degree_mismatch_is_not_regular(self):
         text = write_alist(ALL_ONES_3)

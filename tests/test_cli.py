@@ -170,10 +170,36 @@ class TestTablesCommand:
         assert "table 1: search results (r = 3)" in out
         assert "5  25  3  8" in out
 
+    def test_failed_row_exits_1_after_the_other_rows(self, capsys, monkeypatch):
+        def search(cfg, progress=None):
+            if cfg.k == 6:
+                raise MemoryError("k = 6 does not fit")
+            return search_r3(cfg, progress=progress)
+
+        monkeypatch.setattr(cli, "search_r3", search)
+        assert main(["tables", "--which", "1,2", "--max-k", "6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "table 1: search results (r = 3)\nk  m   r  girth\n5  25  3  8\n\n"
+            "table 2: Moore bound n0(g,3)\n" + TABLE_2
+        )
+        assert "table 1, k=6: MemoryError: k = 6 does not fit" in captured.err
+
+    def test_every_row_failed_prints_the_header_and_exits_1(self, capsys, monkeypatch):
+        def search(cfg, progress=None):
+            raise MemoryError(f"k = {cfg.k} does not fit")
+
+        monkeypatch.setattr(cli, "search_r3", search)
+        assert main(["tables", "--which", "1", "--max-k", "6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "table 1: search results (r = 3)\nk  m  r  girth\n"
+        assert "table 1, k=5: MemoryError" in captured.err and "table 1, k=6: MemoryError" in captured.err
+
 
 class TestEmitTable1:
     def test_rows_k5_k6(self, capsys):
-        text = emit_table_1(6)
+        text, failed = emit_table_1(6)
+        assert failed == []
         lines = text.splitlines()
         assert lines[0].split() == ["k", "m", "r", "girth"]
         assert lines[1].split() == ["5", "25", "3", "8"]
@@ -183,9 +209,12 @@ class TestEmitTable1:
         # a computed girth that differs from the published one is still
         # emitted, and a note goes to stderr
         monkeypatch.setitem(cli.TABLE_GIRTHS, 5, 10)
-        text = emit_table_1(5)
+        text, failed = emit_table_1(5)
         assert text.splitlines()[1].split() == ["5", "25", "3", "8"]
+        assert failed == []
         assert "differs from published 10" in capsys.readouterr().err
+        # and the command still exits 0
+        assert main(["tables", "--which", "1", "--max-k", "5"]) == 0
 
     def test_max_k_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from math import factorial, gcd
@@ -17,6 +18,8 @@ from girthmax.perm import (
     relative_cycle_type,
     scale_up,
 )
+
+from conftest import round_trips
 
 
 def random_perm(rng, n):
@@ -38,11 +41,22 @@ class TestPermutation:
         assert Permutation([1, 0]) == Permutation((1, 0))
         assert hash(Permutation([1, 0])) == hash(Permutation([1, 0]))
         assert Permutation([1, 0]) != Permutation([0, 1])
+        p = Permutation([2, 0, 1])
+        for copied in round_trips(p):
+            assert copied == p and hash(copied) == hash(p) and repr(copied) == repr(p)
 
     def test_immutable(self):
         p = identity(3)
         with pytest.raises(AttributeError):
             p.image = (0, 2, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.image
+        # a name that is not a field has no slot; CPython 3.10 to 3.13 raise
+        # TypeError there, as the frozen __setattr__ of a slotted dataclass
+        # names the class that slots=True replaced
+        with pytest.raises((AttributeError, TypeError)):
+            p.size = 4
+        assert p.image == (0, 1, 2)
 
 
 class TestBasics:

@@ -27,7 +27,7 @@ from girthmax.search import (
     valid_shifts,
 )
 
-from conftest import candidate_space, reference_girth, run_python
+from conftest import candidate_space, reference_girth, round_trips, run_python
 
 
 class TestValidShifts:
@@ -732,6 +732,16 @@ class TestSearchSmall:
             result = search_r3(cfg)
             rebuilt = construct_candidate(result.witness_q1, result.witness_j, cfg)
             assert girth_bfs(rebuilt.matrix()).value == result.best_girth
+
+    def test_result_copies_pickles_and_returns_from_a_process_pool(self):
+        cfg = SearchConfig(k=4)
+        result = search_r3(cfg)
+        for copied in round_trips(result):
+            assert copied == result
+        assert dataclasses.asdict(result)["witness_q1"] == {"image": tuple(result.witness_q1)}
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+            pooled = pool.submit(search_r3, cfg).result()
+        assert snapshot(pooled) == snapshot(result)
 
     def test_each_q1_scaled_once(self, monkeypatch):
         # k = 5 interleaved runs on the engine over the image rows of the
