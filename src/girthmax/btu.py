@@ -91,10 +91,11 @@ def _freeze(obj, **fields):
     return obj
 
 
-def _columns(rows: Iterable[Iterable[int]], n_cols: int) -> list[list[int]]:
-    # per column, the ascending indices of the rows that list it; the caller may edit the lists
+def _columns(rows: Iterable[Iterable[int]], n_cols: int, first: int = 0) -> list[list[int]]:
+    # per column, the ascending numbers of the rows that list it, the first
+    # row numbered `first`; the caller may edit the lists
     cols: list[list[int]] = [[] for _ in range(n_cols)]
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows, start=first):
         for c in row:
             cols[c].append(i)
     return cols
@@ -108,8 +109,9 @@ class BinaryMatrix:
     vertex i per row, right vertex c per column, joined where row i
     lists column c. `rows` is a tuple of sorted, duplicate-free tuples;
     the constructor sorts each row and drops repeats (a 0/1 matrix has
-    no double edge), and rejects a negative dimension, a wrong row count
-    or an index outside 0..n_cols-1.
+    no double edge), and rejects a negative or zero dimension (no file
+    format can write it), a wrong row count or an index outside
+    0..n_cols-1.
     """
 
     n_rows: int
@@ -119,6 +121,8 @@ class BinaryMatrix:
     def __init__(self, n_rows: int, n_cols: int, rows: Iterable[Iterable[int]]):
         if n_rows < 0 or n_cols < 0:
             raise ValueError(f"negative dimension: {n_rows}x{n_cols}")
+        if n_rows == 0 or n_cols == 0:
+            raise ValueError(f"zero dimension: {n_rows}x{n_cols}")
         rws = tuple(map(tuple, map(sorted, map(set, rows))))
         if len(rws) != n_rows:
             raise ValueError(f"expected {n_rows} rows, got {len(rws)}")
@@ -378,7 +382,8 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
     stack. (The first free column is what that search would find at
     depth 1.) The constituent order is the greedy extraction order,
     which need not be the order some original BTU was built with.
-    Raises DecompositionFailed for non-square or irregular matrices.
+    Raises DecompositionFailed for non-square, irregular or all-zero
+    matrices.
     """
     m = mat.n_rows
     if mat.n_cols != m:
@@ -391,6 +396,8 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
     if len(degrees) != 1 or degrees != col_degrees:
         raise DecompositionFailed("matrix is not regular")
     r = degrees.pop()
+    if r == 0:
+        raise DecompositionFailed("matrix has no ones")
     remaining = list(map(list, mat.rows))
     perms = []
     for _ in range(r):
@@ -464,7 +471,7 @@ def read_dimacs(text: str) -> BinaryMatrix:
     """Parse DIMACS edge text written by write_dimacs back into a matrix.
 
     Expects the bipartite convention above: one problem line, an even
-    vertex count 2m with every edge joining 1..m to m+1..2m, each edge
+    vertex count 2m >= 2 with every edge joining 1..m to m+1..2m, each edge
     listed once (in either orientation). Anything else, a non-integer
     field included, raises MalformedDimacs.
     """
@@ -504,6 +511,8 @@ def read_dimacs(text: str) -> BinaryMatrix:
             raise MalformedDimacs(f"line {lineno}: unknown record {kind!r}")
     if n_vertices is None:
         raise MalformedDimacs("missing problem line")
+    if n_vertices == 0:
+        raise MalformedDimacs("vertex count 0; a matrix needs m >= 1 vertices per side")
     if n_vertices % 2 != 0:
         raise MalformedDimacs(f"vertex count {n_vertices} is odd; expected a 2m bipartite layout")
     if len(edges) != declared_edges:

@@ -21,7 +21,7 @@ Two deliberately independent engines read it:
     d <= L - 1, so the BFS closes a walk of length <= 2L unless best is
     already <= 2L.
   - *Root deletion.* A finished left root is deleted from a private
-    copy of the right side's lists (the input is not touched). After
+    copy of the column lists (the input is not touched). After
     its BFS, best <= every cycle through it, so later roots lose
     nothing: the smallest left vertex on a shortest cycle still sees
     the whole cycle. A walk closed in the smaller graph is one of the
@@ -29,7 +29,9 @@ Two deliberately independent engines read it:
     girth.
 
   Every call therefore returns exactly the girth: even, or infinite on
-  forests. The witness is read off the BFS tree of the same pass.
+  forests. The witness is read off the BFS tree of the same pass. The
+  BFS numbers right c as c and left i as n_cols + i, so one list per
+  array covers both sides; the witness is renumbered once, at the end.
 
 * `girth_oracle` - exhaustive DFS enumeration of simple cycles, pruned
   only by the best length found so far. Exponential; guarded to at most
@@ -81,34 +83,27 @@ def _flat_adjacency(rows: Sequence[Sequence[int]], n_right: int) -> list[list[in
 
 
 def _first_closing_edge(
-    adj: tuple[Sequence[Sequence[int]], list[list[int]]],
-    seen: tuple[list[int], list[int]],
-    parent: tuple[list[int], list[int]],
-    root: int,
-    best: int | float,
+    adj: Sequence[Sequence[int]], seen: list[int], parent: list[int], root: int, best: int | float
 ) -> tuple[int, int, int] | None:
-    """BFS from left `root`, expanding depth d only while 2d + 2 < best.
+    """BFS from `root`, expanding depth d only while 2d + 2 < best.
 
-    `adj`, `seen` and `parent` are (left, right) pairs of per-side lists;
-    depth d lies on side d % 2. Returns (d, u, w) for the first non-tree
-    edge u-w, seen from u at depth d, or None.
+    `adj`, `seen` and `parent` are indexed by `girth_bfs`'s internal
+    vertex numbers. Returns (d, u, w) for the first non-tree edge u-w,
+    seen from u at depth d, or None.
     """
     stamp = root + 1
-    seen[0][root] = stamp
-    parent[0][root] = -1
+    seen[root] = stamp
+    parent[root] = -1
     frontier = [root]
     depth = 0
     while frontier and depth + depth + 2 < best:
-        side = depth & 1
-        nbrs, up = adj[side], parent[side]
-        seen_next, down = seen[side ^ 1], parent[side ^ 1]
         nxt = []
         for u in frontier:
-            pu = up[u]
-            for w in nbrs[u]:
-                if seen_next[w] != stamp:
-                    seen_next[w] = stamp
-                    down[w] = u
+            pu = parent[u]
+            for w in adj[u]:
+                if seen[w] != stamp:
+                    seen[w] = stamp
+                    parent[w] = u
                     nxt.append(w)
                 elif w != pu:
                     return depth, u, w
@@ -117,13 +112,12 @@ def _first_closing_edge(
     return None
 
 
-def _tree_path(parent: tuple[list[int], list[int]], x: int, side: int, n_left: int) -> list[int]:
-    # flat vertices from x on `side` up to the root of the BFS tree
+def _tree_path(parent: list[int], x: int) -> list[int]:
+    # vertices from x up to the root of the BFS tree
     path = []
     while x != -1:
-        path.append(x + side * n_left)
-        x = parent[side][x]
-        side ^= 1
+        path.append(x)
+        x = parent[x]
     return path
 
 
@@ -132,39 +126,40 @@ def girth_bfs(g: BinaryMatrix, want_witness: bool = False) -> GirthResult:
 
     Only `g.rows` (each row's sorted columns: the right neighbours of
     its left vertex) and `g.n_cols` are read, and neither is changed.
-    Each BFS is cut at the depth bound and each finished root is deleted
-    from a private copy (module docstring: both keep the result exact).
-    With `want_witness` the witness is the cycle closed by the edge that
-    last lowered the best length: the two BFS-tree paths from that root
-    to the edge's ends, joined by the edge. They share only the root, or
-    a shorter cycle would exist. It numbers left i as i and right c as
-    n_rows + c.
+    Inside, right c is vertex c and left i is vertex n_cols + i, so
+    `g.rows` serves as is for the left vertices' lists and a private
+    copy of the columns for the right ones. Each BFS is cut at the depth
+    bound and each finished root is deleted from that copy (module
+    docstring: both keep the result exact). With `want_witness` the
+    witness is the cycle closed by the edge that last lowered the best
+    length: the two BFS-tree paths from that root to the edge's ends,
+    joined by the edge. They share only the root, or a shorter cycle
+    would exist. It is renumbered once, at the end, to left i -> i and
+    right c -> n_rows + c.
     """
-    rows = g.rows
+    rows, n_cols = g.rows, g.n_cols
     n_left = len(rows)
-    cols = _columns(rows, g.n_cols)
-    adj = (rows, cols)
-    seen = ([0] * n_left, [0] * g.n_cols)
-    parent = ([-1] * n_left, [-1] * g.n_cols)
+    adj = _columns(rows, n_cols, first=n_cols) + list(rows)
+    seen = [0] * len(adj)
+    parent = [-1] * len(adj)
     best: int | float = inf
-    witness = None
+    cycle = None
 
-    for root in range(n_left):
+    for root in range(n_cols, len(adj)):
         closed = _first_closing_edge(adj, seen, parent, root, best)
         if closed is not None:
             depth, u, w = closed
             best = depth + depth + 2
             if want_witness:
                 # root..u, then w..(just before root)
-                side = depth & 1
-                there = _tree_path(parent, u, side, n_left)
-                back = _tree_path(parent, w, side ^ 1, n_left)
-                witness = tuple(there[::-1] + back[:-1])
+                cycle = _tree_path(parent, u)[::-1] + _tree_path(parent, w)[:-1]
             if best == 4:
                 break  # simple bipartite graphs have girth >= 4
-        for c in rows[root]:
-            cols[c].remove(root)
-    return GirthResult(best, witness=witness)
+        for c in adj[root]:
+            adj[c].remove(root)
+    if cycle is None:
+        return GirthResult(best)
+    return GirthResult(best, witness=tuple(v - n_cols if v >= n_cols else n_left + v for v in cycle))
 
 
 def girth_oracle(g: BinaryMatrix) -> GirthResult:

@@ -161,6 +161,10 @@ class TestValidation:
             # write_alist would write a header that read_alist rejects
             (2, -3, [(), ()], "negative dimension: 2x-3"),
             (-1, 3, [], "negative dimension: -1x3"),
+            # and so would a zero dimension, which dense text cannot express at all
+            (0, 0, [], "zero dimension: 0x0"),
+            (2, 0, [(), ()], "zero dimension: 2x0"),
+            (0, 3, [], "zero dimension: 0x3"),
         ):
             with pytest.raises(ValueError) as exc:
                 BinaryMatrix(n_rows, n_cols, rows)
@@ -322,6 +326,11 @@ class TestAlist:
         mat = BinaryMatrix(2, 2, [(0, 1), (0,)])
         with pytest.raises(DecompositionFailed):
             btu_from_matrix(mat)
+
+    def test_decomposition_failed_for_all_zero(self):
+        # regular of degree 0, but a BTU needs a constituent
+        with pytest.raises(DecompositionFailed, match="matrix has no ones"):
+            btu_from_matrix(BinaryMatrix(3, 3, [(), (), ()]))
 
     def test_recovery_at_large_m(self):
         # long augmenting chains: a recursive matcher overflowed the stack here
@@ -494,6 +503,9 @@ class TestDimacs:
                 read_dimacs(text)
         with pytest.raises(MalformedDimacs):
             read_dimacs("p edge 5 0\n")
+        # m = 0 would give a 0x0 matrix, which no reader accepts back
+        with pytest.raises(MalformedDimacs, match="vertex count 0"):
+            read_dimacs("p edge 0 0\n")
         with pytest.raises(MalformedDimacs):
             read_dimacs("e 1 2\n")
 

@@ -221,6 +221,20 @@ class TestNonSquare:
                 values.add(res.value)
         assert {4, 6, 8, inf} <= values  # empty rows beside short, long and no cycles
 
+    @pytest.mark.parametrize("n_rows, n_cols", [(2, 3), (3, 2), (3, 3), (3, 4), (4, 3)])
+    def test_every_small_matrix_matches_the_oracle(self, n_rows, n_cols):
+        # empty rows, isolated columns and n_rows != n_cols, where a slip in
+        # girth_bfs's renumbering of the witness would show
+        for bits in range(1 << (n_rows * n_cols)):
+            rows = [[c for c in range(n_cols) if bits >> (i * n_cols + c) & 1] for i in range(n_rows)]
+            mat = BinaryMatrix(n_rows, n_cols, rows)
+            res = girth_bfs(mat, want_witness=True)
+            assert res.value == girth_oracle(mat).value, rows
+            if res.is_finite:
+                check_witness(mat, res.witness, res.value)
+            else:
+                assert res.witness is None
+
     def test_larger_than_the_oracle(self, rng):
         values = set()
         for _ in range(30):
