@@ -16,6 +16,12 @@ test; the roots that suffice are the search's choice
 `survivors` drops, before `shift_girths` runs, the candidates that one
 root proves to have a girth no larger than a floor.
 
+Each of them scores one shift per call. `relabeled` turns the
+candidates of several shifts into candidates of shift 1, by the
+relabeling x -> x * j^-1 mod m, which keeps every girth, double edge
+and root argument (its docstring has the proofs), so that `search`
+scores a batch of shifts as one shift of stacked rows.
+
 `cycle_rows` and `images` build the q1 and p1 rows that the engine
 reads (`cycle_rows` builds `perm.enumerate_k_cycles`' rows the same way,
 in numpy), and `orbit_minima` keeps one q1 row of each class of q1 that
@@ -149,6 +155,43 @@ def images(q_rows, k: int, strategy: ScalingStrategy):
     src, offset, factor = _scale_map(n, k, strategy)
     offset = np.array(offset, dtype)
     return tuple(rows.take(src, axis=1) * factor + offset for rows in (q, _inverse_rows(q)))
+
+
+def relabeled(p, pinv, js):
+    """Rows at shift 1 of the candidates (p[i], I, C_j), j in `js`: shift-major, then in the order of p.
+
+    Returns (P, Pinv), each C-ordered of shape (len(js) * len(p), m)
+    and in p's dtype: row s * len(p) + i is the candidate (p[i], js[s])
+    relabeled by x -> a*x mod m on both sides, a = js[s]^-1 mod m, so
+    P[x] = a * p[i, j*x mod m] mod m, and Pinv the same of pinv.
+    Every j must be coprime to m. Candidate c of the stacked rows is
+    row c % len(p) of shift js[c // len(p)], so ascending c is the
+    tie-break order (j, then q1).
+
+    Proof that (P, I, C_1) is isomorphic to (p1, I, C_j). Multiplying
+    by the unit a is a bijection of Z_m, and it maps the edge x - p1(x)
+    to x' - a*p1(j*x'), x' = a*x, the edge x - x to x' - x', and
+    x - x + j to x' - x' + 1. So girth and double edges (incompatibility)
+    are kept, and P^-1, which maps a*p1(j*x') to x', is a*pinv(j*y')
+    at y' = a*p1(j*x'). This is the multiplier isomorphism of
+    circulants (Adam, J. Combin. Theory 2, 1967) on the
+    circulant-plus-permutation view.
+
+    The roots of `search._root_count` still suffice. Block scaling
+    takes all m, which a bijection keeps. Under interleaved scaling
+    the automorphism x -> x + n becomes x' -> x' + a*n, and since a is
+    a unit, a*n generates the same subgroup n*Z_m: the roots 0..n-1
+    still meet every orbit of it, hence every shortest cycle and double
+    edge.
+    """
+    rows, m = p.shape
+    x = np.arange(m)
+    both = np.stack((p, pinv))
+    out = np.empty((2, len(js), rows, m), p.dtype)
+    for s, j in enumerate(js):
+        scale = (x * pow(j, -1, m) % m).astype(p.dtype)
+        scale.take(both.take(x * j % m, axis=2), out=out[:, s])
+    return tuple(out.reshape(2, -1, m))
 
 
 def chunk_girths(p, pinv, j: int, roots, scratch: Scratch, cap: int | None = None):

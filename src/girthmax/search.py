@@ -14,20 +14,31 @@ Only the shifts with 2j < m are scanned, since the candidate (q1, j)
 has the girth of (q1^-1, m - j) and the tie-break winner always has
 2j < m (`search_r3` has the proof). Candidates are scanned j-major
 (ascending j, then lex-ascending q1), which is exactly the tie-break
-order. The shifts are scored one after another, each against a floor,
-the best girth of the shifts before it, by a worker function that
-takes a contiguous range of the q1 rows: in process one call covers
-every row, and on a fork pool, for searches whose shifts are large
-enough to repay it (`_POOL_MIN_PAIRS` scanned (row, root) pairs per
-shift), the rows are cut into one range per worker, all scored at the
-same floor. A worker gives every candidate of its range that can beat
-the floor its exact girth and returns the range's best (girth, q1
-index); the merge keeps the first strictly larger girth, and the
-report's counts come in closed form from `candidate_counts`. The merge
-stops at the first shift whose best girth meets
-`_girth_ceiling`, the proven bound on every candidate's girth (2*b*k,
-and the bipartite Moore bound on 2m vertices), and no later shift is
-started, in process or on the pool.
+order. The unit of work is (floor, batch of consecutive shifts, q1 row
+range). Batches are scored one after another, each against a floor, the
+best girth of the shifts before it, by a worker function that takes a
+contiguous range of the q1 rows: in process one call covers every row,
+and on a fork pool, for searches whose shifts are large enough to repay
+it (`_POOL_MIN_PAIRS` scanned (row, root) pairs per shift), the rows are
+cut into one range per worker, all scored at the same floor. A worker
+gives every candidate of its range that can beat the floor its exact
+girth and returns the range's best (girth, q1 index) per shift; the
+merge goes shift by shift in ascending j and keeps the first strictly
+larger girth, and the report's counts come in closed form from
+`candidate_counts`. The merge stops at the first shift whose best girth
+meets `_girth_ceiling`, the proven bound on every candidate's girth
+(2*b*k, and the bipartite Moore bound on 2m vertices), and no later
+batch is started, in process or on the pool.
+
+Batch sizes double (1, 2, 4, ...), up to CHUNK_ROOTS // rows shifts
+(at least 1) on the level engine and 1 on `_scan`: past that, one root
+of a batch fills a chunk of `_levels.chunk_girths`, so a larger batch
+saves no call. The size goes back to 1 whenever the best girth is one
+step (2) below the ceiling, since any survivor then ends the search and
+the later shifts of a batch would be scored for nothing. The engine
+scores a batch of several shifts as one shift, j = 1, of the rows of
+`_levels.relabeled`, which keeps every candidate's girth and double
+edges; a batch of one shift is scored on the rows as they are.
 The workers:
 
 * `_level_scan`, the level engine, for searches of at least
@@ -215,23 +226,26 @@ def _install(*state) -> None:
     _STATE = state
 
 
-def _scan(j: int, floor: int, lo: int, hi: int, state: tuple = ()) -> tuple[int, int]:
-    """Score every candidate (q1, j), q1 in rows lo:hi, of one shift j by its definition.
+def _scan(js: tuple[int, ...], floor: int, lo: int, hi: int, state: tuple = ()) -> list[tuple[int, int]]:
+    """Score every candidate (q1, j), q1 in rows lo:hi, of each shift j of `js` by its definition.
 
-    Returns the range's best (girth, q_idx): the largest exact girth
-    under j with the index of the first q1 attaining it (girth 0 when
-    every candidate is incompatible). The floor is not used.
+    Returns the range's best (girth, q_idx) per shift: the largest exact
+    girth under j with the index of the first q1 attaining it (girth 0
+    when every candidate is incompatible). The floor is not used.
     """
     q1s, cfg = state or _STATE
-    best_g, best_q = 0, 0
-    for q_idx, q1 in enumerate(q1s[lo:hi], lo):
-        try:
-            g = girth_bfs(construct_candidate(q1, j, cfg).matrix()).value
-        except IncompatiblePermutations:
-            continue
-        if g > best_g:
-            best_g, best_q = g, q_idx
-    return best_g, best_q
+    results = []
+    for j in js:
+        best_g, best_q = 0, 0
+        for q_idx, q1 in enumerate(q1s[lo:hi], lo):
+            try:
+                g = girth_bfs(construct_candidate(q1, j, cfg).matrix()).value
+            except IncompatiblePermutations:
+                continue
+            if g > best_g:
+                best_g, best_q = g, q_idx
+        results.append((best_g, best_q))
+    return results
 
 
 # Searches of at least this many candidates run on the level engine,
@@ -249,7 +263,9 @@ _LEVEL_MIN_CANDIDATES = 100
 
 # Searches whose shifts hold at least this many scanned (row, root) pairs
 # run on a pool of cfg.worker_count processes, smaller ones in process. A
-# shift is what the pool splits, one range of its rows per worker; its
+# batch of shifts is what the pool splits, one range of its rows per
+# worker, and every search that reaches the pool has more than
+# `_levels.CHUNK_ROOTS` rows, so its batches are single shifts. The
 # rows are the q1 that the search scans (the orbit minima on the level
 # engine, every q1 on `_scan`), and a row has `_root_count` roots, b*k
 # under interleaved scaling and m under block scaling. Measured as
@@ -295,29 +311,49 @@ def _girth_ceiling(cfg: SearchConfig) -> int:
     return min(2 * cfg.b * cfg.k, 2 * ((cfg.m + 1).bit_length() - 1))
 
 
-def _level_scan(j: int, floor: int, lo: int, hi: int, state: tuple = ()) -> tuple[int, int]:
-    """Score the candidates (q1, j), q1 in rows lo:hi, that can beat `floor` with the level engine.
+def _level_scan(js: tuple[int, ...], floor: int, lo: int, hi: int, state: tuple = ()) -> list[tuple[int, int]]:
+    """Score the candidates (q1, j), q1 in rows lo:hi and j in `js`, that can beat `floor` with the level engine.
 
-    Returns the range's best (girth, q_idx) as `_scan` does when that
-    girth exceeds the floor, else (0, 0); q_idx indexes the rows of p,
-    one per orbit minimum. `_levels.survivors` keeps
-    exactly the candidates whose girth exceeds the floor, in ascending
-    q1 order, so a maximum above the floor is attained only among them
-    and the first survivor at it is the range's first q1 at it. At
-    floor 0 every candidate is scored, since the survivors would only
-    lack the incompatible ones, which score 0. The rows of p and pinv
-    are C-ordered (`_levels.images`), so their slices are views.
+    Returns the range's best (girth, q_idx) per shift, as `_scan` does
+    when that girth exceeds the floor, else (0, 0); q_idx indexes the
+    rows of p, one per orbit minimum. One shift is scored on p and pinv
+    at j; several are scored as one, at shift 1 on the stacked rows of
+    `_levels.relabeled`, in which each shift is a contiguous run of
+    candidates in q1 order. `_levels.survivors` keeps exactly the
+    candidates whose girth exceeds the floor, in ascending order, so a
+    shift's maximum above the floor is attained only among its
+    survivors, and the first of them at it is the range's first q1 at
+    it. At floor 0 every candidate is scored, since the survivors would
+    only lack the incompatible ones, which score 0. The rows of p and
+    pinv are C-ordered (`_levels.images`), so their slices are views.
     """
     from . import _levels
 
     p, pinv, roots, scratch = state or _STATE
-    p, pinv = p[lo:hi], pinv[lo:hi]
+    p, pinv, j, rows = p[lo:hi], pinv[lo:hi], js[0], hi - lo
+    if len(js) > 1:
+        (p, pinv), j = _levels.relabeled(p, pinv, js), 1
     alive = _levels.survivors(p, pinv, j, roots, floor, scratch) if floor else None
     girths = _levels.shift_girths(p, pinv, j, roots, scratch, rows=alive)
-    if not len(girths):
-        return 0, 0
-    best = int(girths.argmax())
-    return int(girths[best]), lo + (best if alive is None else int(alive[best]))
+    if len(js) == 1:
+        # without the split below, which costs about 4 µs a call: 1 % of
+        # a Table 1 search, all of whose batches are one shift
+        if not len(girths):
+            return [(0, 0)]
+        best = int(girths.argmax())
+        return [(int(girths[best]), lo + (best if alive is None else int(alive[best])))]
+    # shift js[s] holds the candidates s * rows to (s + 1) * rows - 1 of p
+    cuts = range(0, len(js) * rows + 1, rows)
+    if alive is not None:
+        cuts = alive.searchsorted(cuts).tolist()
+    results = []
+    for s, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+        if stop == start:
+            results.append((0, 0))
+            continue
+        best = start + int(girths[start:stop].argmax())
+        results.append((int(girths[best]), lo + (best if alive is None else int(alive[best])) - s * rows))
+    return results
 
 
 def search_r3(
@@ -343,20 +379,26 @@ def search_r3(
 
     The scan stops at the first shift whose best girth equals
     `_girth_ceiling(cfg)`. Proof that the winner is the same. No
-    candidate has a larger girth, shifts are scored in ascending j and
+    candidate has a larger girth, shifts are merged in ascending j and
     each returns its first q1 at the maximum, so that (j, q1) is the
-    first maximum in tie-break order.
+    first maximum in tie-break order. A batch may score shifts after
+    that one, whose results are not read.
 
-    Each shift is scored against a floor, the running best (the largest
-    girth of the shifts with a smaller j), and reports its best only if
-    that beats the floor. Proof that the winner is the same. Only a
-    strictly larger girth replaces the running best, and a best above
-    the floor comes with its first q1. On the pool the shift's rows are
-    cut into ranges, ascending in q1, all scored at that floor. Proof
-    that the shift's result is the same. Each range returns its own
-    first q1 at its maximum when that beats the floor; the first range
-    at the largest of these maxima holds the shift's first q1 at it, and
-    `max` over the ranges in order keeps the first.
+    The shifts are scored in batches of consecutive shifts (the module
+    docstring gives the sizes). Each batch is scored against a floor,
+    the running best when it starts (the largest girth of the shifts
+    before its first), and each of its shifts reports its best only if
+    that beats the floor. Proof that the winner is the same. The floor
+    is at most each shift's own running best, so a shift whose best
+    beats its own running best beats the floor, and reports that best
+    with its first q1. Only a strictly larger girth replaces the running
+    best, so a shift whose best does not beat its own running best is
+    not taken, whatever it reports. On the pool the batch's rows are cut
+    into ranges, ascending in q1, all scored at that floor. Proof that
+    each shift's result is the same. Each range returns its own first q1
+    at the shift's maximum over it when that beats the floor; the first
+    range at the largest of these maxima holds the shift's first q1 at
+    it, and `max` over the ranges in order keeps the first.
 
     `progress`, when given, is called after each scanned shift j with
     (candidates covered, total candidates, best girth so far); the
@@ -382,16 +424,19 @@ def search_r3(
         q1s = _levels.orbit_minima(_levels.cycle_rows(n), cfg.strategy)
         p, pinv = _levels.images(q1s, cfg.k, cfg.strategy)
         scan, state = _level_scan, (p, pinv, roots, _levels.Scratch())
+        # past this many shifts one root of a batch fills a chunk, so a
+        # larger batch saves no call
+        most = max(1, _levels.CHUNK_ROOTS // len(q1s))
     else:
         q1s = list(enumerate_k_cycles(n))
-        scan, state = _scan, (q1s, cfg)
+        scan, state, most = _scan, (q1s, cfg), 1
     rows = len(q1s)
     workers = min(cfg.worker_count, rows) if rows * roots >= _POOL_MIN_PAIRS else 1
 
     best_girth, best_j, best_q = 0, 0, 0
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            score = lambda j, floor: scan(j, floor, 0, rows, state)
+            score = lambda js, floor: scan(js, floor, 0, rows, state)
         else:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -401,23 +446,30 @@ def search_r3(
             stack.callback(pool.shutdown, cancel_futures=True)
             cuts = [rows * w // workers for w in range(workers + 1)]
 
-            def score(j, floor):
-                # the ranges ascend in q1, and max keeps the first range at the maximum
-                futures = [pool.submit(scan, j, floor, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-                return max((future.result() for future in futures), key=lambda result: result[0])
+            def score(js, floor):
+                # the ranges ascend in q1, and max keeps the first range at a shift's maximum
+                futures = [pool.submit(scan, js, floor, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+                ranges = [future.result() for future in futures]
+                return [max(shift, key=lambda result: result[0]) for shift in zip(*ranges)]
 
-        # shifts are scored in scan order, which is the tie-break order
-        for done, j in enumerate(scanned, 1):
-            g, q_idx = score(j, best_girth)
-            if g > best_girth:
-                best_girth, best_j, best_q = g, j, q_idx
-            stop = best_girth == ceiling
-            if progress is not None:
-                # shift m - j, left unscanned, is covered with j, and at
-                # the ceiling so are the shifts after j
-                progress(total if stop else 2 * done * q1_count, total, best_girth)
-            if stop:
-                break
+        # batches, and the shifts within them, are merged in scan order,
+        # which is the tie-break order
+        start, size, stop = 0, 1, False
+        while not stop and start < len(scanned):
+            batch = tuple(scanned[start : start + size])
+            for done, (j, (g, q_idx)) in enumerate(zip(batch, score(batch, best_girth)), start + 1):
+                if g > best_girth:
+                    best_girth, best_j, best_q = g, j, q_idx
+                stop = best_girth == ceiling
+                if progress is not None:
+                    # shift m - j, left unscanned, is covered with j, and
+                    # at the ceiling so are the shifts after j
+                    progress(total if stop else 2 * done * q1_count, total, best_girth)
+                if stop:
+                    break
+            start += len(batch)
+            # one step below the ceiling, any survivor ends the search
+            size = 1 if best_girth + 2 >= ceiling else min(2 * size, most)
     return SearchResult(
         best_girth=best_girth,
         # a Permutation or a uint8 image row, read as Python ints

@@ -159,6 +159,28 @@ def walk_girth(row: list[int], inverse_row: list[int], j: int, root: int, cap: i
     return 2 * cap + 2
 
 
+# k = 5..8 and b = 2 with k = 3, 4, both scalings, j filter on and off
+RELABEL_CONFIGS = [
+    SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+    for (k, b), strategy, j_filter in itertools.product(
+        [(5, 1), (6, 1), (7, 1), (8, 1), (3, 2), (4, 2)], ScalingStrategy, (True, False)
+    )
+]
+
+
+def config_id(cfg: SearchConfig) -> str:
+    return f"k{cfg.k}-b{cfg.b}-{cfg.strategy.value}-{'filtered' if cfg.j_range_filter else 'unfiltered'}"
+
+
+@functools.cache
+def relabel_inputs(cfg: SearchConfig) -> tuple:
+    """(p, pinv, roots, shifts, P, Pinv): the engine's rows, every admissible shift, and their relabeled rows."""
+    q_rows = _levels.orbit_minima(_levels.cycle_rows(cfg.b * cfg.k), cfg.strategy)
+    p, pinv = _levels.images(q_rows, cfg.k, cfg.strategy)
+    shifts = valid_shifts(cfg.m, cfg.b * cfg.k if cfg.j_range_filter else 0)
+    return (p, pinv, girthmax.search._root_count(cfg), shifts, *_levels.relabeled(p, pinv, shifts))
+
+
 class TestLevelEngine:
     @pytest.mark.parametrize("k, b", ENGINE_SIZES)
     def test_girths_match_girth_bfs_on_every_candidate(self, k, b):
@@ -247,6 +269,46 @@ class TestLevelEngine:
         assert all(len(b) >= 2 * len(a) for a, b in zip(groups, groups[1:-1])), groups
         if chunk_roots == 1:
             assert [len(g) for g in groups[:-1]] == [2**i for i in range(len(groups) - 1)], groups
+
+    @pytest.mark.parametrize("cfg", RELABEL_CONFIGS, ids=config_id)
+    def test_relabeled_rows_at_shift_1_have_the_girths_of_their_shifts(self, cfg):
+        p, pinv, roots, shifts, big_p, big_pinv = relabel_inputs(cfg)
+        assert big_p.shape == big_pinv.shape == (len(shifts) * len(p), cfg.m)
+        assert big_p.flags.c_contiguous and big_pinv.flags.c_contiguous and big_p.dtype == p.dtype
+        scratch = _levels.Scratch()
+        got = _levels.shift_girths(big_p, big_pinv, 1, roots, scratch).reshape(len(shifts), len(p))
+        for j, row in zip(shifts, got):
+            assert row.tolist() == _levels.shift_girths(p, pinv, j, roots, scratch).tolist(), j
+
+    @pytest.mark.parametrize("cfg", RELABEL_CONFIGS, ids=config_id)
+    def test_relabeled_rows_keep_the_survivors(self, cfg):
+        p, pinv, roots, shifts, big_p, big_pinv = relabel_inputs(cfg)
+        scratch = _levels.Scratch()
+        for floor in (4, 6, 8):
+            kept = [_levels.survivors(p, pinv, j, roots, floor, scratch) for j in shifts]
+            want = [s * len(p) + i for s, rows in enumerate(kept) for i in rows]
+            assert _levels.survivors(big_p, big_pinv, 1, roots, floor, scratch).tolist() == want, floor
+
+    @pytest.mark.parametrize(
+        "cfg", [cfg for cfg in RELABEL_CONFIGS if cfg.strategy is ScalingStrategy.INTERLEAVED], ids=config_id
+    )
+    def test_relabeled_interleaved_rows_need_only_n_roots(self, cfg):
+        # x -> x + n becomes x -> x + n * j^-1, which generates the same
+        # subgroup of Z_m, so the roots 0..n-1 still meet every orbit
+        _, _, roots, _, big_p, big_pinv = relabel_inputs(cfg)
+        assert roots == cfg.b * cfg.k < cfg.m
+        scratch = _levels.Scratch()
+        every = _levels.shift_girths(big_p, big_pinv, 1, cfg.m, scratch)
+        assert _levels.shift_girths(big_p, big_pinv, 1, roots, scratch).tolist() == every.tolist()
+
+    def test_relabeled_incompatible_candidates_occur(self):
+        # the interleaved searches without the j filter have shifts that
+        # collide with p1, and the relabeled rows keep them at girth 0
+        incompatible = 0
+        for cfg in RELABEL_CONFIGS:
+            _, _, roots, _, big_p, big_pinv = relabel_inputs(cfg)
+            incompatible += int((_levels.shift_girths(big_p, big_pinv, 1, roots) == 0).sum())
+        assert incompatible > 0
 
     def test_rows_select_candidates(self):
         cfg = SearchConfig(k=5)
@@ -541,18 +603,19 @@ class TestGirthCeiling:
 
     def test_k7_scans_up_to_the_first_shift_at_the_ceiling(self, monkeypatch):
         # k = 7 interleaved scans 8, 9, 10, 11, 12, 13, 15, ...; the
-        # winner reaches the ceiling of 10 at j = 10
+        # winner reaches the ceiling of 10 at j = 10; the first shift's
+        # best, 8, is one step below it, so every later batch is one shift
         scanned = []
         level_scan = girthmax.search._level_scan
 
-        def spy(j, *args, **kwargs):
-            scanned.append(j)
-            return level_scan(j, *args, **kwargs)
+        def spy(js, *args, **kwargs):
+            scanned.append(js)
+            return level_scan(js, *args, **kwargs)
 
         monkeypatch.setattr(girthmax.search, "_level_scan", spy)
         result = search_r3(SearchConfig(k=7, strategy=ScalingStrategy.INTERLEAVED))
         assert (result.best_girth, result.witness_j) == (10, 10)
-        assert scanned == [8, 9, 10]
+        assert scanned == [(8,), (9,), (10,)]
 
 
 # the searches of TestLevelEngine and TestGirthCeiling, j filter on and off
@@ -612,27 +675,39 @@ class TestFloor:
     def test_k7_block_drops_every_shift_below_the_winner(self, monkeypatch):
         # the engine scans the 78 orbit minima of the 720 q1; the 12
         # shifts j = 9..20 after the first hold girth 6 at best, the
-        # running best: none of their candidates is scored exactly
+        # running best: none of their candidates is scored exactly. They
+        # come in the batches (9, 10), (11, 12, 13, 15) and (16, ..., 24),
+        # each scored at shift 1 on 78 rows per shift, and only the last
+        # batch, which holds j = 22, has candidates above 6, none of them
+        # at a shift before 22
         exact = []
         shift_girths = _levels.shift_girths
 
         def spy(p, pinv, j, roots, scratch=None, rows=None):
-            exact.append((j, len(p) if rows is None else len(rows)))
+            exact.append((j, len(p), None if rows is None else rows.tolist()))
             return shift_girths(p, pinv, j, roots, scratch, rows)
 
         monkeypatch.setattr(_levels, "shift_girths", spy)
         result = search_r3(SearchConfig(k=7))
         assert (result.best_girth, result.witness_j) == (8, 22)
-        assert exact[0] == (8, 78)
-        assert [j for j, rows in exact if rows] == [8, 22]
-        assert 0 < dict(exact)[22] < 78
+        assert exact[:3] == [(8, 78, None), (1, 2 * 78, []), (1, 4 * 78, [])]
+        j, rows, scored = exact[3]
+        assert (j, rows, len(exact)) == (1, 8 * 78, 4)
+        # candidate c is row c % 78 of the batch's shift c // 78, and
+        # j = 22 is its sixth
+        shifts = [c // 78 for c in scored]
+        assert min(shifts) == 5 and 0 < shifts.count(5) < 78
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_k7_block_floors_are_the_running_best(self, workers, submitted, monkeypatch):
-        # each shift is scored at the largest girth of the shifts before
-        # it, whatever the worker count: on 1 worker in one call over the
-        # 78 rows, on 2 in two ranges of 39 rows, as the parent submits
-        # them; the ceiling of 10 is never met, so all 15 shifts run
+        # each batch of shifts is scored at the largest girth of the
+        # shifts before it, whatever the worker count: on 1 worker in one
+        # call over the 78 rows, on 2 in two ranges of 39 rows, as the
+        # parent submits them. The batches double in size, and 78 rows
+        # allow up to 4096 // 78 = 52 shifts. The ceiling of 10 is never
+        # met, and until the last batch the best, 6, is two steps below
+        # it, so the sizes keep doubling: all 15 shifts run in 4 batches,
+        # and the best, 8 from j = 22 on, is found in the last one
         monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
         level_scan = girthmax.search._level_scan
 
@@ -643,30 +718,34 @@ class TestFloor:
         if workers == 1:
             monkeypatch.setattr(girthmax.search, "_level_scan", spy)
         search_r3(SearchConfig(k=7, worker_count=workers))
-        shifts = [8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20, 22, 23, 24]
-        floors = [(j, 0 if j == 8 else 6 if j <= 22 else 8) for j in shifts]
+        batches = [(8,), (9, 10), (11, 12, 13, 15), (16, 17, 18, 19, 20, 22, 23, 24)]
+        floors = [(js, 0 if js == (8,) else 6) for js in batches]
         ranges = [(0, 78)] if workers == 1 else [(0, 39), (39, 78)]
-        assert submitted == [(j, floor, lo, hi) for j, floor in floors for lo, hi in ranges]
+        assert submitted == [(js, floor, lo, hi) for js, floor in floors for lo, hi in ranges]
 
     def test_pool_submits_no_range_after_the_ceiling_shift(self, submitted, monkeypatch):
         # k = 5 interleaved meets its ceiling of 8 at j = 7, the second of
         # its 6 scanned shifts, and k = 7 its ceiling of 10 at j = 10, the
-        # third of 15; each shift up to there is cut into 2 ranges
+        # third of 15; each shift up to there is cut into 2 ranges, and
+        # after the first the best is one step below the ceiling, so
+        # every batch is one shift
         monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
         for k, ceiling, shifts in ((5, 8, [6, 7]), (7, 10, [8, 9, 10])):
             submitted.clear()
             result = search_r3(SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED, worker_count=2))
             assert (result.best_girth, result.witness_j) == (ceiling, shifts[-1]), k
-            assert [args[0] for args in submitted] == [j for j in shifts for _ in range(2)], k
+            assert [args[0] for args in submitted] == [(j,) for j in shifts for _ in range(2)], k
 
     @pytest.mark.parametrize(
         "k, b, engine", [(k, b, True) for k, b in ENGINE_SIZES] + [(3, 1, False), (4, 1, False)]
     )
     def test_merged_ranges_equal_the_whole_shift(self, k, b, engine):
-        # the pool cuts a shift's rows into contiguous ranges, all scored
-        # at one floor, and keeps the first range at the largest girth;
-        # the engine reports (0, 0) for a shift with no girth above the
-        # floor, while `_scan` ignores the floor
+        # the pool cuts a batch's rows into contiguous ranges, all scored
+        # at one floor, and keeps per shift the first range at the
+        # largest girth; the shifts cut into batches of 1, 2 or 3
+        # consecutive shifts each give their own result. The engine reports (0, 0) for a
+        # shift with no girth above the floor, while `_scan` ignores the
+        # floor
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
             if engine:
@@ -674,14 +753,19 @@ class TestFloor:
                 scan, state = girthmax.search._level_scan, (p, pinv, roots, _levels.Scratch())
             else:
                 scan, state = girthmax.search._scan, (list(enumerate_k_cycles(b * k)), cfg)
-            rows = len(state[0])
-            for (j, want), floor in itertools.product(shift_references(cfg).items(), (0, 4, 6, 8)):
-                best = max(want)
-                whole = (best, want.index(best)) if best > floor or not engine else (0, 0)
+            rows, references = len(state[0]), shift_references(cfg)
+            shifts = list(references)
+            batches = [tuple(shifts[i : i + size]) for size in (1, 2, 3) for i in range(0, len(shifts), size)]
+            for js, floor in itertools.product(batches, (0, 4, 6, 8)):
+                whole = []
+                for want in map(references.get, js):
+                    best = max(want)
+                    whole.append((best, want.index(best)) if best > floor or not engine else (0, 0))
                 for parts in range(1, min(5, rows) + 1):
                     cuts = [rows * w // parts for w in range(parts + 1)]
-                    results = [scan(j, floor, lo, hi, state) for lo, hi in zip(cuts, cuts[1:])]
-                    assert max(results, key=lambda r: r[0]) == whole, (strategy, j_filter, j, floor, parts)
+                    results = [scan(js, floor, lo, hi, state) for lo, hi in zip(cuts, cuts[1:])]
+                    merged = [max(shift, key=lambda r: r[0]) for shift in zip(*results)]
+                    assert merged == whole, (strategy, j_filter, js, floor, parts)
 
 
 class TestCandidateCounts:
