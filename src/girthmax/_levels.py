@@ -1,6 +1,9 @@
 """Level engine of the search: the exact girth of many candidates at once.
 
-For one shift j, `shift_girths` scores candidates (q1, j) of a search.
+`search` makes two calls: `setup` builds a search's q1 and p1 rows and
+its batch limit, and `batch_bests` returns each shift's best (girth,
+row) above a floor.
+
 `chunk_girths` extends the non-backtracking walks from a set of roots
 level by level, as numpy gathers shared by a chunk of q1 rows, and a
 candidate's girth is twice the first level at which two walks from one
@@ -13,14 +16,11 @@ Fossorier, "Quasi-cyclic LDPC codes from circulant permutation
 matrices" (IEEE Trans. IT 50(8), 2004). `chunk_girths` proves the level
 test; the roots that suffice are the search's choice
 (`search._root_count` proves them) and the scaling is `perm._scale_map`.
-`survivors` drops, before `shift_girths` runs, the candidates that one
-root proves to have a girth no larger than a floor.
-
-Each of them scores one shift per call. `relabeled` turns the
-candidates of several shifts into candidates of shift 1, by the
-relabeling x -> x * j^-1 mod m, which keeps every girth, double edge
-and root argument (its docstring has the proofs), so that `search`
-scores a batch of shifts as one shift of stacked rows.
+`shift_girths` scores one shift, and `survivors` drops the candidates
+that one root proves to have a girth no larger than a floor. `relabeled`
+turns the candidates of several shifts into candidates of shift 1, by
+the relabeling x -> x * j^-1 mod m, so that a batch is scored as one
+shift of stacked rows. Each of them proves its claim in its docstring.
 
 `cycle_rows` and `images` build the q1 and p1 rows that the engine
 reads (`cycle_rows` builds `perm.enumerate_k_cycles`' rows the same way,
@@ -155,6 +155,15 @@ def images(q_rows, k: int, strategy: ScalingStrategy):
     src, offset, factor = _scale_map(n, k, strategy)
     offset = np.array(offset, dtype)
     return tuple(rows.take(src, axis=1) * factor + offset for rows in (q, _inverse_rows(q)))
+
+
+def setup(n: int, k: int, strategy: ScalingStrategy):
+    """(q_rows, p, pinv, most) of a search: the `orbit_minima` of `cycle_rows(n)`, their `images`, and a batch limit.
+
+    Past `most` shifts, one root of a batch fills a chunk, so a larger batch saves no call.
+    """
+    q_rows = orbit_minima(cycle_rows(n), strategy)
+    return (q_rows, *images(q_rows, k, strategy), max(1, CHUNK_ROOTS // len(q_rows)))
 
 
 def relabeled(p, pinv, js):
@@ -349,3 +358,32 @@ def survivors(p, pinv, j: int, roots: int, floor: int, scratch: Scratch | None =
         alive = alive[_girths(p, pinv, j, alive, group, scratch, cap) > 2 * cap]
         start, size = start + size, 2 * size
     return alive
+
+
+def batch_bests(p, pinv, js, roots: int, floor: int, scratch: Scratch) -> list[tuple[int, int]]:
+    """Best (girth, row) of each shift j in `js` over the candidates (p[i], I, C_j) whose girth exceeds `floor`.
+
+    A shift's row is the first row of p at its best girth, and a shift
+    with no candidate above the floor gives (0, 0). Several shifts are
+    scored as one, at shift 1 on the rows of `relabeled`, in which each
+    shift is a contiguous run of candidates in the order of p; one shift
+    is scored on p as it is. Above a positive floor, `survivors` keeps
+    exactly the candidates whose girth exceeds it, in ascending order,
+    so a shift's maximum above the floor is attained only among them,
+    and the first of them at it is the shift's first row at it. At
+    floor 0 every candidate is scored, since the survivors would only
+    lack the incompatible ones, which score 0.
+    """
+    rows, j = len(p), js[0]
+    if len(js) > 1:
+        (p, pinv), j = relabeled(p, pinv, js), 1
+    alive = survivors(p, pinv, j, roots, floor, scratch) if floor else np.arange(len(p))
+    girths = shift_girths(p, pinv, j, roots, scratch, rows=alive)
+    # shift js[s] holds the candidates s * rows to (s + 1) * rows - 1 of p
+    cuts = alive.searchsorted(range(0, len(p) + 1, rows)).tolist()
+    bests = [(0, 0)] * len(js)
+    for s, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+        if stop > start:
+            best = start + int(girths[start:stop].argmax())
+            bests[s] = (int(girths[best]), int(alive[best]) - s * rows)
+    return bests

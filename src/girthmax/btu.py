@@ -21,11 +21,10 @@ debugging.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .perm import Permutation, compose, identity, inverse
+from .perm import Permutation, _frozen, compose, identity, inverse
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,7 +100,7 @@ def _columns(rows: Iterable[Iterable[int]], n_cols: int, first: int = 0) -> list
     return cols
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@_frozen
 class BinaryMatrix:
     """A 0/1 matrix as per-row sorted column indices (the alist view).
 
@@ -153,7 +152,7 @@ class BinaryMatrix:
         return f"BinaryMatrix({self.n_rows}x{self.n_cols}, ones={ones})"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@_frozen
 class Btu:
     """r compatible permutations on m points; an (m, r) BTU.
 

@@ -17,7 +17,7 @@ which is conjugate to ``p ∘ q⁻¹``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -47,7 +47,22 @@ class ScalingStrategy(str, Enum):
     INTERLEAVED = "interleaved"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+def _frozen(cls):
+    """`cls` as a frozen slotted dataclass whose every assignment and deletion raises FrozenInstanceError.
+
+    Those that `dataclass` writes raise TypeError for a name that is not
+    a field (CPython 3.10 to 3.13): they name the class slots=True replaced.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False, repr=False)(cls)
+
+    def refuse(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
+
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@_frozen
 class Permutation:
     """A bijection on {0..n-1} in one-line notation (immutable)."""
 

@@ -30,27 +30,19 @@ meets `_girth_ceiling`, the proven bound on every candidate's girth
 (2*b*k, and the bipartite Moore bound on 2m vertices), and no later
 batch is started, in process or on the pool.
 
-Batch sizes double (1, 2, 4, ...), up to CHUNK_ROOTS // rows shifts
-(at least 1) on the level engine and 1 on `_scan`: past that, one root
-of a batch fills a chunk of `_levels.chunk_girths`, so a larger batch
-saves no call. The size goes back to 1 whenever the best girth is one
-step (2) below the ceiling, since any survivor then ends the search and
-the later shifts of a batch would be scored for nothing. The engine
-scores a batch of several shifts as one shift, j = 1, of the rows of
-`_levels.relabeled`, which keeps every candidate's girth and double
-edges; a batch of one shift is scored on the rows as they are.
-The workers:
+Batch sizes double (1, 2, 4, ...), up to the limit of `_levels.setup`
+on the level engine and 1 on `_scan`, and go back to 1 whenever the
+best girth is one step (2) below the ceiling, since any survivor then
+ends the search and the later shifts of a batch would be scored for
+nothing. The workers:
 
 * `_level_scan`, the level engine, for searches of at least
-  `_LEVEL_MIN_CANDIDATES` candidates, every k >= 5 among them. It reads
-  the girths off batched non-backtracking walks over the p1 images,
-  which `search_r3` scales once per search from the q1 image rows of
-  `_levels.orbit_minima`, one q1 per isomorphism class (below); only
-  the winner's row becomes a `Permutation`.
-  Before that, `_levels.survivors` drops the candidates whose walks
-  from one root show a girth no larger than the floor.
-  The engine is the private module `_levels`; it loads numpy and is
-  imported only when a search uses it.
+  `_LEVEL_MIN_CANDIDATES` candidates, every k >= 5 among them. The
+  engine is the private module `_levels`, imported (with numpy) only
+  when a search uses it, behind two calls: `_levels.setup` builds the
+  q1 rows, one per isomorphism class (below), and their p1 rows once
+  per search, and `_levels.batch_bests` scores a batch on rows lo:hi.
+  Only the winner's row becomes a `Permutation`.
 * `_scan` for the tiny searches below that, which do not repay numpy's
   import. It scores each candidate by its definition, `girth_bfs` of
   `construct_candidate(q1, j, cfg)`, over the q1 of `enumerate_k_cycles`,
@@ -68,17 +60,16 @@ block scaling x -> x + c*k commutes with I and C_j and conjugates
 scale_up(q1) into scale_up(r q1 r^-1). These maps generate a group of
 order 2 (interleaved) or 2n (block), and the engine scans only the q1
 that are lexicographically least in their orbit, in ascending order
-(`_levels.orbit_minima`): 384 of the 720 q1 at n = 7 interleaved, 78
+(`_levels.setup`): 384 of the 720 q1 at n = 7 interleaved, 78
 under block scaling. Proof that the winner is the same. Isomorphic
 candidates have equal girth and the same double edges, so every q1 at
 a shift's maximum has its orbit minimum, which is <= it, at that
 maximum too. The shift's lex-first q1 at the maximum, the tie-break
 winner, is therefore an orbit minimum, and the first one at the
-maximum; the same holds above a floor, for `_levels.survivors`. The
-counts and progress still cover every q1, in closed form
-(`candidate_counts`), and `_scan` scores every q1. Fixing
-image[0] = 1 is not such a relabeling: it would lose the maximum at
-k = 5 and 7. The published k = 5..8 girths (8, 8, 10, 10) are attained
+maximum, above a floor too. The counts and progress still cover every
+q1, in closed form (`candidate_counts`), and `_scan` scores every q1.
+Fixing image[0] = 1 is not such a relabeling: it would lose the maximum
+at k = 5 and 7. The published k = 5..8 girths (8, 8, 10, 10) are attained
 under interleaved scaling.
 """
 
@@ -92,15 +83,7 @@ from typing import Callable
 
 from .btu import Btu, IncompatiblePermutations
 from .girth import girth_bfs
-from .perm import (
-    Permutation,
-    ScalingStrategy,
-    circulant,
-    enumerate_k_cycles,
-    identity,
-    one_based,
-    scale_up,
-)
+from .perm import Permutation, ScalingStrategy, circulant, enumerate_k_cycles, identity, one_based, scale_up
 
 __all__ = [
     "SearchConfig",
@@ -261,26 +244,26 @@ def _scan(js: tuple[int, ...], floor: int, lo: int, hi: int, state: tuple = ()) 
 # and up) run on the engine: a lone cold k = 5 search takes about 0.1 s.
 _LEVEL_MIN_CANDIDATES = 100
 
-# Searches whose shifts hold at least this many scanned (row, root) pairs
-# run on a pool of cfg.worker_count processes, smaller ones in process. A
-# batch of shifts is what the pool splits, one range of its rows per
-# worker, and every search that reaches the pool has more than
-# `_levels.CHUNK_ROOTS` rows, so its batches are single shifts. The
-# rows are the q1 that the search scans (the orbit minima on the level
-# engine, every q1 on `_scan`), and a row has `_root_count` roots, b*k
-# under interleaved scaling and m under block scaling. Measured as
-# search_r3's elapsed time, each search in a fresh interpreter, medians
-# of 6 runs on 1 worker against 2 (pool forced), alternating, on the
-# host of the threshold above, whose run-to-run spread is about 20 %:
-# block k = 9 (2,438 rows * 81 roots = 197,478 pairs) 0.23 s against
-# 0.28 s, interleaved k = 9 (183,168) 0.46 against 0.36 s, block b = 2,
-# k = 5 (937,200) 0.39 against 0.42 s, block k = 10 (1,874,400) 0.73
-# against 0.73 s, interleaved b = 2, k = 5 (1,824,000) 0.79 against
-# 0.67 s, interleaved k = 10 (1,824,000) 2.2 against 1.7 s. So every
-# Table 1 search up to k = 9 and block k <= 9 run in process, while
-# k = 10 and interleaved b = 2, k = 5 run on the pool. Interleaved k = 9
-# would gain from the pool, but it has fewer pairs than block k = 9,
-# which loses, so no threshold in this unit sends it there alone.
+# Searches whose shifts hold at least this many scanned (row, root)
+# pairs run on a pool of cfg.worker_count processes, smaller ones in
+# process. A batch of shifts is what the pool splits, one range of its
+# rows per worker, and every search that reaches the pool has so many
+# rows that the batch limit of `_levels.setup` is 1, so its batches are
+# single shifts. The rows are the q1 that the search scans (the orbit
+# minima on the level engine, every q1 on `_scan`), and a row has
+# `_root_count` roots, b*k under interleaved scaling and m under block
+# scaling. Measured as search_r3's elapsed time, each search in a fresh
+# interpreter, medians of 6 runs on 1 worker against 2 (pool forced),
+# alternating, on the host of the threshold above, whose run-to-run
+# spread is about 20 %: block k = 9 (2,438 rows * 81 roots = 197,478
+# pairs) 0.23 s against 0.28 s, interleaved k = 9 (183,168) 0.46 against
+# 0.36 s, block b = 2, k = 5 (937,200) 0.39 against 0.42 s, block k = 10
+# (1,874,400) 0.73 against 0.73 s, interleaved b = 2, k = 5 (1,824,000)
+# 0.79 against 0.67 s, interleaved k = 10 (1,824,000) 2.2 against 1.7 s.
+# So every Table 1 search up to k = 9 and block k <= 9 run in process,
+# while k = 10 and interleaved b = 2, k = 5 run on the pool. Interleaved
+# k = 9 would gain from the pool, but it has fewer pairs than block
+# k = 9, which loses, so no threshold in this unit sends it there alone.
 _POOL_MIN_PAIRS = 1_000_000
 
 
@@ -312,48 +295,15 @@ def _girth_ceiling(cfg: SearchConfig) -> int:
 
 
 def _level_scan(js: tuple[int, ...], floor: int, lo: int, hi: int, state: tuple = ()) -> list[tuple[int, int]]:
-    """Score the candidates (q1, j), q1 in rows lo:hi and j in `js`, that can beat `floor` with the level engine.
+    """`_levels.batch_bests` on rows lo:hi of p and pinv (C-ordered, so the slices are views).
 
-    Returns the range's best (girth, q_idx) per shift, as `_scan` does
-    when that girth exceeds the floor, else (0, 0); q_idx indexes the
-    rows of p, one per orbit minimum. One shift is scored on p and pinv
-    at j; several are scored as one, at shift 1 on the stacked rows of
-    `_levels.relabeled`, in which each shift is a contiguous run of
-    candidates in q1 order. `_levels.survivors` keeps exactly the
-    candidates whose girth exceeds the floor, in ascending order, so a
-    shift's maximum above the floor is attained only among its
-    survivors, and the first of them at it is the range's first q1 at
-    it. At floor 0 every candidate is scored, since the survivors would
-    only lack the incompatible ones, which score 0. The rows of p and
-    pinv are C-ordered (`_levels.images`), so their slices are views.
+    Returns the range's best (girth, q_idx) per shift of `js`, as `_scan` does, when that girth
+    exceeds `floor`, else girth 0; q_idx counts the rows of p, one per orbit minimum, from 0.
     """
     from . import _levels
 
     p, pinv, roots, scratch = state or _STATE
-    p, pinv, j, rows = p[lo:hi], pinv[lo:hi], js[0], hi - lo
-    if len(js) > 1:
-        (p, pinv), j = _levels.relabeled(p, pinv, js), 1
-    alive = _levels.survivors(p, pinv, j, roots, floor, scratch) if floor else None
-    girths = _levels.shift_girths(p, pinv, j, roots, scratch, rows=alive)
-    if len(js) == 1:
-        # without the split below, which costs about 4 µs a call: 1 % of
-        # a Table 1 search, all of whose batches are one shift
-        if not len(girths):
-            return [(0, 0)]
-        best = int(girths.argmax())
-        return [(int(girths[best]), lo + (best if alive is None else int(alive[best])))]
-    # shift js[s] holds the candidates s * rows to (s + 1) * rows - 1 of p
-    cuts = range(0, len(js) * rows + 1, rows)
-    if alive is not None:
-        cuts = alive.searchsorted(cuts).tolist()
-    results = []
-    for s, (start, stop) in enumerate(zip(cuts, cuts[1:])):
-        if stop == start:
-            results.append((0, 0))
-            continue
-        best = start + int(girths[start:stop].argmax())
-        results.append((int(girths[best]), lo + (best if alive is None else int(alive[best])) - s * rows))
-    return results
+    return [(g, lo + row) for g, row in _levels.batch_bests(p[lo:hi], pinv[lo:hi], js, roots, floor, scratch)]
 
 
 def search_r3(
@@ -421,12 +371,8 @@ def search_r3(
     if total >= _LEVEL_MIN_CANDIDATES:
         from . import _levels
 
-        q1s = _levels.orbit_minima(_levels.cycle_rows(n), cfg.strategy)
-        p, pinv = _levels.images(q1s, cfg.k, cfg.strategy)
+        q1s, p, pinv, most = _levels.setup(n, cfg.k, cfg.strategy)
         scan, state = _level_scan, (p, pinv, roots, _levels.Scratch())
-        # past this many shifts one root of a batch fills a chunk, so a
-        # larger batch saves no call
-        most = max(1, _levels.CHUNK_ROOTS // len(q1s))
     else:
         q1s = list(enumerate_k_cycles(n))
         scan, state, most = _scan, (q1s, cfg), 1

@@ -208,6 +208,20 @@ class TestTrustedViews:
                     delattr(value, name)
             assert dataclasses.astuple(value) == before
 
+    @pytest.mark.parametrize("value", [identity(3), HEAWOOD.matrix(), HEAWOOD], ids=lambda value: type(value).__name__)
+    def test_any_name_refused_as_frozen(self, value):
+        # for a name that is not a field, the frozen __setattr__ and
+        # __delattr__ that dataclass writes for a slotted class raise
+        # TypeError (CPython 3.10 to 3.13); every name must raise
+        # FrozenInstanceError, an AttributeError, as a field does
+        before = dataclasses.astuple(value)
+        for name in ("x", *(field.name for field in dataclasses.fields(value))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert not hasattr(value, "x") and dataclasses.astuple(value) == before
+
     def test_to_bipartite_aliases(self, rng):
         # kept only for perfbench, their one caller outside the tests
         for _ in range(10):

@@ -93,18 +93,61 @@ def snapshot(result):
     )
 
 
+# The engine corpus of a search: its rows (`corpus`) and the girths of
+# each admissible shift's candidates, by definition (`shift_references`)
+# and on the engine (`engine_girths`). Each is built once per session,
+# for the search without the j filter, whose shifts hold the filtered
+# ones, and shared by TestLevelEngine, TestFloor and
+# TestTransposeSymmetry; its arrays are read-only.
+
+
+def admissible(cfg: SearchConfig) -> list[int]:
+    """The admissible shifts of a search, ascending."""
+    return valid_shifts(cfg.m, cfg.b * cfg.k if cfg.j_range_filter else 0)
+
+
+def read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@functools.cache
+def corpus(cfg: SearchConfig) -> tuple:
+    """(q_rows, p, pinv, roots): every q1's image row, in enumeration order, and the level engine's inputs."""
+    if cfg.j_range_filter:
+        return corpus(dataclasses.replace(cfg, j_range_filter=False))
+    q_rows = read_only(_levels.cycle_rows(cfg.b * cfg.k))
+    p, pinv = map(read_only, _levels.images(q_rows, cfg.k, cfg.strategy))
+    return q_rows, p, pinv, girthmax.search._root_count(cfg)
+
+
 @functools.cache
 def shift_references(cfg: SearchConfig) -> dict[int, list[int]]:
     """`reference_girth` of every candidate of every admissible shift j, by q1 in enumeration order."""
+    if cfg.j_range_filter:
+        every = shift_references(dataclasses.replace(cfg, j_range_filter=False))
+        return {j: every[j] for j in admissible(cfg)}
     q1s = list(enumerate_k_cycles(cfg.b * cfg.k))
-    shifts = valid_shifts(cfg.m, cfg.b * cfg.k if cfg.j_range_filter else 0)
-    return {j: [reference_girth(q1, j, cfg) for q1 in q1s] for j in shifts}
+    return {j: [reference_girth(q1, j, cfg) for q1 in q1s] for j in admissible(cfg)}
+
+
+@functools.cache
+def engine_girths(cfg: SearchConfig) -> dict:
+    """`_levels.shift_girths` of every candidate of every admissible shift j, by q1 in enumeration order.
+
+    `TestLevelEngine::test_girths_match_girth_bfs_on_every_candidate`
+    checks them against `shift_references`.
+    """
+    if cfg.j_range_filter:
+        every = engine_girths(dataclasses.replace(cfg, j_range_filter=False))
+        return {j: every[j] for j in admissible(cfg)}
+    _, p, pinv, roots = corpus(cfg)
+    return {j: read_only(_levels.shift_girths(p, pinv, j, roots)) for j in admissible(cfg)}
 
 
 def engine_inputs(cfg: SearchConfig) -> tuple:
     """(p, pinv, roots) of the level engine for a search."""
-    p, pinv = _levels.images(_levels.cycle_rows(cfg.b * cfg.k), cfg.k, cfg.strategy)
-    return p, pinv, girthmax.search._root_count(cfg)
+    return corpus(cfg)[1:]
 
 
 ENGINE_SIZES = [(3, 1), (4, 1), (5, 1), (6, 1), (3, 2)]
@@ -174,11 +217,12 @@ def config_id(cfg: SearchConfig) -> str:
 
 @functools.cache
 def relabel_inputs(cfg: SearchConfig) -> tuple:
-    """(p, pinv, roots, shifts, P, Pinv): the engine's rows, every admissible shift, and their relabeled rows."""
+    """(p, pinv, roots, shifts, P, Pinv, G): the engine's rows, every admissible shift, their relabeled rows and the girths of these at shift 1."""
     q_rows = _levels.orbit_minima(_levels.cycle_rows(cfg.b * cfg.k), cfg.strategy)
     p, pinv = _levels.images(q_rows, cfg.k, cfg.strategy)
-    shifts = valid_shifts(cfg.m, cfg.b * cfg.k if cfg.j_range_filter else 0)
-    return (p, pinv, girthmax.search._root_count(cfg), shifts, *_levels.relabeled(p, pinv, shifts))
+    roots, shifts = girthmax.search._root_count(cfg), admissible(cfg)
+    big_p, big_pinv = _levels.relabeled(p, pinv, shifts)
+    return (p, pinv, roots, shifts, big_p, big_pinv, read_only(_levels.shift_girths(big_p, big_pinv, 1, roots)))
 
 
 class TestLevelEngine:
@@ -187,9 +231,9 @@ class TestLevelEngine:
         incompatible = 0
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
-            p, pinv, roots = engine_inputs(cfg)
+            girths = engine_girths(cfg)
             for j, want in shift_references(cfg).items():
-                assert _levels.shift_girths(p, pinv, j, roots).tolist() == want, (strategy, j)
+                assert girths[j].tolist() == want, (strategy, j)
                 incompatible += want.count(0)
         assert incompatible > 0
 
@@ -231,7 +275,7 @@ class TestLevelEngine:
             cfg = SearchConfig(k=k, strategy=strategy)
             p, pinv, roots = engine_inputs(cfg)
             for j in valid_shifts(cfg.m, k)[:6]:
-                girths = _levels.shift_girths(p, pinv, j, roots, scratch)
+                girths = engine_girths(cfg)[j]
                 for floor in (6, 8):
                     want = np.flatnonzero(girths > floor)
                     got = _levels.survivors(p, pinv, j, roots, floor, scratch)
@@ -272,17 +316,17 @@ class TestLevelEngine:
 
     @pytest.mark.parametrize("cfg", RELABEL_CONFIGS, ids=config_id)
     def test_relabeled_rows_at_shift_1_have_the_girths_of_their_shifts(self, cfg):
-        p, pinv, roots, shifts, big_p, big_pinv = relabel_inputs(cfg)
+        p, pinv, roots, shifts, big_p, big_pinv, big_girths = relabel_inputs(cfg)
         assert big_p.shape == big_pinv.shape == (len(shifts) * len(p), cfg.m)
         assert big_p.flags.c_contiguous and big_pinv.flags.c_contiguous and big_p.dtype == p.dtype
         scratch = _levels.Scratch()
-        got = _levels.shift_girths(big_p, big_pinv, 1, roots, scratch).reshape(len(shifts), len(p))
+        got = big_girths.reshape(len(shifts), len(p))
         for j, row in zip(shifts, got):
             assert row.tolist() == _levels.shift_girths(p, pinv, j, roots, scratch).tolist(), j
 
     @pytest.mark.parametrize("cfg", RELABEL_CONFIGS, ids=config_id)
     def test_relabeled_rows_keep_the_survivors(self, cfg):
-        p, pinv, roots, shifts, big_p, big_pinv = relabel_inputs(cfg)
+        p, pinv, roots, shifts, big_p, big_pinv, _ = relabel_inputs(cfg)
         scratch = _levels.Scratch()
         for floor in (4, 6, 8):
             kept = [_levels.survivors(p, pinv, j, roots, floor, scratch) for j in shifts]
@@ -295,25 +339,23 @@ class TestLevelEngine:
     def test_relabeled_interleaved_rows_need_only_n_roots(self, cfg):
         # x -> x + n becomes x -> x + n * j^-1, which generates the same
         # subgroup of Z_m, so the roots 0..n-1 still meet every orbit
-        _, _, roots, _, big_p, big_pinv = relabel_inputs(cfg)
+        _, _, roots, _, big_p, big_pinv, big_girths = relabel_inputs(cfg)
         assert roots == cfg.b * cfg.k < cfg.m
-        scratch = _levels.Scratch()
-        every = _levels.shift_girths(big_p, big_pinv, 1, cfg.m, scratch)
-        assert _levels.shift_girths(big_p, big_pinv, 1, roots, scratch).tolist() == every.tolist()
+        every = _levels.shift_girths(big_p, big_pinv, 1, cfg.m)
+        assert big_girths.tolist() == every.tolist()
 
     def test_relabeled_incompatible_candidates_occur(self):
         # the interleaved searches without the j filter have shifts that
         # collide with p1, and the relabeled rows keep them at girth 0
         incompatible = 0
         for cfg in RELABEL_CONFIGS:
-            _, _, roots, _, big_p, big_pinv = relabel_inputs(cfg)
-            incompatible += int((_levels.shift_girths(big_p, big_pinv, 1, roots) == 0).sum())
+            incompatible += int((relabel_inputs(cfg)[-1] == 0).sum())
         assert incompatible > 0
 
     def test_rows_select_candidates(self):
         cfg = SearchConfig(k=5)
         p, pinv, roots = engine_inputs(cfg)
-        girths = _levels.shift_girths(p, pinv, 7, roots)
+        girths = engine_girths(cfg)[7]
         for rows in (np.arange(1, len(p)), np.arange(len(p) - 1), np.array([0, 5, 7]), np.arange(0)):
             assert _levels.shift_girths(p, pinv, 7, roots, rows=rows).tolist() == girths[rows].tolist()
 
@@ -431,14 +473,11 @@ def full_scan(cfg: SearchConfig):
     Returns (girth, j, q1 image, evaluated, skipped) of the first
     maximum in (j, q1) order, over the full candidate space.
     """
-    n = cfg.b * cfg.k
-    q_rows = _levels.cycle_rows(n)
-    p, pinv = _levels.images(q_rows, cfg.k, cfg.strategy)
-    roots = girthmax.search._root_count(cfg)
+    q_rows = corpus(cfg)[0]
     best = (0, 0, ())
     evaluated = skipped = 0
-    for j in valid_shifts(cfg.m, n if cfg.j_range_filter else 0):
-        girths = _levels.shift_girths(p, pinv, j, roots).tolist()
+    for j, girths in engine_girths(cfg).items():
+        girths = girths.tolist()
         if max(girths) > best[0]:
             q_idx = girths.index(max(girths))
             best = (max(girths), j, tuple(q_rows[q_idx].tolist()))
@@ -458,11 +497,13 @@ class TestTransposeSymmetry:
         # girth(q1, j) = girth(q1^-1, m - j), incompatible matching
         # incompatible; no j filter, so every shift is covered
         incompatible = 0
+        index = {q1: i for i, q1 in enumerate(enumerate_k_cycles(b * k))}
         for strategy in ScalingStrategy:
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=False)
+            girths = shift_references(cfg)
             for q1, j in candidate_space(cfg):
-                g = reference_girth(q1, j, cfg)
-                assert g == reference_girth(inverse(q1), cfg.m - j, cfg), (strategy, q1, j)
+                g = girths[j][index[q1]]
+                assert g == girths[cfg.m - j][index[inverse(q1)]], (strategy, q1, j)
                 incompatible += g == 0
         assert incompatible > 0
 
@@ -502,10 +543,8 @@ class TestTransposeSymmetry:
         maps = [np.array([index[row] for row in map(tuple, image.tolist())]) for image in images]
         for strategy in ScalingStrategy:
             cfg = SearchConfig(k=7, strategy=strategy, j_range_filter=False)
-            p, pinv, roots = engine_inputs(cfg)
             seen = set()
-            for j in valid_shifts(cfg.m, 0):
-                girths = _levels.shift_girths(p, pinv, j, roots)
+            for j, girths in engine_girths(cfg).items():
                 seen |= set(girths.tolist())
                 for to in maps if strategy is ScalingStrategy.BLOCK else maps[:1]:
                     assert (girths[to] == girths).all(), (strategy, j)
@@ -690,7 +729,7 @@ class TestFloor:
         monkeypatch.setattr(_levels, "shift_girths", spy)
         result = search_r3(SearchConfig(k=7))
         assert (result.best_girth, result.witness_j) == (8, 22)
-        assert exact[:3] == [(8, 78, None), (1, 2 * 78, []), (1, 4 * 78, [])]
+        assert exact[:3] == [(8, 78, list(range(78))), (1, 2 * 78, []), (1, 4 * 78, [])]
         j, rows, scored = exact[3]
         assert (j, rows, len(exact)) == (1, 8 * 78, 4)
         # candidate c is row c % 78 of the batch's shift c // 78, and
