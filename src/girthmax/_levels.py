@@ -1,8 +1,9 @@
 """Level engine of the search: the exact girth of many candidates at once.
 
-`search` makes two calls: `setup` builds a search's q1 and p1 rows and
-its batch limit, and `batch_bests` returns each shift's best (girth,
-row) above a floor.
+`search` makes two calls: `setup` builds a search's q1 rows, the
+engine's tables of them and its batch limit, and `batch_bests` returns
+each shift's best (girth, row) above a floor on a range of those rows.
+`search` does not read the tables, so a change of them stays here.
 
 `chunk_girths` extends the non-backtracking walks from a set of roots
 level by level, as numpy gathers shared by a chunk of q1 rows, and a
@@ -158,12 +159,15 @@ def images(q_rows, k: int, strategy: ScalingStrategy):
 
 
 def setup(n: int, k: int, strategy: ScalingStrategy):
-    """(q_rows, p, pinv, most) of a search: the `orbit_minima` of `cycle_rows(n)`, their `images`, and a batch limit.
+    """(q_rows, tables, most) of a search: its q1 rows, the tables that `batch_bests` reads, and a batch limit.
 
-    Past `most` shifts, one root of a batch fills a chunk, so a larger batch saves no call.
+    The q1 rows are the `orbit_minima` of `cycle_rows(n)`. The tables
+    are (p, pinv, scratch): the `images` of those rows and the `Scratch`
+    that every batch of the search reuses. Past `most` shifts, one root
+    of a batch fills a chunk, so a larger batch saves no call.
     """
     q_rows = orbit_minima(cycle_rows(n), strategy)
-    return (q_rows, *images(q_rows, k, strategy), max(1, CHUNK_ROOTS // len(q_rows)))
+    return q_rows, (*images(q_rows, k, strategy), Scratch()), max(1, CHUNK_ROOTS // len(q_rows))
 
 
 def relabeled(p, pinv, js):
@@ -360,30 +364,27 @@ def survivors(p, pinv, j: int, roots: int, floor: int, scratch: Scratch | None =
     return alive
 
 
-def batch_bests(p, pinv, js, roots: int, floor: int, scratch: Scratch) -> list[tuple[int, int]]:
-    """Best (girth, row) of each shift j in `js` over the candidates (p[i], I, C_j) whose girth exceeds `floor`.
+def batch_bests(tables, roots: int, js, floor: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Best (girth, row) of each shift j in `js` over the candidates (p[i], I, C_j), i in lo:hi, above `floor`.
 
-    A shift's row is the first row of p at its best girth, and a shift
-    with no candidate above the floor gives (0, 0). Several shifts are
-    scored as one, at shift 1 on the rows of `relabeled`, in which each
-    shift is a contiguous run of candidates in the order of p; one shift
-    is scored on p as it is. Above a positive floor, `survivors` keeps
-    exactly the candidates whose girth exceeds it, in ascending order,
-    so a shift's maximum above the floor is attained only among them,
-    and the first of them at it is the shift's first row at it. At
-    floor 0 every candidate is scored, since the survivors would only
-    lack the incompatible ones, which score 0.
+    `tables` are `setup`'s. The batch is scored into one table of
+    girths, a row per shift and a column per candidate of the range,
+    that reads 0 at or below the floor. A shift's best is the maximum of
+    its row, at the row's first column that holds it, counted as a row
+    of p from 0; so a shift with no candidate above the floor gives
+    girth 0. Several shifts are scored as one, at shift 1 on the rows of
+    `relabeled`, whose stacked candidates fill the table row by row; one
+    shift is scored on p as it is. Above a positive floor only the
+    candidates that `survivors` keeps, exactly those whose girth exceeds
+    it, are scored. At floor 0 every candidate is scored, since the
+    survivors would only lack the incompatible ones, which score 0.
     """
-    rows, j = len(p), js[0]
+    p, pinv, scratch = tables
+    # the tables are C-ordered, so the slices are views
+    p, pinv, j = p[lo:hi], pinv[lo:hi], js[0]
     if len(js) > 1:
         (p, pinv), j = relabeled(p, pinv, js), 1
     alive = survivors(p, pinv, j, roots, floor, scratch) if floor else np.arange(len(p))
-    girths = shift_girths(p, pinv, j, roots, scratch, rows=alive)
-    # shift js[s] holds the candidates s * rows to (s + 1) * rows - 1 of p
-    cuts = alive.searchsorted(range(0, len(p) + 1, rows)).tolist()
-    bests = [(0, 0)] * len(js)
-    for s, (start, stop) in enumerate(zip(cuts, cuts[1:])):
-        if stop > start:
-            best = start + int(girths[start:stop].argmax())
-            bests[s] = (int(girths[best]), int(alive[best]) - s * rows)
-    return bests
+    girths = np.zeros((len(js), hi - lo), np.int32)
+    girths.put(alive, shift_girths(p, pinv, j, roots, scratch, rows=alive))
+    return list(zip(girths.max(axis=1).tolist(), (girths.argmax(axis=1) + lo).tolist()))

@@ -34,15 +34,17 @@ Batch sizes double (1, 2, 4, ...), up to the limit of `_levels.setup`
 on the level engine and 1 on `_scan`, and go back to 1 whenever the
 best girth is one step (2) below the ceiling, since any survivor then
 ends the search and the later shifts of a batch would be scored for
-nothing. The workers:
+nothing. Every range, in process or on the pool, is one `_task` call,
+which hands it to the search's scorer:
 
-* `_level_scan`, the level engine, for searches of at least
+* `_levels.batch_bests`, the level engine, for searches of at least
   `_LEVEL_MIN_CANDIDATES` candidates, every k >= 5 among them. The
   engine is the private module `_levels`, imported (with numpy) only
   when a search uses it, behind two calls: `_levels.setup` builds the
-  q1 rows, one per isomorphism class (below), and their p1 rows once
-  per search, and `_levels.batch_bests` scores a batch on rows lo:hi.
-  Only the winner's row becomes a `Permutation`.
+  q1 rows, one per isomorphism class (below), and the engine's tables
+  of them once per search, and `_levels.batch_bests` scores a batch on
+  rows lo:hi of those tables, which `search` passes on unread. Only the
+  winner's row becomes a `Permutation`.
 * `_scan` for the tiny searches below that, which do not repay numpy's
   import. It scores each candidate by its definition, `girth_bfs` of
   `construct_candidate(q1, j, cfg)`, over the q1 of `enumerate_k_cycles`,
@@ -199,8 +201,9 @@ def construct_candidate(q1: Permutation, j: int, cfg: SearchConfig) -> Btu:
 
 
 # Per-search state of a pool worker, installed by the pool initializer;
-# a serial scan passes it instead. (q1s, cfg) for `_scan`,
-# (p, pinv, roots, scratch) for `_level_scan`.
+# a serial scan passes it instead. (scorer, *args), which `_task` calls
+# as scorer(*args, js, floor, lo, hi): (_scan, q1s, cfg), or
+# (_levels.batch_bests, tables, roots) with the tables of `_levels.setup`.
 _STATE: tuple = ()
 
 
@@ -209,14 +212,24 @@ def _install(*state) -> None:
     _STATE = state
 
 
-def _scan(js: tuple[int, ...], floor: int, lo: int, hi: int, state: tuple = ()) -> list[tuple[int, int]]:
+def _task(js: tuple[int, ...], floor: int, lo: int, hi: int, state: tuple = ()) -> list[tuple[int, int]]:
+    """The range's best (girth, q_idx) per shift of `js`, from the scorer of `state` (default `_STATE`).
+
+    Both scorers give, per shift, the largest girth over the candidates
+    (q1, j), q1 in rows lo:hi, with the index of the first q1 at it; the
+    level engine gives it when it exceeds `floor`, else girth 0.
+    """
+    scorer, *args = state or _STATE
+    return scorer(*args, js, floor, lo, hi)
+
+
+def _scan(q1s: list, cfg: SearchConfig, js: tuple[int, ...], floor: int, lo: int, hi: int) -> list[tuple[int, int]]:
     """Score every candidate (q1, j), q1 in rows lo:hi, of each shift j of `js` by its definition.
 
     Returns the range's best (girth, q_idx) per shift: the largest exact
     girth under j with the index of the first q1 attaining it (girth 0
     when every candidate is incompatible). The floor is not used.
     """
-    q1s, cfg = state or _STATE
     results = []
     for j in js:
         best_g, best_q = 0, 0
@@ -294,18 +307,6 @@ def _girth_ceiling(cfg: SearchConfig) -> int:
     return min(2 * cfg.b * cfg.k, 2 * ((cfg.m + 1).bit_length() - 1))
 
 
-def _level_scan(js: tuple[int, ...], floor: int, lo: int, hi: int, state: tuple = ()) -> list[tuple[int, int]]:
-    """`_levels.batch_bests` on rows lo:hi of p and pinv (C-ordered, so the slices are views).
-
-    Returns the range's best (girth, q_idx) per shift of `js`, as `_scan` does, when that girth
-    exceeds `floor`, else girth 0; q_idx counts the rows of p, one per orbit minimum, from 0.
-    """
-    from . import _levels
-
-    p, pinv, roots, scratch = state or _STATE
-    return [(g, lo + row) for g, row in _levels.batch_bests(p[lo:hi], pinv[lo:hi], js, roots, floor, scratch)]
-
-
 def search_r3(
     cfg: SearchConfig,
     progress: Callable[[int, int, int], None] | None = None,
@@ -371,18 +372,18 @@ def search_r3(
     if total >= _LEVEL_MIN_CANDIDATES:
         from . import _levels
 
-        q1s, p, pinv, most = _levels.setup(n, cfg.k, cfg.strategy)
-        scan, state = _level_scan, (p, pinv, roots, _levels.Scratch())
+        q1s, tables, most = _levels.setup(n, cfg.k, cfg.strategy)
+        state = (_levels.batch_bests, tables, roots)
     else:
         q1s = list(enumerate_k_cycles(n))
-        scan, state, most = _scan, (q1s, cfg), 1
+        state, most = (_scan, q1s, cfg), 1
     rows = len(q1s)
     workers = min(cfg.worker_count, rows) if rows * roots >= _POOL_MIN_PAIRS else 1
 
     best_girth, best_j, best_q = 0, 0, 0
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            score = lambda js, floor: scan(js, floor, 0, rows, state)
+            score = lambda js, floor: _task(js, floor, 0, rows, state)
         else:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -394,7 +395,7 @@ def search_r3(
 
             def score(js, floor):
                 # the ranges ascend in q1, and max keeps the first range at a shift's maximum
-                futures = [pool.submit(scan, js, floor, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+                futures = [pool.submit(_task, js, floor, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
                 ranges = [future.result() for future in futures]
                 return [max(shift, key=lambda result: result[0]) for shift in zip(*ranges)]
 

@@ -17,22 +17,17 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # puts every search with more than one worker on the pool, whatever its
 # size, and makes every pool worker exit at its first shift, on either
-# path; the patched functions are top-level so that the pool can pickle
-# them by name
+# path, since every range of either scorer is one `_task`; the patched
+# function is top-level so that the pool can pickle it by name
 _DYING_WORKERS = (
     "import os, sys\n"
     "import girthmax.search as search\n"
-    "parent, scan, level_scan = os.getpid(), search._scan, search._level_scan\n"
-    "def dying_scan(*args, **kwargs):\n"
+    "parent, task = os.getpid(), search._task\n"
+    "def dying_task(*args, **kwargs):\n"
     "    if os.getpid() != parent:\n"
     "        os._exit(3)\n"
-    "    return scan(*args, **kwargs)\n"
-    "def dying_level_scan(*args, **kwargs):\n"
-    "    if os.getpid() != parent:\n"
-    "        os._exit(3)\n"
-    "    return level_scan(*args, **kwargs)\n"
-    "search._scan = dying_scan\n"
-    "search._level_scan = dying_level_scan\n"
+    "    return task(*args, **kwargs)\n"
+    "search._task = dying_task\n"
     "search._POOL_MIN_PAIRS = 0\n"
 )
 
@@ -104,8 +99,7 @@ def round_trips(value) -> list:
 def run_python(code: str, dying_workers: bool = False) -> subprocess.CompletedProcess:
     """Run `code` in a fresh interpreter on this checkout's sources.
 
-    With `dying_workers`, `search._scan` and `search._level_scan`
-    are patched first so that every pool worker dies, and every search
+    With `dying_workers`, `search._task` is patched first so that every pool worker dies, and every search
     with more than one worker starts a pool. The timeout fails a hung
     pool instead of stalling the suite.
     """

@@ -645,13 +645,13 @@ class TestGirthCeiling:
         # winner reaches the ceiling of 10 at j = 10; the first shift's
         # best, 8, is one step below it, so every later batch is one shift
         scanned = []
-        level_scan = girthmax.search._level_scan
+        task = girthmax.search._task
 
         def spy(js, *args, **kwargs):
             scanned.append(js)
-            return level_scan(js, *args, **kwargs)
+            return task(js, *args, **kwargs)
 
-        monkeypatch.setattr(girthmax.search, "_level_scan", spy)
+        monkeypatch.setattr(girthmax.search, "_task", spy)
         result = search_r3(SearchConfig(k=7, strategy=ScalingStrategy.INTERLEAVED))
         assert (result.best_girth, result.witness_j) == (10, 10)
         assert scanned == [(8,), (9,), (10,)]
@@ -748,14 +748,14 @@ class TestFloor:
         # it, so the sizes keep doubling: all 15 shifts run in 4 batches,
         # and the best, 8 from j = 22 on, is found in the last one
         monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
-        level_scan = girthmax.search._level_scan
+        task = girthmax.search._task
 
         def spy(*args):
             submitted.append(args[:4])
-            return level_scan(*args)
+            return task(*args)
 
         if workers == 1:
-            monkeypatch.setattr(girthmax.search, "_level_scan", spy)
+            monkeypatch.setattr(girthmax.search, "_task", spy)
         search_r3(SearchConfig(k=7, worker_count=workers))
         batches = [(8,), (9, 10), (11, 12, 13, 15), (16, 17, 18, 19, 20, 22, 23, 24)]
         floors = [(js, 0 if js == (8,) else 6) for js in batches]
@@ -784,15 +784,17 @@ class TestFloor:
         # largest girth; the shifts cut into batches of 1, 2 or 3
         # consecutive shifts each give their own result. The engine reports (0, 0) for a
         # shift with no girth above the floor, while `_scan` ignores the
-        # floor
+        # floor. The worker state is built as `search_r3` builds it
+        task = girthmax.search._task
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
             if engine:
                 p, pinv, roots = engine_inputs(cfg)
-                scan, state = girthmax.search._level_scan, (p, pinv, roots, _levels.Scratch())
+                rows, state = len(p), (_levels.batch_bests, (p, pinv, _levels.Scratch()), roots)
             else:
-                scan, state = girthmax.search._scan, (list(enumerate_k_cycles(b * k)), cfg)
-            rows, references = len(state[0]), shift_references(cfg)
+                q1s = list(enumerate_k_cycles(b * k))
+                rows, state = len(q1s), (girthmax.search._scan, q1s, cfg)
+            references = shift_references(cfg)
             shifts = list(references)
             batches = [tuple(shifts[i : i + size]) for size in (1, 2, 3) for i in range(0, len(shifts), size)]
             for js, floor in itertools.product(batches, (0, 4, 6, 8)):
@@ -802,10 +804,47 @@ class TestFloor:
                     whole.append((best, want.index(best)) if best > floor or not engine else (0, 0))
                 for parts in range(1, min(5, rows) + 1):
                     cuts = [rows * w // parts for w in range(parts + 1)]
-                    results = [scan(js, floor, lo, hi, state) for lo, hi in zip(cuts, cuts[1:])]
+                    results = [task(js, floor, lo, hi, state) for lo, hi in zip(cuts, cuts[1:])]
                     merged = [max(shift, key=lambda r: r[0]) for shift in zip(*results)]
                     assert merged == whole, (strategy, j_filter, js, floor, parts)
 
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SearchConfig(k=k, b=b, strategy=strategy)
+            for (k, b), strategy in itertools.product([(5, 1), (6, 1), (7, 1), (3, 2)], ScalingStrategy)
+        ],
+        ids=config_id,
+    )
+    def test_batch_bests_on_a_row_range_are_the_best_girths_by_definition(self, cfg):
+        # `_levels.batch_bests` on `setup`'s tables, for every batch of 1
+        # to 3 consecutive scanned shifts, on all rows and on either half:
+        # each shift's largest `reference_girth` over the range, with its
+        # first row counted from 0, when that beats the floor, else girth
+        # 0. The rows are the orbit minima that the search scans, so k = 7
+        # needs 1,170 (block) or 5,760 (interleaved) `girth_bfs` calls
+        # rather than the 10,800 of every q1
+        q_rows, tables, _ = _levels.setup(cfg.b * cfg.k, cfg.k, cfg.strategy)
+        q1s = [Permutation(map(int, row)) for row in q_rows]
+        roots, shifts = girthmax.search._root_count(cfg), [j for j in admissible(cfg) if 2 * j < cfg.m]
+        references = {j: [reference_girth(q1, j, cfg) for q1 in q1s] for j in shifts}
+        rows = len(q1s)
+        batches = [tuple(shifts[i : i + size]) for size in (1, 2, 3) for i in range(len(shifts) - size + 1)]
+        ranges = ((0, rows), (0, rows // 2), (rows // 2, rows))
+        above = 0
+        for js, (lo, hi), floor in itertools.product(batches, ranges, (0, 4, 6, 8)):
+            got = _levels.batch_bests(tables, roots, js, floor, lo, hi)
+            assert len(got) == len(js), (js, lo, hi, floor)
+            for j, (girth, row) in zip(js, got):
+                want = references[j][lo:hi]
+                best = max(want)
+                if best > floor:
+                    assert (girth, row) == (best, lo + want.index(best)), (j, lo, hi, floor)
+                    above += 1
+                else:
+                    assert girth == 0, (j, lo, hi, floor)
+        assert 0 < above
 
 class TestCandidateCounts:
     def test_closed_form_counts_incompatible_constructions(self):
@@ -903,8 +942,7 @@ class TestSearchSmall:
         def no_scan(*args, **kwargs):
             raise AssertionError("scanned a search with no compatible candidate")
 
-        monkeypatch.setattr(girthmax.search, "_scan", no_scan)
-        monkeypatch.setattr(girthmax.search, "_level_scan", no_scan)
+        monkeypatch.setattr(girthmax.search, "_task", no_scan)
         cfg = SearchConfig(k=2, strategy=ScalingStrategy.INTERLEAVED, j_range_filter=False)
         with pytest.raises(NoValidShift, match="^every candidate pair was incompatible$"):
             search_r3(cfg)
