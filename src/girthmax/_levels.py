@@ -1,9 +1,10 @@
 """Level engine of the search: the exact girth of many candidates at once.
 
 `search` makes two calls: `setup` builds a search's q1 rows, the
-engine's tables of them and its batch limit, and `batch_bests` returns
-each shift's best (girth, row) above a floor on a range of those rows.
-`search` does not read the tables, so a change of them stays here.
+engine's tables of them (the roots among them) and its batch limit, and
+`batch_bests` returns each shift's best (girth, row) above a floor on a
+range of those rows. `search` does not read the tables, so a change of
+them, or of the roots, stays here.
 
 `chunk_girths` extends the non-backtracking walks from a set of roots
 level by level, as numpy gathers shared by a chunk of q1 rows, and a
@@ -15,8 +16,8 @@ keeps the vertex, so the I walks take the masks of the level before.
 This reads girth off closed non-backtracking walks, the view of
 Fossorier, "Quasi-cyclic LDPC codes from circulant permutation
 matrices" (IEEE Trans. IT 50(8), 2004). `chunk_girths` proves the level
-test; the roots that suffice are the search's choice
-(`search._root_count` proves them) and the scaling is `perm._scale_map`.
+test, `root_count` the roots that suffice, and the scaling is
+`perm._scale_map`.
 `shift_girths` scores one shift, and `survivors` drops the candidates
 that one root proves to have a girth no larger than a floor. `relabeled`
 turns the candidates of several shifts into candidates of shift 1, by
@@ -148,26 +149,47 @@ def images(q_rows, k: int, strategy: ScalingStrategy):
     inverse rows scale the inverse q1 rows (`_inverse_rows`). The arrays
     are C-ordered (as `take` leaves them, unlike indexing by `src`), so
     that a slice of rows is contiguous and `chunk_girths` can gather on
-    it without a copy.
+    it without a copy, and scaled in place, so that no further
+    (len(q_rows), m) temporary is built.
     """
     n = len(q_rows[0])
     dtype = np.uint8 if n * k <= 256 else np.uint16
     q = np.asarray(q_rows, dtype)
     src, offset, factor = _scale_map(n, k, strategy)
     offset = np.array(offset, dtype)
-    return tuple(rows.take(src, axis=1) * factor + offset for rows in (q, _inverse_rows(q)))
+    tables = q.take(src, axis=1), _inverse_rows(q).take(src, axis=1)
+    for table in tables:
+        table *= factor
+        table += offset
+    return tables
+
+
+def root_count(n: int, k: int, strategy: ScalingStrategy) -> int:
+    """Roots per candidate, the left vertices 0..count-1 that the engine walks from.
+
+    They must meet every shortest cycle and double edge of each
+    candidate (scale_up(q1, k, strategy), I, C_j), q1 on n points. Block
+    scaling takes all m = n*k. Interleaved scaling takes n: there p1
+    maps i + t*n to q1[i] + t*n, so x -> x + n mod m (on both sides)
+    commutes with p1, I and C_j and is an automorphism of the graph. It
+    moves any shortest cycle, or double edge, through a left vertex x
+    onto one through x mod n.
+    """
+    return n if strategy is ScalingStrategy.INTERLEAVED else n * k
 
 
 def setup(n: int, k: int, strategy: ScalingStrategy):
     """(q_rows, tables, most) of a search: its q1 rows, the tables that `batch_bests` reads, and a batch limit.
 
     The q1 rows are the `orbit_minima` of `cycle_rows(n)`. The tables
-    are (p, pinv, scratch): the `images` of those rows and the `Scratch`
-    that every batch of the search reuses. Past `most` shifts, one root
-    of a batch fills a chunk, so a larger batch saves no call.
+    are (p, pinv, roots, scratch): the `images` of those rows, the
+    `root_count` and the `Scratch` that every batch of the search
+    reuses. Past `most` shifts, one root of a batch fills a chunk, so a
+    larger batch saves no call.
     """
     q_rows = orbit_minima(cycle_rows(n), strategy)
-    return q_rows, (*images(q_rows, k, strategy), Scratch()), max(1, CHUNK_ROOTS // len(q_rows))
+    tables = (*images(q_rows, k, strategy), root_count(n, k, strategy), Scratch())
+    return q_rows, tables, max(1, CHUNK_ROOTS // len(q_rows))
 
 
 def relabeled(p, pinv, js):
@@ -190,7 +212,7 @@ def relabeled(p, pinv, js):
     circulants (Adam, J. Combin. Theory 2, 1967) on the
     circulant-plus-permutation view.
 
-    The roots of `search._root_count` still suffice. Block scaling
+    The roots of `root_count` still suffice. Block scaling
     takes all m, which a bijection keeps. Under interleaved scaling
     the automorphism x -> x + n becomes x' -> x' + a*n, and since a is
     a unit, a*n generates the same subgroup n*Z_m: the roots 0..n-1
@@ -324,7 +346,7 @@ def shift_girths(p, pinv, j: int, roots: int, scratch: Scratch | None = None, ro
     """Girth of each candidate (p[i], I, C_j), i in `rows` (default every row of p); 0 if incompatible.
 
     Walks start at the left vertices 0..roots-1, which must meet every
-    shortest cycle and double edge (`search._root_count`). Pass one
+    shortest cycle and double edge (`root_count` proves which do). Pass one
     `scratch` to every shift of a search, so that its work arrays are
     allocated once.
     """
@@ -364,22 +386,23 @@ def survivors(p, pinv, j: int, roots: int, floor: int, scratch: Scratch | None =
     return alive
 
 
-def batch_bests(tables, roots: int, js, floor: int, lo: int, hi: int) -> list[tuple[int, int]]:
+def batch_bests(tables, js, floor: int, lo: int, hi: int) -> list[tuple[int, int]]:
     """Best (girth, row) of each shift j in `js` over the candidates (p[i], I, C_j), i in lo:hi, above `floor`.
 
-    `tables` are `setup`'s. The batch is scored into one table of
-    girths, a row per shift and a column per candidate of the range,
-    that reads 0 at or below the floor. A shift's best is the maximum of
-    its row, at the row's first column that holds it, counted as a row
-    of p from 0; so a shift with no candidate above the floor gives
-    girth 0. Several shifts are scored as one, at shift 1 on the rows of
-    `relabeled`, whose stacked candidates fill the table row by row; one
-    shift is scored on p as it is. Above a positive floor only the
-    candidates that `survivors` keeps, exactly those whose girth exceeds
-    it, are scored. At floor 0 every candidate is scored, since the
-    survivors would only lack the incompatible ones, which score 0.
+    `tables` are `setup`'s, and the walks start at their roots. The
+    batch is scored into one table of girths, a row per shift and a
+    column per candidate of the range, that reads 0 at or below the
+    floor. A shift's best is the maximum of its row, at the row's first
+    column that holds it, counted as a row of p from 0; so a shift with
+    no candidate above the floor gives girth 0. Several shifts are
+    scored as one, at shift 1 on the rows of `relabeled`, whose stacked
+    candidates fill the table row by row; one shift is scored on p as it
+    is. Above a positive floor only the candidates that `survivors`
+    keeps, exactly those whose girth exceeds it, are scored. At floor 0
+    every candidate is scored, since the survivors would only lack the
+    incompatible ones, which score 0.
     """
-    p, pinv, scratch = tables
+    p, pinv, roots, scratch = tables
     # the tables are C-ordered, so the slices are views
     p, pinv, j = p[lo:hi], pinv[lo:hi], js[0]
     if len(js) > 1:

@@ -19,8 +19,8 @@ range). Batches are scored one after another, each against a floor, the
 best girth of the shifts before it, by a worker function that takes a
 contiguous range of the q1 rows: in process one call covers every row,
 and on a fork pool, for searches whose shifts are large enough to repay
-it (`_POOL_MIN_PAIRS` scanned (row, root) pairs per shift), the rows are
-cut into one range per worker, all scored at the same floor. A worker
+it (`_POOL_MIN_ROWS` scanned q1 rows per shift), the rows are cut into
+one range per worker, all scored at the same floor. A worker
 gives every candidate of its range that can beat the floor its exact
 girth and returns the range's best (girth, q1 index) per shift; the
 merge goes shift by shift in ascending j and keeps the first strictly
@@ -43,8 +43,10 @@ which hands it to the search's scorer:
   when a search uses it, behind two calls: `_levels.setup` builds the
   q1 rows, one per isomorphism class (below), and the engine's tables
   of them once per search, and `_levels.batch_bests` scores a batch on
-  rows lo:hi of those tables, which `search` passes on unread. Only the
-  winner's row becomes a `Permutation`.
+  rows lo:hi of those tables, which `search` passes on unread. The
+  roots that the engine walks from are among its tables, and
+  `_levels.root_count` proves that they suffice. Only the winner's row
+  becomes a `Permutation`.
 * `_scan` for the tiny searches below that, which do not repay numpy's
   import. It scores each candidate by its definition, `girth_bfs` of
   `construct_candidate(q1, j, cfg)`, over the q1 of `enumerate_k_cycles`,
@@ -203,7 +205,7 @@ def construct_candidate(q1: Permutation, j: int, cfg: SearchConfig) -> Btu:
 # Per-search state of a pool worker, installed by the pool initializer;
 # a serial scan passes it instead. (scorer, *args), which `_task` calls
 # as scorer(*args, js, floor, lo, hi): (_scan, q1s, cfg), or
-# (_levels.batch_bests, tables, roots) with the tables of `_levels.setup`.
+# (_levels.batch_bests, tables) with the tables of `_levels.setup`.
 _STATE: tuple = ()
 
 
@@ -257,40 +259,26 @@ def _scan(q1s: list, cfg: SearchConfig, js: tuple[int, ...], floor: int, lo: int
 # and up) run on the engine: a lone cold k = 5 search takes about 0.1 s.
 _LEVEL_MIN_CANDIDATES = 100
 
-# Searches whose shifts hold at least this many scanned (row, root)
-# pairs run on a pool of cfg.worker_count processes, smaller ones in
-# process. A batch of shifts is what the pool splits, one range of its
-# rows per worker, and every search that reaches the pool has so many
-# rows that the batch limit of `_levels.setup` is 1, so its batches are
-# single shifts. The rows are the q1 that the search scans (the orbit
-# minima on the level engine, every q1 on `_scan`), and a row has
-# `_root_count` roots, b*k under interleaved scaling and m under block
-# scaling. Measured as search_r3's elapsed time, each search in a fresh
-# interpreter, medians of 6 runs on 1 worker against 2 (pool forced),
-# alternating, on the host of the threshold above, whose run-to-run
-# spread is about 20 %: block k = 9 (2,438 rows * 81 roots = 197,478
-# pairs) 0.23 s against 0.28 s, interleaved k = 9 (183,168) 0.46 against
-# 0.36 s, block b = 2, k = 5 (937,200) 0.39 against 0.42 s, block k = 10
-# (1,874,400) 0.73 against 0.73 s, interleaved b = 2, k = 5 (1,824,000)
-# 0.79 against 0.67 s, interleaved k = 10 (1,824,000) 2.2 against 1.7 s.
-# So every Table 1 search up to k = 9 and block k <= 9 run in process,
-# while k = 10 and interleaved b = 2, k = 5 run on the pool. Interleaved
-# k = 9 would gain from the pool, but it has fewer pairs than block
-# k = 9, which loses, so no threshold in this unit sends it there alone.
-_POOL_MIN_PAIRS = 1_000_000
-
-
-def _root_count(cfg: SearchConfig) -> int:
-    """Roots per candidate, left vertices 0..count-1, of the level engine and the pool rule.
-
-    They must meet every shortest cycle and double edge. Block scaling
-    takes all m. Interleaved scaling takes n = b*k: there p1 maps
-    i + t*n to q1[i] + t*n, so x -> x + n mod m (on both sides)
-    commutes with p1, I and C_j and is an automorphism of the graph.
-    It moves any shortest cycle, or double edge, through a left vertex
-    x onto one through x mod n.
-    """
-    return cfg.b * cfg.k if cfg.strategy is ScalingStrategy.INTERLEAVED else cfg.m
+# Searches whose shifts hold at least this many scanned q1 rows run on a
+# pool of cfg.worker_count processes, smaller ones in process. A batch of
+# shifts is what the pool splits, one range of its rows per worker, and
+# every search that reaches the pool has so many rows that the batch
+# limit of `_levels.setup` is 1, so its batches are single shifts. The
+# rows are the q1 that the search scans: the orbit minima on the level
+# engine, every q1 on `_scan`. Measured as search_r3's elapsed time, each
+# search in a fresh interpreter, medians of 16 alternating pairs (8 for
+# interleaved k = 10) of 1 worker against 2 with the pool forced, on the
+# host of the threshold above, whose run-to-run spread is about 20 %:
+# interleaved k = 9 (20,352 rows) 0.20 s against 0.23 s, block b = 2,
+# k = 5 (18,744) 0.32 against 0.35 s, block k = 10 (18,744) 0.50 against
+# 0.47 s, interleaved b = 2, k = 5 (182,400) 0.44 against 0.43 s and
+# interleaved k = 10 (182,400) 1.31 against 0.94 s. So every search with
+# b*k <= 9 and block b*k = 10 runs in process, and interleaved b*k = 10
+# on the pool. No row count separates block k = 10, which gains about
+# 5 % (within the spread), from block b = 2, k = 5 (as many rows) and
+# interleaved k = 9 (more), which lose; nor interleaved b = 2, k = 5, a
+# tie, from k = 10.
+_POOL_MIN_ROWS = 100_000
 
 
 def _girth_ceiling(cfg: SearchConfig) -> int:
@@ -367,18 +355,17 @@ def search_r3(
     n = cfg.b * cfg.k
     q1_count = factorial(n - 1)
     total = evaluated + skipped
-    roots = _root_count(cfg)
 
     if total >= _LEVEL_MIN_CANDIDATES:
         from . import _levels
 
         q1s, tables, most = _levels.setup(n, cfg.k, cfg.strategy)
-        state = (_levels.batch_bests, tables, roots)
+        state = (_levels.batch_bests, tables)
     else:
         q1s = list(enumerate_k_cycles(n))
         state, most = (_scan, q1s, cfg), 1
     rows = len(q1s)
-    workers = min(cfg.worker_count, rows) if rows * roots >= _POOL_MIN_PAIRS else 1
+    workers = min(cfg.worker_count, rows) if rows >= _POOL_MIN_ROWS else 1
 
     best_girth, best_j, best_q = 0, 0, 0
     with contextlib.ExitStack() as stack:

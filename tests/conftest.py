@@ -28,7 +28,7 @@ _DYING_WORKERS = (
     "        os._exit(3)\n"
     "    return task(*args, **kwargs)\n"
     "search._task = dying_task\n"
-    "search._POOL_MIN_PAIRS = 0\n"
+    "search._POOL_MIN_ROWS = 0\n"
 )
 
 

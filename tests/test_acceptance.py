@@ -200,7 +200,7 @@ def test_criterion_3_pinned_witness_b2_k5():
 
 @pytest.mark.extended
 def test_criterion_3_pinned_witness_k11():
-    # m = 121, 1 worker: about 60 s and 0.75 GB; run with
+    # m = 121, 1 worker: about 25 s and 0.55 GB; run with
     # `pytest -m extended`
     cfg = SearchConfig(k=11, strategy=ScalingStrategy.INTERLEAVED)
     result = search_r3(cfg)
@@ -283,7 +283,7 @@ def test_criterion_6_known_fixtures():
 
 def test_criterion_7_determinism_across_workers(monkeypatch):
     # a pool for every search, so that the two runs differ in kind
-    monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+    monkeypatch.setattr(girthmax.search, "_POOL_MIN_ROWS", 0)
     reports = []
     for workers in (1, WORKERS + 1):
         cfg = SearchConfig(k=6, strategy=ScalingStrategy.INTERLEAVED, worker_count=workers)

@@ -78,9 +78,14 @@ class TestConstructCandidate:
             construct_candidate(Permutation([1, 0]), 4, SearchConfig(k=3))
 
 
+def root_count(cfg: SearchConfig) -> int:
+    """The level engine's roots per candidate in a search."""
+    return _levels.root_count(cfg.b * cfg.k, cfg.k, cfg.strategy)
+
+
 def engine_girth(q1: Permutation, j: int, cfg: SearchConfig) -> int:
     p, pinv = _levels.images([q1.image], cfg.k, cfg.strategy)
-    return int(_levels.shift_girths(p, pinv, j, girthmax.search._root_count(cfg))[0])
+    return int(_levels.shift_girths(p, pinv, j, root_count(cfg))[0])
 
 
 def snapshot(result):
@@ -118,7 +123,7 @@ def corpus(cfg: SearchConfig) -> tuple:
         return corpus(dataclasses.replace(cfg, j_range_filter=False))
     q_rows = read_only(_levels.cycle_rows(cfg.b * cfg.k))
     p, pinv = map(read_only, _levels.images(q_rows, cfg.k, cfg.strategy))
-    return q_rows, p, pinv, girthmax.search._root_count(cfg)
+    return q_rows, p, pinv, root_count(cfg)
 
 
 @functools.cache
@@ -220,7 +225,7 @@ def relabel_inputs(cfg: SearchConfig) -> tuple:
     """(p, pinv, roots, shifts, P, Pinv, G): the engine's rows, every admissible shift, their relabeled rows and the girths of these at shift 1."""
     q_rows = _levels.orbit_minima(_levels.cycle_rows(cfg.b * cfg.k), cfg.strategy)
     p, pinv = _levels.images(q_rows, cfg.k, cfg.strategy)
-    roots, shifts = girthmax.search._root_count(cfg), admissible(cfg)
+    roots, shifts = root_count(cfg), admissible(cfg)
     big_p, big_pinv = _levels.relabeled(p, pinv, shifts)
     return (p, pinv, roots, shifts, big_p, big_pinv, read_only(_levels.shift_girths(big_p, big_pinv, 1, roots)))
 
@@ -389,7 +394,7 @@ class TestLevelEngine:
 
     def test_forced_engine_on_two_workers(self, monkeypatch):
         monkeypatch.setattr(girthmax.search, "_LEVEL_MIN_CANDIDATES", 0)
-        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_ROWS", 0)
         for strategy in ScalingStrategy:
             serial = search_r3(SearchConfig(k=5, strategy=strategy))
             pooled = search_r3(SearchConfig(k=5, strategy=strategy, worker_count=2))
@@ -705,7 +710,7 @@ class TestFloor:
         # the searches of at least 100 candidates; the pool takes its
         # floors from the shifts returned so far, in the forked workers,
         # so the spy sees none of them
-        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_ROWS", 0)
         for cfg in (cfg for cfg in FLOOR_CONFIGS if cfg.b * cfg.k >= 5 or cfg.b > 1):
             pooled = search_r3(dataclasses.replace(cfg, worker_count=2))
             assert self.answer(pooled) == full_scan(cfg), cfg
@@ -747,7 +752,7 @@ class TestFloor:
         # met, and until the last batch the best, 6, is two steps below
         # it, so the sizes keep doubling: all 15 shifts run in 4 batches,
         # and the best, 8 from j = 22 on, is found in the last one
-        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_ROWS", 0)
         task = girthmax.search._task
 
         def spy(*args):
@@ -768,7 +773,7 @@ class TestFloor:
         # third of 15; each shift up to there is cut into 2 ranges, and
         # after the first the best is one step below the ceiling, so
         # every batch is one shift
-        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_ROWS", 0)
         for k, ceiling, shifts in ((5, 8, [6, 7]), (7, 10, [8, 9, 10])):
             submitted.clear()
             result = search_r3(SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED, worker_count=2))
@@ -790,7 +795,7 @@ class TestFloor:
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
             if engine:
                 p, pinv, roots = engine_inputs(cfg)
-                rows, state = len(p), (_levels.batch_bests, (p, pinv, _levels.Scratch()), roots)
+                rows, state = len(p), (_levels.batch_bests, (p, pinv, roots, _levels.Scratch()))
             else:
                 q1s = list(enumerate_k_cycles(b * k))
                 rows, state = len(q1s), (girthmax.search._scan, q1s, cfg)
@@ -827,14 +832,14 @@ class TestFloor:
         # rather than the 10,800 of every q1
         q_rows, tables, _ = _levels.setup(cfg.b * cfg.k, cfg.k, cfg.strategy)
         q1s = [Permutation(map(int, row)) for row in q_rows]
-        roots, shifts = girthmax.search._root_count(cfg), [j for j in admissible(cfg) if 2 * j < cfg.m]
+        shifts = [j for j in admissible(cfg) if 2 * j < cfg.m]
         references = {j: [reference_girth(q1, j, cfg) for q1 in q1s] for j in shifts}
         rows = len(q1s)
         batches = [tuple(shifts[i : i + size]) for size in (1, 2, 3) for i in range(len(shifts) - size + 1)]
         ranges = ((0, rows), (0, rows // 2), (rows // 2, rows))
         above = 0
         for js, (lo, hi), floor in itertools.product(batches, ranges, (0, 4, 6, 8)):
-            got = _levels.batch_bests(tables, roots, js, floor, lo, hi)
+            got = _levels.batch_bests(tables, js, floor, lo, hi)
             assert len(got) == len(js), (js, lo, hi, floor)
             for j, (girth, row) in zip(js, got):
                 want = references[j][lo:hi]
@@ -961,7 +966,7 @@ class TestSearchSmall:
 
 class TestDeterminism:
     def test_worker_count_invariance(self, monkeypatch):
-        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_ROWS", 0)
         base = None
         for workers in (1, 2, 3):
             cfg = SearchConfig(k=5, strategy=ScalingStrategy.INTERLEAVED, worker_count=workers)
@@ -1028,52 +1033,45 @@ class TestPool:
     def test_workers_capped_at_task_count(self, pools, monkeypatch):
         # a worker scores a range of q1 rows, so the workers are capped at
         # the rows: k = 3 has 2 q1, and 3 workers start 2 processes
-        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_ROWS", 0)
         pooled = search_r3(SearchConfig(k=3, worker_count=3))
         assert pools == [2]
         serial = search_r3(SearchConfig(k=3))
         assert snapshot(pooled) == snapshot(serial)
 
     def test_small_search_starts_no_pool(self, pools):
-        # k = 7 on the engine: 10,800 scanned candidates * 7 roots, below
-        # the pool threshold, so a second worker is not started
+        # k = 7 on the engine: 384 scanned rows per shift, below the pool
+        # threshold, so a second worker is not started
         cfg = SearchConfig(k=7, strategy=ScalingStrategy.INTERLEAVED)
         serial = search_r3(cfg)
         two = search_r3(SearchConfig(k=7, strategy=ScalingStrategy.INTERLEAVED, worker_count=2))
         assert pools == []
         assert snapshot(two) == snapshot(serial)
 
-    def test_pool_rule_counts_scanned_pairs(self, pools, monkeypatch):
+    def test_pool_rule_counts_scanned_rows(self, pools, monkeypatch):
         # k = 5 interleaved scans 16 orbit-minimum rows of its 24 q1 per
-        # shift, from 5 roots: 80 (row, root) pairs, whatever the shifts
+        # shift, whatever the shifts
         cfg = SearchConfig(k=5, strategy=ScalingStrategy.INTERLEAVED, worker_count=2)
-        for threshold, started in ((81, []), (80, [2])):
-            monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", threshold)
+        for threshold, started in ((17, []), (16, [2])):
+            monkeypatch.setattr(girthmax.search, "_POOL_MIN_ROWS", threshold)
             search_r3(cfg)
             assert pools == started, threshold
 
     def test_pool_threshold_splits_searches(self):
-        # (row, root) pairs of one shift: every Table 1 search
-        # (interleaved, k <= 9), block k <= 9 and block b = 2, k = 5 run
-        # in process; interleaved and block k = 10 and interleaved b = 2,
-        # k = 5 run on the pool
-        rows = functools.cache(lambda n, strategy: len(_levels.orbit_minima(_levels.cycle_rows(n), strategy)))
-
-        def pairs(k, b=1, strategy=ScalingStrategy.INTERLEAVED):
-            cfg = SearchConfig(k=k, b=b, strategy=strategy)
-            return rows(b * k, strategy) * girthmax.search._root_count(cfg)
-
-        block = ScalingStrategy.BLOCK
-        assert [rows(n, s) for n in (9, 10) for s in (ScalingStrategy.INTERLEAVED, block)] == [
-            20_352,
-            2_438,
-            182_400,
-            18_744,
-        ]
-        in_process = [pairs(k, 1, s) for k in range(5, 10) for s in ScalingStrategy] + [pairs(5, 2, block)]
-        pooled = [pairs(10), pairs(10, 1, block), pairs(5, 2)]
-        threshold = girthmax.search._POOL_MIN_PAIRS
-        assert max(in_process) < threshold <= min(pooled)
+        # scanned q1 rows of one shift, which depend on n = b*k and the
+        # scaling only: every search with n <= 9 and block n = 10 (k = 10,
+        # and b = 2, k = 5) run in process; interleaved n = 10 (k = 10, and
+        # b = 2, k = 5) runs on the pool
+        block, interleaved = ScalingStrategy.BLOCK, ScalingStrategy.INTERLEAVED
+        rows = {
+            (n, s): len(_levels.orbit_minima(_levels.cycle_rows(n), s))
+            for n in range(5, 11)
+            for s in (block, interleaved)
+        }
+        assert list(rows.values()) == [8, 16, 20, 72, 78, 384, 380, 2_616, 2_438, 20_352, 18_744, 182_400]
+        pooled = rows.pop((10, interleaved))
+        threshold = girthmax.search._POOL_MIN_ROWS
+        assert max(rows.values()) < threshold <= pooled
 
     def test_concurrent_serial_searches_do_not_share_state(self):
         cfgs = [SearchConfig(k=k, strategy=s) for k in (4, 5) for s in ScalingStrategy]
@@ -1091,7 +1089,7 @@ class TestPool:
     def test_early_exit_on_the_pool(self, pools, monkeypatch):
         # both searches stop at a shift below their last one; the pool's
         # queued shifts are dropped and its workers are gone on return
-        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_ROWS", 0)
         for k in (5, 7):
             cfg = SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED)
             serial = search_r3(cfg)
@@ -1176,7 +1174,7 @@ class TestProgress:
         # 15 scanned shifts of 1,440 candidates (each with its transpose);
         # girth 6 from the first, 8 from j = 22, the 13th; the ceiling
         # is 10, so every shift is scanned; identical on the pool
-        monkeypatch.setattr(girthmax.search, "_POOL_MIN_PAIRS", 0)
+        monkeypatch.setattr(girthmax.search, "_POOL_MIN_ROWS", 0)
         calls = []
         cfg = SearchConfig(k=7, worker_count=workers)
         search_r3(cfg, progress=lambda done, total, best: calls.append((done, total, best)))
