@@ -1,10 +1,13 @@
 """Level engine of the search: the exact girth of many candidates at once.
 
 `search` makes two calls: `setup` builds a search's q1 rows, the
-engine's tables of them (the roots among them) and its batch limit, and
-`batch_bests` returns each shift's best (girth, row) above a floor on a
-range of those rows. `search` does not read the tables, so a change of
-them, or of the roots, stays here.
+engine's tables of them and its batch limit, and `batch_bests` returns
+each shift's best (girth, row) above a floor on a range of those rows.
+The tables are (t, roots, scratch): t is one (2, rows, m) array whose
+t[0, i] is the image row of p1 for q1 row i and t[1, i] that of p1^-1
+(`images`), and every function below takes that one array. `search`
+does not read the tables, so a change of them, or of the roots, stays
+here.
 
 `chunk_girths` extends the non-backtracking walks from a set of roots
 level by level, as numpy gathers shared by a chunk of q1 rows, and a
@@ -24,12 +27,12 @@ turns the candidates of several shifts into candidates of shift 1, by
 the relabeling x -> x * j^-1 mod m, so that a batch is scored as one
 shift of stacked rows. Each of them proves its claim in its docstring.
 
-`cycle_rows` and `images` build the q1 and p1 rows that the engine
-reads (`cycle_rows` builds `perm.enumerate_k_cycles`' rows the same way,
-in numpy), and `orbit_minima` keeps one q1 row of each class of q1 that
-give isomorphic graphs at every shift (`search` proves the relabelings
-and that the winner is kept). This module loads numpy; `search`
-imports it only for searches large enough to repay that
+`cycle_rows` and `images` build the q1 rows and the table t that the
+engine reads (`cycle_rows` builds `perm.enumerate_k_cycles`' rows the
+same way, in numpy), and `orbit_minima` keeps one q1 row of each class
+of q1 that give isomorphic graphs at every shift (`search` proves the
+relabelings and that the winner is kept). This module loads numpy;
+`search` imports it only for searches large enough to repay that
 (`search._LEVEL_MIN_CANDIDATES`).
 """
 
@@ -140,28 +143,35 @@ def orbit_minima(rows, strategy: ScalingStrategy):
 
 
 def images(q_rows, k: int, strategy: ScalingStrategy):
-    """Images of p1 = scale_up(q1, k, strategy) and of p1^-1, one row per q1.
+    """The table t of p1 = scale_up(q1, k, strategy) and p1^-1, a row of each per q1.
 
     `q_rows` holds the q1 images, one row each (an array such as
-    `cycle_rows`' or a list of tuples). Returns numpy arrays of shape
-    (len(q_rows), m), uint8 while m <= 256, else uint16. The rows apply
-    `perm._scale_map`; since scale_up(q1)^-1 = scale_up(q1^-1), the
-    inverse rows scale the inverse q1 rows (`_inverse_rows`). The arrays
-    are C-ordered (as `take` leaves them, unlike indexing by `src`), so
-    that a slice of rows is contiguous and `chunk_girths` can gather on
-    it without a copy, and scaled in place, so that no further
-    (len(q_rows), m) temporary is built.
+    `cycle_rows`' or a list of tuples). Returns a numpy array t of shape
+    (2, len(q_rows), m), uint8 while m <= 256, else uint16: t[0, i] is
+    the image row of p1 for q_rows[i], and t[1, i] that of p1^-1. The
+    rows apply `perm._scale_map`; since scale_up(q1)^-1 =
+    scale_up(q1^-1), t[1] scales the inverse q1 rows (`_inverse_rows`).
+    Each half is one `take` into t, which is C-ordered, so that a slice
+    t[:, lo:hi] of rows is a view whose halves are contiguous and
+    `chunk_girths` can gather on it without a copy; both halves are
+    scaled in place, so that no further (len(q_rows), m) temporary is
+    built.
     """
     n = len(q_rows[0])
     dtype = np.uint8 if n * k <= 256 else np.uint16
     q = np.asarray(q_rows, dtype)
     src, offset, factor = _scale_map(n, k, strategy)
-    offset = np.array(offset, dtype)
-    tables = q.take(src, axis=1), _inverse_rows(q).take(src, axis=1)
-    for table in tables:
-        table *= factor
-        table += offset
-    return tables
+    # the inverse is built before t, so that its int64 index temporaries
+    # are freed before t is allocated
+    inverse, offset = _inverse_rows(q), np.array(offset, dtype)
+    t = np.empty((2, len(q), n * k), dtype)
+    # every index is in range; under the default mode, `take` would
+    # gather into a temporary and copy that into `out`
+    q.take(src, axis=1, out=t[0], mode="clip")
+    inverse.take(src, axis=1, out=t[1], mode="clip")
+    t *= factor
+    t += offset
+    return t
 
 
 def root_count(n: int, k: int, strategy: ScalingStrategy) -> int:
@@ -182,35 +192,36 @@ def setup(n: int, k: int, strategy: ScalingStrategy):
     """(q_rows, tables, most) of a search: its q1 rows, the tables that `batch_bests` reads, and a batch limit.
 
     The q1 rows are the `orbit_minima` of `cycle_rows(n)`. The tables
-    are (p, pinv, roots, scratch): the `images` of those rows, the
+    are (t, roots, scratch): the `images` table of those rows, the
     `root_count` and the `Scratch` that every batch of the search
     reuses. Past `most` shifts, one root of a batch fills a chunk, so a
     larger batch saves no call.
     """
     q_rows = orbit_minima(cycle_rows(n), strategy)
-    tables = (*images(q_rows, k, strategy), root_count(n, k, strategy), Scratch())
+    tables = images(q_rows, k, strategy), root_count(n, k, strategy), Scratch()
     return q_rows, tables, max(1, CHUNK_ROOTS // len(q_rows))
 
 
-def relabeled(p, pinv, js):
-    """Rows at shift 1 of the candidates (p[i], I, C_j), j in `js`: shift-major, then in the order of p.
+def relabeled(t, js):
+    """The table at shift 1 of the candidates (t[:, i], I, C_j), j in `js`: shift-major, then in the order of t's rows.
 
-    Returns (P, Pinv), each C-ordered of shape (len(js) * len(p), m)
-    and in p's dtype: row s * len(p) + i is the candidate (p[i], js[s])
-    relabeled by x -> a*x mod m on both sides, a = js[s]^-1 mod m, so
-    P[x] = a * p[i, j*x mod m] mod m, and Pinv the same of pinv.
-    Every j must be coprime to m. Candidate c of the stacked rows is
-    row c % len(p) of shift js[c // len(p)], so ascending c is the
-    tie-break order (j, then q1).
+    Returns a C-ordered table T of shape (2, len(js) * rows, m), rows =
+    t.shape[1], in t's dtype: candidate c = s * rows + i is (t[:, i],
+    js[s]) relabeled by x -> a*x mod m on both sides, a = js[s]^-1 mod
+    m, so T[h, c, x] = a * t[h, i, j*x mod m] mod m in either half h.
+    Every j must be coprime to m. Candidate c is row c % rows of shift
+    js[c // rows], so ascending c is the tie-break order (j, then q1).
 
-    Proof that (P, I, C_1) is isomorphic to (p1, I, C_j). Multiplying
-    by the unit a is a bijection of Z_m, and it maps the edge x - p1(x)
-    to x' - a*p1(j*x'), x' = a*x, the edge x - x to x' - x', and
-    x - x + j to x' - x' + 1. So girth and double edges (incompatibility)
-    are kept, and P^-1, which maps a*p1(j*x') to x', is a*pinv(j*y')
-    at y' = a*p1(j*x'). This is the multiplier isomorphism of
-    circulants (Adam, J. Combin. Theory 2, 1967) on the
-    circulant-plus-permutation view.
+    Proof that (T[0, c], I, C_1) is isomorphic to (p1, I, C_j), p1 =
+    t[0, i], and that T[1, c] is the inverse of T[0, c]. Multiplying by
+    the unit a is a bijection of Z_m, and it maps the edge x - p1(x) to
+    x' - a*p1(j*x'), x' = a*x, the edge x - x to x' - x', and x - x + j
+    to x' - x' + 1. So girth and double edges (incompatibility) are
+    kept, and the inverse of T[0, c], which maps a*p1(j*x') to x', is
+    y' -> a*p1^-1(j*y') at y' = a*p1(j*x'), i.e. T[1, c] built from
+    t[1, i] = p1^-1. This is the multiplier isomorphism of circulants
+    (Adam, J. Combin. Theory 2, 1967) on the circulant-plus-permutation
+    view.
 
     The roots of `root_count` still suffice. Block scaling
     takes all m, which a bijection keeps. Under interleaved scaling
@@ -219,26 +230,25 @@ def relabeled(p, pinv, js):
     still meet every orbit of it, hence every shortest cycle and double
     edge.
     """
-    rows, m = p.shape
+    rows, m = t.shape[1:]
     x = np.arange(m)
-    both = np.stack((p, pinv))
-    out = np.empty((2, len(js), rows, m), p.dtype)
+    out = np.empty((2, len(js), rows, m), t.dtype)
     for s, j in enumerate(js):
-        scale = (x * pow(j, -1, m) % m).astype(p.dtype)
-        scale.take(both.take(x * j % m, axis=2), out=out[:, s])
-    return tuple(out.reshape(2, -1, m))
+        scale = (x * pow(j, -1, m) % m).astype(t.dtype)
+        scale.take(t.take(x * j % m, axis=2), out=out[:, s])
+    return out.reshape(2, -1, m)
 
 
-def chunk_girths(p, pinv, j: int, roots, scratch: Scratch, cap: int | None = None):
-    """Girth of each candidate (p[i], I, C_j) of one chunk; 0 if incompatible.
+def chunk_girths(t, j: int, roots, scratch: Scratch, cap: int | None = None):
+    """Girth of each candidate (t[:, i], I, C_j) of a chunk t of `images`' table; 0 if incompatible.
 
     Level L extends, from every root, the non-backtracking walks of
     length L: a step follows a label (p1, I or C_j) other than the one
     of the step before, so every candidate has the same 3 * 2^(L-1)
     label sequences. The walks are kept in one array of shape (3,
     walks, candidates, roots), indexed by last label in the order (p1,
-    C_j, I): a p1 step gathers on p (left to right) or pinv (right to
-    left) from the C_j and I walks, which are one contiguous slice; a
+    C_j, I): a p1 step gathers on t[0] (left to right) or t[1] (right
+    to left) from the C_j and I walks, which are one contiguous slice; a
     C_j step adds or subtracts j mod m on the p1 and I walks; an I step
     leaves the vertex as it is, so it copies the p1 and C_j walks.
     A 64-bit mask per 64 vertices and per (candidate, root) records the
@@ -266,9 +276,9 @@ def chunk_girths(p, pinv, j: int, roots, scratch: Scratch, cap: int | None = Non
     min(girth, 2 * cap + 2); over any roots, a result r <= 2 * cap
     proves girth <= r, and incompatibility when r = 0.
     """
-    count, m = p.shape
+    _, count, m = t.shape
     j %= m
-    x = np.arange(m, dtype=p.dtype)
+    x = np.arange(m, dtype=t.dtype)
     fwd, back = np.concatenate((x[j:], x[:j])), np.concatenate((x[m - j :], x[: m - j]))
     one = np.uint64(1)
     # a shift by 64 or more gives 0, and so does a wrapped (negative) one
@@ -284,16 +294,16 @@ def chunk_girths(p, pinv, j: int, roots, scratch: Scratch, cap: int | None = Non
         return out
 
     # w[label, walk, candidate, root], labels (p1, C_j, I)
-    w = np.empty((3, 1, count, len(roots)), p.dtype)
-    p.take(roots, axis=1, out=w[0, 0])
+    w = np.empty((3, 1, count, len(roots)), t.dtype)
+    t[0].take(roots, axis=1, out=w[0, 0])
     w[1, 0], w[2, 0] = fwd[roots], roots
     # the I walks of level 1 end at the roots, whatever the candidate
     held, mask = masks(w[2, :, :1]), masks(w[:2])
     girths = np.zeros(count, np.int32)
     alive = np.arange(count)
-    # row starts in the flat p and pinv, whose rows are never dropped
+    # row starts in the flat halves of t, whose rows are never dropped
     starts = alive[:, None] * m
-    flat_p, flat_pinv = p.ravel(), pinv.ravel()
+    flat = t.reshape(2, -1)
     level = 1
     while True:
         counts = np.bitwise_count(mask | held)
@@ -314,9 +324,9 @@ def chunk_girths(p, pinv, j: int, roots, scratch: Scratch, cap: int | None = Non
             alive, starts = alive[keep], starts[keep]
             w, mask = np.compress(keep, w, axis=2), np.compress(keep, mask, axis=1)
         # after an even level the walks sit on left vertices
-        image, shift = (flat_p, fwd) if level % 2 == 0 else (flat_pinv, back)
+        image, shift = (flat[0], fwd) if level % 2 == 0 else (flat[1], back)
         walks = w.shape[1]
-        new = np.empty((3, 2 * walks, *w.shape[2:]), p.dtype)
+        new = np.empty((3, 2 * walks, *w.shape[2:]), t.dtype)
         index = np.add(w[1:].reshape(new.shape[1:]), starts, out=scratch.array(np.intp, new.shape[1:]))
         # every index is in range; under the default mode, `take` would
         # gather into a temporary and copy that into `out`
@@ -327,36 +337,36 @@ def chunk_girths(p, pinv, j: int, roots, scratch: Scratch, cap: int | None = Non
         level += 1
 
 
-def _girths(p, pinv, j: int, rows, roots, scratch: Scratch, cap: int | None = None):
-    """`chunk_girths` of the candidates p[rows] from `roots`, in chunks of about `CHUNK_ROOTS` (row, root) pairs.
+def _girths(t, j: int, rows, roots, scratch: Scratch, cap: int | None = None):
+    """`chunk_girths` of the candidates t[:, rows] from `roots`, in chunks of about `CHUNK_ROOTS` (row, root) pairs.
 
-    `rows` ascends without repeats, so when it holds every row of p the
-    chunks are slices rather than copies.
+    `rows` ascends without repeats, so when it holds every row of t the
+    chunks are views rather than copies; otherwise each chunk is one
+    `take`, which leaves it C-ordered (indexing t[:, c] would not).
     """
     step = max(1, CHUNK_ROOTS // len(roots))
-    if len(rows) == len(p):
-        chunks = [slice(i, i + step) for i in range(0, len(p), step)]
-    else:
-        chunks = [rows[i : i + step] for i in range(0, len(rows), step)]
-    girths = [chunk_girths(p[c], pinv[c], j, roots, scratch, cap) for c in chunks]
+    whole, starts = len(rows) == t.shape[1], range(0, len(rows), step)
+    chunks = (t[:, i : i + step] if whole else t.take(rows[i : i + step], axis=1) for i in starts)
+    girths = [chunk_girths(c, j, roots, scratch, cap) for c in chunks]
     return np.concatenate(girths) if girths else np.zeros(0, np.int32)
 
 
-def shift_girths(p, pinv, j: int, roots: int, scratch: Scratch | None = None, rows=None):
-    """Girth of each candidate (p[i], I, C_j), i in `rows` (default every row of p); 0 if incompatible.
+def shift_girths(t, j: int, roots: int, scratch: Scratch | None = None, rows=None):
+    """Girth of each candidate (t[:, i], I, C_j), i in `rows` (default every row of t); 0 if incompatible.
 
-    Walks start at the left vertices 0..roots-1, which must meet every
-    shortest cycle and double edge (`root_count` proves which do). Pass one
-    `scratch` to every shift of a search, so that its work arrays are
-    allocated once.
+    t is a table as `images` builds it, or a range of its rows. Walks
+    start at the left vertices 0..roots-1, which must meet every
+    shortest cycle and double edge (`root_count` proves which do). Pass
+    one `scratch` to every shift of a search, so that its work arrays
+    are allocated once.
     """
-    rows = np.arange(len(p)) if rows is None else rows
+    rows = np.arange(t.shape[1]) if rows is None else rows
     scratch = Scratch() if scratch is None else scratch
-    return _girths(p, pinv, j, rows, np.arange(roots), scratch)
+    return _girths(t, j, rows, np.arange(roots), scratch)
 
 
-def survivors(p, pinv, j: int, roots: int, floor: int, scratch: Scratch | None = None):
-    """Indices, ascending, of the candidates (p[i], I, C_j) whose girth exceeds `floor`.
+def survivors(t, j: int, roots: int, floor: int, scratch: Scratch | None = None):
+    """Indices, ascending, of the candidates (t[:, i], I, C_j) of a table t whose girth exceeds `floor`.
 
     The roots 0..roots-1 are taken in groups that at least double in
     size (0, then 1-2, then 3-6, ...) and that fill at least one chunk
@@ -376,38 +386,37 @@ def survivors(p, pinv, j: int, roots: int, floor: int, scratch: Scratch | None =
     """
     cap = max(1, floor // 2)
     scratch = Scratch() if scratch is None else scratch
-    alive = np.arange(len(p))
+    alive = np.arange(t.shape[1])
     start, size = 0, 1
     while start < roots and len(alive):
         size = max(size, CHUNK_ROOTS // len(alive))
         group = np.arange(start, min(roots, start + size))
-        alive = alive[_girths(p, pinv, j, alive, group, scratch, cap) > 2 * cap]
+        alive = alive[_girths(t, j, alive, group, scratch, cap) > 2 * cap]
         start, size = start + size, 2 * size
     return alive
 
 
 def batch_bests(tables, js, floor: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Best (girth, row) of each shift j in `js` over the candidates (p[i], I, C_j), i in lo:hi, above `floor`.
+    """Best (girth, row) of each shift j in `js` over the candidates (t[:, i], I, C_j), i in lo:hi, above `floor`.
 
-    `tables` are `setup`'s, and the walks start at their roots. The
+    `tables` are `setup`'s (t, roots, scratch), and the walks start at
+    the roots. The
     batch is scored into one table of girths, a row per shift and a
     column per candidate of the range, that reads 0 at or below the
     floor. A shift's best is the maximum of its row, at the row's first
-    column that holds it, counted as a row of p from 0; so a shift with
+    column that holds it, counted as a row of t from 0; so a shift with
     no candidate above the floor gives girth 0. Several shifts are
     scored as one, at shift 1 on the rows of `relabeled`, whose stacked
-    candidates fill the table row by row; one shift is scored on p as it
-    is. Above a positive floor only the candidates that `survivors`
+    candidates fill the table row by row; one shift is scored on the
+    rows t[:, lo:hi] as they are. Above a positive floor only the candidates that `survivors`
     keeps, exactly those whose girth exceeds it, are scored. At floor 0
     every candidate is scored, since the survivors would only lack the
     incompatible ones, which score 0.
     """
-    p, pinv, roots, scratch = tables
-    # the tables are C-ordered, so the slices are views
-    p, pinv, j = p[lo:hi], pinv[lo:hi], js[0]
-    if len(js) > 1:
-        (p, pinv), j = relabeled(p, pinv, js), 1
-    alive = survivors(p, pinv, j, roots, floor, scratch) if floor else np.arange(len(p))
+    t, roots, scratch = tables
+    # t is C-ordered, so t[:, lo:hi] is a view
+    t, j = (relabeled(t[:, lo:hi], js), 1) if len(js) > 1 else (t[:, lo:hi], js[0])
+    alive = survivors(t, j, roots, floor, scratch) if floor else np.arange(t.shape[1])
     girths = np.zeros((len(js), hi - lo), np.int32)
-    girths.put(alive, shift_girths(p, pinv, j, roots, scratch, rows=alive))
+    girths.put(alive, shift_girths(t, j, roots, scratch, rows=alive))
     return list(zip(girths.max(axis=1).tolist(), (girths.argmax(axis=1) + lo).tolist()))

@@ -1,9 +1,11 @@
+import ast
 import concurrent.futures
 import dataclasses
 import functools
 import itertools
 import math
 import multiprocessing
+import pathlib
 import random
 import sys
 
@@ -84,8 +86,8 @@ def root_count(cfg: SearchConfig) -> int:
 
 
 def engine_girth(q1: Permutation, j: int, cfg: SearchConfig) -> int:
-    p, pinv = _levels.images([q1.image], cfg.k, cfg.strategy)
-    return int(_levels.shift_girths(p, pinv, j, root_count(cfg))[0])
+    t = _levels.images([q1.image], cfg.k, cfg.strategy)
+    return int(_levels.shift_girths(t, j, root_count(cfg))[0])
 
 
 def snapshot(result):
@@ -118,12 +120,12 @@ def read_only(array):
 
 @functools.cache
 def corpus(cfg: SearchConfig) -> tuple:
-    """(q_rows, p, pinv, roots): every q1's image row, in enumeration order, and the level engine's inputs."""
+    """(q_rows, t, roots): every q1's image row, in enumeration order, and the level engine's inputs."""
     if cfg.j_range_filter:
         return corpus(dataclasses.replace(cfg, j_range_filter=False))
     q_rows = read_only(_levels.cycle_rows(cfg.b * cfg.k))
-    p, pinv = map(read_only, _levels.images(q_rows, cfg.k, cfg.strategy))
-    return q_rows, p, pinv, root_count(cfg)
+    t = read_only(_levels.images(q_rows, cfg.k, cfg.strategy))
+    return q_rows, t, root_count(cfg)
 
 
 @functools.cache
@@ -146,23 +148,23 @@ def engine_girths(cfg: SearchConfig) -> dict:
     if cfg.j_range_filter:
         every = engine_girths(dataclasses.replace(cfg, j_range_filter=False))
         return {j: every[j] for j in admissible(cfg)}
-    _, p, pinv, roots = corpus(cfg)
-    return {j: read_only(_levels.shift_girths(p, pinv, j, roots)) for j in admissible(cfg)}
+    _, t, roots = corpus(cfg)
+    return {j: read_only(_levels.shift_girths(t, j, roots)) for j in admissible(cfg)}
 
 
 def engine_inputs(cfg: SearchConfig) -> tuple:
-    """(p, pinv, roots) of the level engine for a search."""
+    """(t, roots) of the level engine for a search: its `_levels.images` table of every q1, and its roots."""
     return corpus(cfg)[1:]
 
 
 ENGINE_SIZES = [(3, 1), (4, 1), (5, 1), (6, 1), (3, 2)]
 
 
-def engine_rows(rows, m: int) -> tuple:
-    """(p, pinv) of permutation rows of size m, in the engine's dtype."""
+def engine_rows(rows, m: int):
+    """The engine's table t of permutation rows of size m: the rows in t[0], their inverses in t[1], in its dtype."""
     dtype = np.uint8 if m <= 256 else np.uint16
     p = np.array(rows, dtype)
-    return p, np.argsort(p, axis=1).astype(dtype)
+    return np.stack((p, np.argsort(p, axis=1).astype(dtype)))
 
 
 def affine_rows(rng, m: int, count: int, j: int) -> list[list[int]]:
@@ -222,12 +224,38 @@ def config_id(cfg: SearchConfig) -> str:
 
 @functools.cache
 def relabel_inputs(cfg: SearchConfig) -> tuple:
-    """(p, pinv, roots, shifts, P, Pinv, G): the engine's rows, every admissible shift, their relabeled rows and the girths of these at shift 1."""
+    """(t, roots, shifts, T, G): the engine's table, every admissible shift, its relabeled table and the girths of this at shift 1."""
     q_rows = _levels.orbit_minima(_levels.cycle_rows(cfg.b * cfg.k), cfg.strategy)
-    p, pinv = _levels.images(q_rows, cfg.k, cfg.strategy)
+    t = _levels.images(q_rows, cfg.k, cfg.strategy)
     roots, shifts = root_count(cfg), admissible(cfg)
-    big_p, big_pinv = _levels.relabeled(p, pinv, shifts)
-    return (p, pinv, roots, shifts, big_p, big_pinv, read_only(_levels.shift_girths(big_p, big_pinv, 1, roots)))
+    big = _levels.relabeled(t, shifts)
+    return (t, roots, shifts, big, read_only(_levels.shift_girths(big, 1, roots)))
+
+
+def test_search_reaches_the_level_engine_only_through_setup_and_batch_bests():
+    # `search` passes the engine's tables on without reading them, so a
+    # change of what they hold (the p1 table t, the roots) is an edit of
+    # `_levels` alone: search.py reads no other `_levels` attribute,
+    # imports no name from it, and names no p1^-1 array
+    tree = ast.parse(pathlib.Path(girthmax.search.__file__).read_text())
+    nodes = list(ast.walk(tree))
+    read = {
+        node.attr
+        for node in nodes
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_levels"
+    }
+    assert read == {"setup", "batch_bests"}
+    imported = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.module]
+    assert not [name for name in imported if "_levels" in name], imported
+    identifiers = {
+        value
+        for node in nodes
+        for field, value in ast.iter_fields(node)
+        if field in ("id", "attr", "arg", "name", "asname") and isinstance(value, str)
+    }
+    assert "_levels" in identifiers
+    assert not [name for name in identifiers if "pinv" in name.lower()]
 
 
 class TestLevelEngine:
@@ -249,9 +277,9 @@ class TestLevelEngine:
         scratch = _levels.Scratch()
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
-            p, pinv, roots = engine_inputs(cfg)
+            t, roots = engine_inputs(cfg)
             for (j, want), cap in itertools.product(shift_references(cfg).items(), (1, 2, 3, 4, 5)):
-                got = _levels.chunk_girths(p, pinv, j, np.arange(roots), scratch, cap).tolist()
+                got = _levels.chunk_girths(t, j, np.arange(roots), scratch, cap).tolist()
                 assert got == [min(g, 2 * cap + 2) for g in want], (strategy, j, cap)
 
     @pytest.mark.parametrize("chunk_roots", [_levels.CHUNK_ROOTS, 64])
@@ -263,9 +291,9 @@ class TestLevelEngine:
         kept = dropped = 0
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
-            p, pinv, roots = engine_inputs(cfg)
+            t, roots = engine_inputs(cfg)
             for (j, want), floor in itertools.product(shift_references(cfg).items(), (0, 4, 6, 8)):
-                got = _levels.survivors(p, pinv, j, roots, floor).tolist()
+                got = _levels.survivors(t, j, roots, floor).tolist()
                 assert got == [i for i, g in enumerate(want) if g > floor], (strategy, j, floor)
                 kept += len(got)
                 dropped += len(want) - len(got)
@@ -278,14 +306,14 @@ class TestLevelEngine:
         scratch = _levels.Scratch()
         for k, strategy in ((7, ScalingStrategy.BLOCK), (8, ScalingStrategy.INTERLEAVED)):
             cfg = SearchConfig(k=k, strategy=strategy)
-            p, pinv, roots = engine_inputs(cfg)
+            t, roots = engine_inputs(cfg)
             for j in valid_shifts(cfg.m, k)[:6]:
                 girths = engine_girths(cfg)[j]
                 for floor in (6, 8):
                     want = np.flatnonzero(girths > floor)
-                    got = _levels.survivors(p, pinv, j, roots, floor, scratch)
+                    got = _levels.survivors(t, j, roots, floor, scratch)
                     assert got.tolist() == want.tolist(), (k, strategy, j, floor)
-                    assert _levels.shift_girths(p, pinv, j, roots, scratch, rows=got).tolist() == girths[want].tolist()
+                    assert _levels.shift_girths(t, j, roots, scratch, rows=got).tolist() == girths[want].tolist()
 
     @pytest.mark.parametrize(
         "k, strategy, j, floor, chunk_roots",
@@ -307,13 +335,13 @@ class TestLevelEngine:
         groups = []
         girths = _levels._girths
 
-        def spy(p, pinv, j, rows, roots, *args):
+        def spy(t, j, rows, roots, *args):
             groups.append(roots.tolist())
-            return girths(p, pinv, j, rows, roots, *args)
+            return girths(t, j, rows, roots, *args)
 
         monkeypatch.setattr(_levels, "_girths", spy)
-        p, pinv, roots = engine_inputs(SearchConfig(k=k, strategy=strategy))
-        assert len(_levels.survivors(p, pinv, j, roots, floor)) > 0
+        t, roots = engine_inputs(SearchConfig(k=k, strategy=strategy))
+        assert len(_levels.survivors(t, j, roots, floor)) > 0
         assert sum(groups, []) == list(range(roots)), groups
         assert all(len(b) >= 2 * len(a) for a, b in zip(groups, groups[1:-1])), groups
         if chunk_roots == 1:
@@ -321,22 +349,30 @@ class TestLevelEngine:
 
     @pytest.mark.parametrize("cfg", RELABEL_CONFIGS, ids=config_id)
     def test_relabeled_rows_at_shift_1_have_the_girths_of_their_shifts(self, cfg):
-        p, pinv, roots, shifts, big_p, big_pinv, big_girths = relabel_inputs(cfg)
-        assert big_p.shape == big_pinv.shape == (len(shifts) * len(p), cfg.m)
-        assert big_p.flags.c_contiguous and big_pinv.flags.c_contiguous and big_p.dtype == p.dtype
+        t, roots, shifts, big, big_girths = relabel_inputs(cfg)
+        rows = t.shape[1]
+        assert big.shape == (2, len(shifts) * rows, cfg.m)
+        assert big.flags.c_contiguous and big.dtype == t.dtype
+        # the relabeled table is a table as `images` builds: its second
+        # half inverts its first row by row, and its row ranges and
+        # their flat halves are views
+        every = np.broadcast_to(np.arange(cfg.m), big[0].shape)
+        assert (np.take_along_axis(big[1], big[0].astype(np.intp), axis=1) == every).all()
+        part = big[:, rows // 2 : rows + 1]
+        assert np.shares_memory(part, big) and np.shares_memory(part.reshape(2, -1), big)
         scratch = _levels.Scratch()
-        got = big_girths.reshape(len(shifts), len(p))
+        got = big_girths.reshape(len(shifts), rows)
         for j, row in zip(shifts, got):
-            assert row.tolist() == _levels.shift_girths(p, pinv, j, roots, scratch).tolist(), j
+            assert row.tolist() == _levels.shift_girths(t, j, roots, scratch).tolist(), j
 
     @pytest.mark.parametrize("cfg", RELABEL_CONFIGS, ids=config_id)
     def test_relabeled_rows_keep_the_survivors(self, cfg):
-        p, pinv, roots, shifts, big_p, big_pinv, _ = relabel_inputs(cfg)
+        t, roots, shifts, big, _ = relabel_inputs(cfg)
         scratch = _levels.Scratch()
         for floor in (4, 6, 8):
-            kept = [_levels.survivors(p, pinv, j, roots, floor, scratch) for j in shifts]
-            want = [s * len(p) + i for s, rows in enumerate(kept) for i in rows]
-            assert _levels.survivors(big_p, big_pinv, 1, roots, floor, scratch).tolist() == want, floor
+            kept = [_levels.survivors(t, j, roots, floor, scratch) for j in shifts]
+            want = [s * t.shape[1] + i for s, rows in enumerate(kept) for i in rows]
+            assert _levels.survivors(big, 1, roots, floor, scratch).tolist() == want, floor
 
     @pytest.mark.parametrize(
         "cfg", [cfg for cfg in RELABEL_CONFIGS if cfg.strategy is ScalingStrategy.INTERLEAVED], ids=config_id
@@ -344,9 +380,9 @@ class TestLevelEngine:
     def test_relabeled_interleaved_rows_need_only_n_roots(self, cfg):
         # x -> x + n becomes x -> x + n * j^-1, which generates the same
         # subgroup of Z_m, so the roots 0..n-1 still meet every orbit
-        _, _, roots, _, big_p, big_pinv, big_girths = relabel_inputs(cfg)
+        _, roots, _, big, big_girths = relabel_inputs(cfg)
         assert roots == cfg.b * cfg.k < cfg.m
-        every = _levels.shift_girths(big_p, big_pinv, 1, cfg.m)
+        every = _levels.shift_girths(big, 1, cfg.m)
         assert big_girths.tolist() == every.tolist()
 
     def test_relabeled_incompatible_candidates_occur(self):
@@ -359,29 +395,35 @@ class TestLevelEngine:
 
     def test_rows_select_candidates(self):
         cfg = SearchConfig(k=5)
-        p, pinv, roots = engine_inputs(cfg)
+        t, roots = engine_inputs(cfg)
         girths = engine_girths(cfg)[7]
-        for rows in (np.arange(1, len(p)), np.arange(len(p) - 1), np.array([0, 5, 7]), np.arange(0)):
-            assert _levels.shift_girths(p, pinv, 7, roots, rows=rows).tolist() == girths[rows].tolist()
+        count = t.shape[1]
+        for rows in (np.arange(1, count), np.arange(count - 1), np.array([0, 5, 7]), np.arange(0)):
+            assert _levels.shift_girths(t, 7, roots, rows=rows).tolist() == girths[rows].tolist()
 
     def test_image_rows_are_contiguous(self):
-        # a slice of rows is then a view, which chunk_girths gathers on
-        # without a copy at every level
+        # a range of rows is then a view, and so are its two flat
+        # halves, which chunk_girths gathers on without a copy at every
+        # level; the pool's row ranges are such ranges
         for strategy in ScalingStrategy:
-            p, pinv = _levels.images(_levels.cycle_rows(5), 5, strategy)
-            assert p.flags.c_contiguous and pinv.flags.c_contiguous, strategy
+            t = _levels.images(_levels.cycle_rows(5), 5, strategy)
+            assert t.flags.c_contiguous and t.dtype == "uint8" and t.shape == (2, 24, 25), strategy
+            for lo, hi in ((0, 24), (0, 12), (12, 24), (5, 6)):
+                part = t[:, lo:hi]
+                assert np.shares_memory(part, t) and np.shares_memory(part.reshape(2, -1), t), (strategy, lo, hi)
 
     def test_image_rows_invert(self):
-        # pinv[r, p[r, x]] == x on the orbit minima that the engine scans,
-        # and on random uint16 rows (k = 17, m = 289)
+        # t[1, r, t[0, r, x]] == x on the orbit minima that the engine
+        # scans, and on random uint16 rows (k = 17, m = 289)
         rng = np.random.default_rng(17)
         cases = [(_levels.orbit_minima(_levels.cycle_rows(k), s), k, s) for k in range(5, 9) for s in ScalingStrategy]
         cases += [(np.array([rng.permutation(17) for _ in range(20)]), 17, s) for s in ScalingStrategy]
         for q_rows, k, strategy in cases:
-            p, pinv = _levels.images(q_rows, k, strategy)
-            assert pinv.dtype == ("uint16" if k == 17 else "uint8"), (k, strategy)
-            every = np.broadcast_to(np.arange(k * k), p.shape)
-            assert (np.take_along_axis(pinv, p.astype(np.intp), axis=1) == every).all(), (k, strategy)
+            t = _levels.images(q_rows, k, strategy)
+            assert t.dtype == ("uint16" if k == 17 else "uint8"), (k, strategy)
+            assert t.shape == (2, len(q_rows), k * k) and t.flags.c_contiguous, (k, strategy)
+            every = np.broadcast_to(np.arange(k * k), t[0].shape)
+            assert (np.take_along_axis(t[1], t[0].astype(np.intp), axis=1) == every).all(), (k, strategy)
 
     @pytest.mark.parametrize("k, b", ENGINE_SIZES)
     def test_forced_engine_search_equals_bfs_search(self, k, b, monkeypatch):
@@ -431,11 +473,11 @@ class TestLevelEngine:
         for m in (63, 64, 65, 128, 129, 255, 256, 257, 300):
             rng = np.random.default_rng(m)
             for j in (1, m // 2, int(rng.integers(2, m - 1))):
-                p, pinv = engine_rows(affine_rows(rng, m, 3, j) + [rng.permutation(m) for _ in range(2)], m)
-                want = [row_girth(row, j) for row in p.tolist()]
-                assert _levels.shift_girths(p, pinv, j, m, scratch).tolist() == want, (m, j)
+                t = engine_rows(affine_rows(rng, m, 3, j) + [rng.permutation(m) for _ in range(2)], m)
+                want = [row_girth(row, j) for row in t[0].tolist()]
+                assert _levels.shift_girths(t, j, m, scratch).tolist() == want, (m, j)
                 for cap in (1, 2, 3, 4):
-                    got = _levels.chunk_girths(p, pinv, j, np.arange(m), scratch, cap).tolist()
+                    got = _levels.chunk_girths(t, j, np.arange(m), scratch, cap).tolist()
                     assert got == [min(g, 2 * cap + 2) for g in want], (m, j, cap)
                 girths.update(want)
         assert {0, 4, 6, 8, 10} <= girths, girths
@@ -446,9 +488,9 @@ class TestLevelEngine:
         # walks of many candidates stay apart up to the cap
         rng = np.random.default_rng(8)
         m, j, cap = 60_000, 12_345, 8
-        p, pinv = engine_rows([rng.permutation(m) for _ in range(40)], m)
-        got = _levels.chunk_girths(p, pinv, j, np.array([0]), _levels.Scratch(), cap).tolist()
-        want = [walk_girth(row, inv, j, 0, cap) for row, inv in zip(p.tolist(), pinv.tolist())]
+        t = engine_rows([rng.permutation(m) for _ in range(40)], m)
+        got = _levels.chunk_girths(t, j, np.array([0]), _levels.Scratch(), cap).tolist()
+        want = [walk_girth(row, inv, j, 0, cap) for row, inv in zip(t[0].tolist(), t[1].tolist())]
         assert got == want
         assert want.count(2 * cap + 2) >= 5, want
 
@@ -684,9 +726,9 @@ class TestFloor:
         seen = []
         survivors = _levels.survivors
 
-        def spy(p, pinv, j, roots, floor, *args):
+        def spy(t, j, roots, floor, *args):
             seen.append(floor)
-            return survivors(p, pinv, j, roots, floor, *args)
+            return survivors(t, j, roots, floor, *args)
 
         monkeypatch.setattr(_levels, "survivors", spy)
         return seen
@@ -727,9 +769,9 @@ class TestFloor:
         exact = []
         shift_girths = _levels.shift_girths
 
-        def spy(p, pinv, j, roots, scratch=None, rows=None):
-            exact.append((j, len(p), None if rows is None else rows.tolist()))
-            return shift_girths(p, pinv, j, roots, scratch, rows)
+        def spy(t, j, roots, scratch=None, rows=None):
+            exact.append((j, t.shape[1], None if rows is None else rows.tolist()))
+            return shift_girths(t, j, roots, scratch, rows)
 
         monkeypatch.setattr(_levels, "shift_girths", spy)
         result = search_r3(SearchConfig(k=7))
@@ -794,8 +836,8 @@ class TestFloor:
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
             if engine:
-                p, pinv, roots = engine_inputs(cfg)
-                rows, state = len(p), (_levels.batch_bests, (p, pinv, roots, _levels.Scratch()))
+                t, roots = engine_inputs(cfg)
+                rows, state = t.shape[1], (_levels.batch_bests, (t, roots, _levels.Scratch()))
             else:
                 q1s = list(enumerate_k_cycles(b * k))
                 rows, state = len(q1s), (girthmax.search._scan, q1s, cfg)
