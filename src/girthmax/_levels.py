@@ -21,8 +21,12 @@ Fossorier, "Quasi-cyclic LDPC codes from circulant permutation
 matrices" (IEEE Trans. IT 50(8), 2004). `chunk_girths` proves the level
 test, `root_count` the roots that suffice, and the scaling is
 `perm._scale_map`.
-`shift_girths` scores one shift, and `survivors` drops the candidates
-that one root proves to have a girth no larger than a floor. `relabeled`
+`shift_girths` scores one shift exactly. `survivors` drops the
+candidates that one root proves to have a girth no larger than a floor,
+until the rest fit in one chunk, and scores those exactly, with 0 for a
+girth at or below the floor; so `batch_bests` makes one exact call per
+batch, and once the survivors fit in a chunk, no group walks them to
+the floor first. `relabeled`
 turns the candidates of several shifts into candidates of shift 1, by
 the relabeling x -> x * j^-1 mod m, so that a batch is scored as one
 shift of stacked rows. Each of them proves its claim in its docstring.
@@ -31,7 +35,11 @@ shift of stacked rows. Each of them proves its claim in its docstring.
 engine reads (`cycle_rows` builds `perm.enumerate_k_cycles`' rows the
 same way, in numpy), and `orbit_minima` keeps one q1 row of each class
 of q1 that give isomorphic graphs at every shift (`search` proves the
-relabelings and that the winner is kept). This module loads numpy;
+relabelings and that the winner is kept). Under block scaling it tests
+every row against its 2n relabelings in one pass over the row's step
+sequence q1(x) - x mod n, which holds column 0 of each of them, and
+compares the full rows only for the relabelings that tie there (its
+docstring proves this). This module loads numpy;
 `search` imports it only for searches large enough to repay that
 (`search._LEVEL_MIN_CANDIDATES`).
 """
@@ -111,35 +119,100 @@ def _inverse_rows(rows):
     return inverse
 
 
+def _wrap(v, n: int):
+    """v mod n, in place, for unsigned v < 2n without `%`: v - n wraps past v when v < n."""
+    return np.minimum(v, v - v.dtype.type(n), out=v)
+
+
+def _not_less(pairs: int, columns, column):
+    """Mask of the pairs whose image is not lexicographically less than their row.
+
+    column(i, tied) gives entry i of the rows and of the images of the
+    pairs `tied`, for each i of `columns` in order; the entries before
+    the first of `columns` must tie. Each column is read only for the
+    pairs tied so far, so the work shrinks quickly.
+    """
+    kept = np.ones(pairs, bool)
+    tied = np.arange(pairs)
+    for i in columns:
+        row, image = column(i, tied)
+        kept[tied[image < row]] = False
+        tied = tied[image == row]
+        if not len(tied):
+            break
+    return kept
+
+
 def orbit_minima(rows, strategy: ScalingStrategy):
     """The rows of `cycle_rows` that are lexicographically least in their orbit, in order.
 
     The orbit of q is its images under the relabelings that keep the
     graph of (q, j) for every j (`search` proves them): q and
     phi(q) = rho q^-1 rho, rho(i) = n-1-i, under either scaling, and
-    under block scaling also r q r^-1 and r phi(q) r^-1 for the
-    rotations r(i) = i + c mod n. The image rows are compared with the
-    rows a column at a time, each map only on the rows that every map
-    before it kept and each column only on the rows tied so far, so the
-    work shrinks quickly and no (rows, n) index array is built.
+    under block scaling also r_c q r_c^-1 and r_c phi(q) r_c^-1 for the
+    rotations r_c(i) = i + c mod n. Interleaved scaling compares each
+    row with its phi(q), a column at a time (`_not_less`).
+
+    Block scaling reads the 2n images off q's step sequence
+    d_q(x) = q(x) - x mod n, which takes the values 1..n-1 on a single
+    n-cycle. Lemma. (a) r_c q r_c^-1 (i) = d_q(i - c) + i mod n, and
+    (b) d_phi(q)(x) = d_q(q^-1(n-1-x)), so d_phi(q) permutes d_q.
+    Proof. (a) r_c q r_c^-1 (i) = q(i - c) + c = d_q(i - c) + (i - c)
+    + c. (b) With y = q^-1(n-1-x), phi(q)(x) = n-1-y, so
+    phi(q)(x) - x = (n-1-x) - y = q(y) - y. So column 0 of
+    r_c q r_c^-1 is d_q(-c), and that of r_c phi(q) r_c^-1 is
+    d_phi(q)(-c), a value of d_q too; every value of d_q is some
+    image's column 0, q's own (c = 0) being q(0) = d_q(0). Hence q is
+    least in its orbit only if q(0) = min d_q, which one pass over the
+    columns tests for every row. The images that tie with q in column 0
+    are, for each p with d_q(p) = q(0), r_c q r_c^-1 at c = -p (p != 0;
+    p = 0 is q itself) and r_c phi(q) r_c^-1 at -c = n-1-q(p), whose
+    column 0 is d_q(q^-1(q(p))) = d_q(p). By (a), the image with step
+    sequence D (d_q or d_phi(q)) at offset o = -c holds D(i + o) + i
+    mod n in column i. phi(q) is built only for the rows that pass, and
+    their tied images are compared with them from column 1 on
+    (`_not_less`); a row is kept when no image is less.
     """
     count, n = rows.shape
-    # cols[i] and phi[i] hold entry i of every row's q and phi(q)
-    cols = np.ascontiguousarray(rows.T)
-    phi = np.ascontiguousarray(n - 1 - _inverse_rows(rows)[:, ::-1].T)
-    kept = np.ones(count, bool)
-    for c in range(n) if strategy is ScalingStrategy.BLOCK else range(1):
-        # rotate[v] = v + c mod n; column i of r q r^-1 is rotate[q[i - c]]
-        rotate = np.roll(np.arange(n, dtype=rows.dtype), -c)
-        for source in (cols, phi) if c else (phi,):
-            tied = np.flatnonzero(kept)
-            for i in range(n):
-                row, image = cols[i, tied], rotate.take(source[i - c, tied])
-                kept[tied[image < row]] = False
-                tied = tied[image == row]
-                if not len(tied):
-                    break
-    return rows[kept]
+    dtype = np.uint8 if 2 * n <= 256 else np.uint16
+    # cols[i] holds entry i of every row
+    cols = np.ascontiguousarray(rows.T, dtype)
+    if strategy is ScalingStrategy.INTERLEAVED:
+        phi = np.ascontiguousarray(n - 1 - _inverse_rows(rows)[:, ::-1].T, dtype)
+        return rows[_not_less(count, range(n), lambda i, tied: (cols[i, tied], phi[i, tied]))]
+    # the least step of each row, d_q(x) = q(x) + (n - x) mod n
+    least, step = cols[0].copy(), np.empty(count, dtype)
+    for x in range(1, n):
+        np.minimum(least, _wrap(np.add(cols[x], n - x, out=step), n), out=least)
+    passed = np.flatnonzero(least == cols[0])
+    # q[x] and phi[x] hold entry x of the passing rows' q and phi(q)
+    q, width = cols.take(passed, axis=1), 2 * len(passed)
+    # the whole-table arrays go before the pair arrays are built, and
+    # these before the pairs are compared, to keep the peak memory low
+    del cols, least, step
+    phi = np.ascontiguousarray(n - 1 - _inverse_rows(q.T)[:, ::-1].T)
+    # steps[x, s] is entry x of the step sequence of q (s < width / 2)
+    # or of phi(q) (s >= width / 2), and flat[x * width + s] is entry
+    # x mod n for x < 2n, so an offset plus a column needs no `% n`
+    steps = _wrap(np.concatenate((q, phi), axis=1) + np.arange(n, 0, -1, dtype=dtype)[:, None], n)
+    flat = np.concatenate((steps, steps)).reshape(-1)
+    p, row = np.nonzero(steps[:, : len(passed)] == q[0])
+    moved = p > 0
+    # the tied images of row `owner`, from the entry `start` of flat on:
+    # (q, p) for p != 0, and (phi(q), n-1-q(p)) for every p
+    owner = np.concatenate((row[moved], row))
+    offset = n - 1 - q[p, row].astype(np.intp)
+    start = np.concatenate((p[moved] * width + row[moved], offset * width + (len(passed) + row)))
+    del phi, steps, p, row, moved, offset
+
+    def column(i, tied):
+        index = start[tied]
+        index += i * width
+        return q[i, owner[tied]], _wrap(flat.take(index) + dtype(i), n)
+
+    kept = np.ones(len(passed), bool)
+    kept[owner[~_not_less(len(owner), range(1, n), column)]] = False
+    return rows[passed[kept]]
 
 
 def images(q_rows, k: int, strategy: ScalingStrategy):
@@ -366,57 +439,66 @@ def shift_girths(t, j: int, roots: int, scratch: Scratch | None = None, rows=Non
 
 
 def survivors(t, j: int, roots: int, floor: int, scratch: Scratch | None = None):
-    """Indices, ascending, of the candidates (t[:, i], I, C_j) of a table t whose girth exceeds `floor`.
+    """(rows, girths): candidates (t[:, i], I, C_j) of a table t, among them every one whose girth exceeds `floor`.
 
-    The roots 0..roots-1 are taken in groups that at least double in
-    size (0, then 1-2, then 3-6, ...) and that fill at least one chunk
-    of `CHUNK_ROOTS` pairs with the candidates still alive, since a
-    smaller call costs about as much. Each group walks those candidates
-    up to level cap = max(1, floor // 2), and a candidate is dropped as
-    soon as the walks from one root meet. Proof. A meeting at level 1
-    is a double edge, and one at a level 1 < L <= cap shows girth
-    <= 2L <= floor (`chunk_girths`); either way the candidate does not
-    beat the floor. Conversely, a candidate that does not beat it is
-    incompatible or has an even girth g <= floor, so g / 2 <= cap; a
-    root on one of its double edges or shortest cycles, which the roots
-    hold as `shift_girths` asks, meets at level 1 or g / 2, in its own
-    group if not before. The first groups are small because, below the
-    best girth found so far, most candidates close a short cycle
+    `rows` ascends, and girths[r] is the girth of candidate rows[r] if
+    that exceeds the floor, else 0. Above a positive floor, a cascade first drops
+    candidates: the roots 0..roots-1 are taken in groups that at least
+    double in size (0, then 1-2, then 3-6, ...) and that fill at least
+    one chunk of `CHUNK_ROOTS` pairs with the candidates still alive,
+    since a smaller call costs about as much. Each group walks those
+    candidates up to level cap = max(1, floor // 2), and a candidate is
+    dropped as soon as the walks from one root meet. Proof. A meeting
+    at level 1 is a double edge, and one at a level 1 < L <= cap shows
+    girth <= 2L <= floor (`chunk_girths`); either way the candidate
+    does not beat the floor. The first groups are small because, below
+    the best girth found so far, most candidates close a short cycle
     through root 0 already.
+
+    The cascade stops once the candidates alive, times all the roots,
+    fit in one chunk, or when every root is walked; the candidates
+    alive then are scored exactly from every root (`shift_girths`), in
+    one call when they fit, and their girths at or below the floor are
+    set to 0. Exact, since every candidate that beats the floor is
+    still alive, and its girth, from roots that meet every shortest
+    cycle (`root_count`), is the same whichever call computes it. So
+    the last groups are not walked to the cap and the survivors walked
+    again from level 1: a candidate that the last group would drop
+    meets in the exact call at the same level. At floor 0 there is no
+    cascade, since it would drop only the incompatible candidates,
+    which score 0.
     """
     cap = max(1, floor // 2)
     scratch = Scratch() if scratch is None else scratch
     alive = np.arange(t.shape[1])
     start, size = 0, 1
-    while start < roots and len(alive):
+    while floor and start < roots and len(alive) * roots > CHUNK_ROOTS:
         size = max(size, CHUNK_ROOTS // len(alive))
         group = np.arange(start, min(roots, start + size))
         alive = alive[_girths(t, j, alive, group, scratch, cap) > 2 * cap]
         start, size = start + size, 2 * size
-    return alive
+    girths = shift_girths(t, j, roots, scratch, rows=alive)
+    girths[girths <= floor] = 0
+    return alive, girths
 
 
 def batch_bests(tables, js, floor: int, lo: int, hi: int) -> list[tuple[int, int]]:
     """Best (girth, row) of each shift j in `js` over the candidates (t[:, i], I, C_j), i in lo:hi, above `floor`.
 
     `tables` are `setup`'s (t, roots, scratch), and the walks start at
-    the roots. The
-    batch is scored into one table of girths, a row per shift and a
-    column per candidate of the range, that reads 0 at or below the
-    floor. A shift's best is the maximum of its row, at the row's first
+    the roots. The batch is scored into one table of girths, a row per
+    shift and a column per candidate of the range, that reads 0 at or
+    below the floor: the girths that `survivors` returns, put at their
+    rows. A shift's best is the maximum of its row, at the row's first
     column that holds it, counted as a row of t from 0; so a shift with
     no candidate above the floor gives girth 0. Several shifts are
     scored as one, at shift 1 on the rows of `relabeled`, whose stacked
     candidates fill the table row by row; one shift is scored on the
-    rows t[:, lo:hi] as they are. Above a positive floor only the candidates that `survivors`
-    keeps, exactly those whose girth exceeds it, are scored. At floor 0
-    every candidate is scored, since the survivors would only lack the
-    incompatible ones, which score 0.
+    rows t[:, lo:hi] as they are.
     """
     t, roots, scratch = tables
     # t is C-ordered, so t[:, lo:hi] is a view
     t, j = (relabeled(t[:, lo:hi], js), 1) if len(js) > 1 else (t[:, lo:hi], js[0])
-    alive = survivors(t, j, roots, floor, scratch) if floor else np.arange(t.shape[1])
     girths = np.zeros((len(js), hi - lo), np.int32)
-    girths.put(alive, shift_girths(t, j, roots, scratch, rows=alive))
+    girths.put(*survivors(t, j, roots, floor, scratch))
     return list(zip(girths.max(axis=1).tolist(), (girths.argmax(axis=1) + lo).tolist()))

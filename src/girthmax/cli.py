@@ -151,13 +151,27 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def _stderr_progress(interval: float = 5.0) -> Callable[[int, int, int], None]:
-    last = [time.monotonic()]
+    """A `search_r3` progress callback that prints a line on stderr at most every `interval` seconds.
+
+    The line gives the candidates covered out of the total, the best
+    girth so far, the candidates covered per second since the callback
+    was made, and the time left at that rate ("?" while either is
+    unknown).
+    """
+    start = time.monotonic()
+    last = [start]
 
     def emit(done: int, total: int, best: int) -> None:
         now = time.monotonic()
         if now - last[0] >= interval:
             last[0] = now
-            print(f"progress: {done}/{total} candidates, best girth {best}", file=sys.stderr)
+            elapsed = now - start
+            rate = f"{done / elapsed:,.0f}" if elapsed > 0 else "?"
+            eta = f"{(total - done) * elapsed / done:.0f}" if elapsed > 0 and done else "?"
+            print(
+                f"progress: {done}/{total} candidates, best girth {best}, {rate} candidates/s, ETA {eta} s",
+                file=sys.stderr,
+            )
 
     return emit
 

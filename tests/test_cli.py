@@ -1,4 +1,5 @@
 import json
+import types
 
 import pytest
 
@@ -381,15 +382,58 @@ class TestSearchCommand:
         assert "Traceback" not in proc.stderr
 
 
-def test_progress_reported_for_any_k(capsys):
+@pytest.fixture
+def clock(monkeypatch):
+    """The clock that `cli` reads: each read takes the next time of the returned list, or, once that is empty, the time one second after the read before (100.0 at first)."""
+    times = []
+
+    def monotonic():
+        now = times.pop(0) if times else monotonic.now + 1
+        monotonic.now = now
+        return now
+
+    monotonic.now = 99.0
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=monotonic))
+    return times
+
+
+def test_progress_reported_for_any_k(capsys, clock):
+    # k = 4 scans its shifts 5 and 7, one second apart on the clock
     search_r3(SearchConfig(k=4), progress=_stderr_progress(interval=0.0))
     lines = capsys.readouterr().err.splitlines()
-    assert lines and all(line.startswith("progress: ") for line in lines)
-    assert lines[-1] == "progress: 24/24 candidates, best girth 6"
+    assert lines == [
+        "progress: 12/24 candidates, best girth 6, 12 candidates/s, ETA 1 s",
+        "progress: 24/24 candidates, best girth 6, 12 candidates/s, ETA 0 s",
+    ]
 
 
-def test_progress_ends_at_the_total_after_an_early_exit(capsys):
+def test_progress_ends_at_the_total_after_an_early_exit(capsys, clock):
     # k = 5 interleaved reaches its girth ceiling before its last shift
     search_r3(SearchConfig(k=5, strategy="interleaved"), progress=_stderr_progress(interval=0.0))
     lines = capsys.readouterr().err.splitlines()
-    assert lines[-1] == "progress: 288/288 candidates, best girth 8"
+    assert lines[-1] == "progress: 288/288 candidates, best girth 8, 144 candidates/s, ETA 0 s"
+
+
+def test_progress_rate_and_eta(capsys, clock):
+    # made at t = 100; a line at most every 5 s, with the rate since
+    # t = 100 and the time left at that rate
+    clock += [100.0, 102.0, 104.0, 106.0, 108.0, 111.0]
+    emit = _stderr_progress()
+    for done in (1_000, 2_000, 3_000, 4_000, 4_400):
+        emit(done, 5_000, 6)
+    assert capsys.readouterr().err.splitlines() == [
+        "progress: 3000/5000 candidates, best girth 6, 500 candidates/s, ETA 4 s",
+        "progress: 4400/5000 candidates, best girth 6, 400 candidates/s, ETA 2 s",
+    ]
+
+
+def test_progress_rate_unknown(capsys, clock):
+    # no time has passed, then none covered: neither is known
+    clock += [100.0, 100.0, 101.0]
+    emit = _stderr_progress(interval=0.0)
+    emit(10, 20, 4)
+    emit(0, 20, 0)
+    assert capsys.readouterr().err.splitlines() == [
+        "progress: 10/20 candidates, best girth 4, ? candidates/s, ETA ? s",
+        "progress: 0/20 candidates, best girth 0, 0 candidates/s, ETA ? s",
+    ]

@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import multiprocessing
@@ -19,7 +20,7 @@ from girthmax import _levels
 from girthmax.bounds import moore_bipartite
 from girthmax.btu import BinaryMatrix, IncompatiblePermutations
 from girthmax.girth import girth_bfs, girth_oracle
-from girthmax.perm import Permutation, ScalingStrategy, enumerate_k_cycles, inverse, one_based, scale_up
+from girthmax.perm import Permutation, ScalingStrategy, cycle_type, enumerate_k_cycles, inverse, one_based, scale_up
 from girthmax.search import (
     NoValidShift,
     SearchConfig,
@@ -232,6 +233,38 @@ def relabel_inputs(cfg: SearchConfig) -> tuple:
     return (t, roots, shifts, big, read_only(_levels.shift_girths(big, 1, roots)))
 
 
+# SHA-256 of the bytes of `_levels.orbit_minima(_levels.cycle_rows(n),
+# strategy)`, uint8 and C-ordered, as the earlier comparison of every
+# row with each of its 2n relabelings, one map at a time, computed them;
+# the brute-force orbit test covers n <= 8, and n = 11 runs under
+# `extended`
+ORBIT_MINIMA_DIGESTS = [
+    (8, "block", "af4737ab13503db5f41896ec9092c409c9bd3c634291427380a0f62116f4dc04"),
+    (8, "interleaved", "207bbed78a1473744532d0646a48f3cf38b8fa0ab931bb21aa1f9d1acb892733"),
+    (9, "block", "5b6fb1bd02dc501e3b366474132d850c0704f630954390b802432a36510e0aa2"),
+    (9, "interleaved", "0bc9772c5d17c61fc7b1cffd4e2b6f25e536fbffe023a9039113a803a3124e1b"),
+    (10, "block", "72442f7ebd04ab57abddcb48a8ff76bdfebdb23685afca62ff6d3f6b58fc2164"),
+    (10, "interleaved", "e549f063350949cee3e2da7869fe824b4cd803a63738e6abfa7326d113427e88"),
+    (11, "block", "f29ec7a15585c5109225d082799676e2df76ad39506ba4e966712fbfec45ddef"),
+    (11, "interleaved", "e065f6cc96ce74491d3a31cee4c458393a93359ec2800708924dbdcaab2ffaed"),
+]
+
+
+def orbit_minima_digest(n: int, strategy: ScalingStrategy) -> str:
+    rows = _levels.orbit_minima(_levels.cycle_rows(n), strategy)
+    assert rows.dtype == np.uint8 and rows.flags.c_contiguous
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize(
+    "strategy, digest", [(ScalingStrategy(s), digest) for n, s, digest in ORBIT_MINIMA_DIGESTS if n == 11]
+)
+def test_orbit_minima_rows_are_pinned_at_n11(strategy, digest):
+    # 3,628,800 rows: a few seconds and about 0.3 GB
+    assert orbit_minima_digest(11, strategy) == digest
+
+
 def test_search_reaches_the_level_engine_only_through_setup_and_batch_bests():
     # `search` passes the engine's tables on without reading them, so a
     # change of what they hold (the p1 table t, the roots) is an edit of
@@ -286,18 +319,33 @@ class TestLevelEngine:
     @pytest.mark.parametrize("k, b", ENGINE_SIZES)
     def test_survivors_are_the_candidates_above_the_floor(self, k, b, chunk_roots, monkeypatch):
         # 64 (row, root) pairs per chunk split the roots into several
-        # groups and the rows into several chunks
+        # groups and the rows into several chunks. The survivors come
+        # with their exact girths, 0 at or below the floor; the rows may
+        # hold such candidates where the cascade stopped early
         monkeypatch.setattr(_levels, "CHUNK_ROOTS", chunk_roots)
-        kept = dropped = 0
+        kept = dropped = cascaded = 0
+        cascades = False
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
             t, roots = engine_inputs(cfg)
+            cascades |= t.shape[1] * roots > chunk_roots
             for (j, want), floor in itertools.product(shift_references(cfg).items(), (0, 4, 6, 8)):
-                got = _levels.survivors(t, j, roots, floor).tolist()
-                assert got == [i for i, g in enumerate(want) if g > floor], (strategy, j, floor)
-                kept += len(got)
-                dropped += len(want) - len(got)
+                rows, girths = (a.tolist() for a in _levels.survivors(t, j, roots, floor))
+                assert rows == sorted(set(rows)), (strategy, j, floor)
+                assert [r for r, g in zip(rows, girths) if g] == [i for i, g in enumerate(want) if g > floor], (
+                    strategy,
+                    j,
+                    floor,
+                )
+                assert girths == [want[r] if want[r] > floor else 0 for r in rows], (strategy, j, floor)
+                above = sum(g > 0 for g in girths)
+                kept, dropped, cascaded = kept + above, dropped + len(want) - above, cascaded + len(want) - len(rows)
+                if not floor:
+                    assert rows == list(range(len(want))), (strategy, j)
         assert kept and dropped
+        # a shift that does not fit in one chunk runs the cascade at
+        # every positive floor, which drops candidates
+        assert cascaded or not cascades
 
     def test_survivors_scored_exactly_in_larger_searches(self):
         # block k = 7 and interleaved k = 8 split their roots and rows over
@@ -311,9 +359,10 @@ class TestLevelEngine:
                 girths = engine_girths(cfg)[j]
                 for floor in (6, 8):
                     want = np.flatnonzero(girths > floor)
-                    got = _levels.survivors(t, j, roots, floor, scratch)
-                    assert got.tolist() == want.tolist(), (k, strategy, j, floor)
-                    assert _levels.shift_girths(t, j, roots, scratch, rows=got).tolist() == girths[want].tolist()
+                    got, exact = _levels.survivors(t, j, roots, floor, scratch)
+                    assert got[exact > 0].tolist() == want.tolist(), (k, strategy, j, floor)
+                    assert exact[exact > 0].tolist() == girths[want].tolist(), (k, strategy, j, floor)
+                    assert exact.tolist() == np.where(girths[got] > floor, girths[got], 0).tolist()
 
     @pytest.mark.parametrize(
         "k, strategy, j, floor, chunk_roots",
@@ -329,23 +378,33 @@ class TestLevelEngine:
     )
     def test_cascade_groups_cover_every_root(self, k, strategy, j, floor, chunk_roots, monkeypatch):
         # some candidates of the shift beat the floor, so they must be
-        # walked from every root: the groups run over 0..roots-1 without
-        # gap or overlap, each at least twice the one before
+        # walked from every root, by a group or by the exact call: the
+        # capped groups run over 0..s-1 without gap or overlap, each at
+        # least twice the one before, and stop at s = roots or once the
+        # candidates alive times the roots fit in one chunk; then one
+        # uncapped call walks those candidates from every root
         monkeypatch.setattr(_levels, "CHUNK_ROOTS", chunk_roots)
-        groups = []
+        groups, exact = [], []
         girths = _levels._girths
 
-        def spy(t, j, rows, roots, *args):
-            groups.append(roots.tolist())
-            return girths(t, j, rows, roots, *args)
+        def spy(t, j, rows, roots, scratch, cap=None):
+            (groups if cap else exact).append((roots.tolist(), len(rows)))
+            return girths(t, j, rows, roots, scratch, cap)
 
         monkeypatch.setattr(_levels, "_girths", spy)
         t, roots = engine_inputs(SearchConfig(k=k, strategy=strategy))
-        assert len(_levels.survivors(t, j, roots, floor)) > 0
-        assert sum(groups, []) == list(range(roots)), groups
-        assert all(len(b) >= 2 * len(a) for a, b in zip(groups, groups[1:-1])), groups
+        assert _levels.survivors(t, j, roots, floor)[1].any()
+        walked = sum((group for group, _ in groups), [])
+        assert walked == list(range(len(walked))), groups
+        assert all(len(b) >= 2 * len(a) for (a, _), (b, _) in zip(groups, groups[1:-1])), groups
+        assert [group for group, _ in exact] == [list(range(roots))], exact
+        alive = exact[0][1]
+        assert len(walked) == roots or alive * roots <= chunk_roots, (groups, alive)
+        # no group ran once the candidates fit in one chunk
+        assert all(rows * roots > chunk_roots for _, rows in groups), groups
         if chunk_roots == 1:
-            assert [len(g) for g in groups[:-1]] == [2**i for i in range(len(groups) - 1)], groups
+            assert walked == list(range(roots)), groups
+            assert [len(g) for g, _ in groups[:-1]] == [2**i for i in range(len(groups) - 1)], groups
 
     @pytest.mark.parametrize("cfg", RELABEL_CONFIGS, ids=config_id)
     def test_relabeled_rows_at_shift_1_have_the_girths_of_their_shifts(self, cfg):
@@ -369,10 +428,13 @@ class TestLevelEngine:
     def test_relabeled_rows_keep_the_survivors(self, cfg):
         t, roots, shifts, big, _ = relabel_inputs(cfg)
         scratch = _levels.Scratch()
+        # the candidates above the floor, and their girths, whether each
+        # shift is scored on its own or the batch as one shift
         for floor in (4, 6, 8):
             kept = [_levels.survivors(t, j, roots, floor, scratch) for j in shifts]
-            want = [s * t.shape[1] + i for s, rows in enumerate(kept) for i in rows]
-            assert _levels.survivors(big, 1, roots, floor, scratch).tolist() == want, floor
+            want = {s * t.shape[1] + i: g for s, (rows, exact) in enumerate(kept) for i, g in zip(rows, exact) if g}
+            rows, exact = _levels.survivors(big, 1, roots, floor, scratch)
+            assert {i: g for i, g in zip(rows.tolist(), exact.tolist()) if g} == want, floor
 
     @pytest.mark.parametrize(
         "cfg", [cfg for cfg in RELABEL_CONFIGS if cfg.strategy is ScalingStrategy.INTERLEAVED], ids=config_id
@@ -628,6 +690,42 @@ class TestTransposeSymmetry:
             assert got == sorted(min(orbit) for orbit in orbits), strategy
             assert len(got) < len(q1s) or n == 3, strategy
 
+    @pytest.mark.parametrize(
+        "n, strategy, digest",
+        [
+            pytest.param(n, ScalingStrategy(strategy), digest, id=f"{n}-{strategy}")
+            for n, strategy, digest in ORBIT_MINIMA_DIGESTS
+            if n <= 10
+        ],
+    )
+    def test_orbit_minima_rows_are_pinned(self, n, strategy, digest):
+        assert orbit_minima_digest(n, strategy) == digest
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_step_sequence_lemma(self, data):
+        # on a single n-cycle q with step sequence d(x) = q(x) - x mod n:
+        # r q r^-1, r(i) = i + c mod n, holds d(i - c) + i in column i
+        # (so d(-c) in column 0), and phi(q) = rho q^-1 rho has the step
+        # sequence x -> d(q^-1(n-1-x)), a permutation of d
+        n = data.draw(st.integers(2, 12), label="n")
+        order = data.draw(st.permutations(range(1, n)), label="cycle")
+        c = data.draw(st.integers(0, n - 1), label="c")
+        q = [0] * n
+        for v, w in zip((0, *order), (*order, 0)):
+            q[v] = w
+        assert cycle_type(Permutation(q)) == (n,)
+        d = [(q[x] - x) % n for x in range(n)]
+        assert 0 not in d
+        conjugate = [(q[(i - c) % n] + c) % n for i in range(n)]
+        assert conjugate[0] == d[-c % n]
+        assert conjugate == [(d[(i - c) % n] + i) % n for i in range(n)]
+        inv = inverse(Permutation(q)).image
+        phi = [n - 1 - inv[n - 1 - x] for x in range(n)]
+        d_phi = [(phi[x] - x) % n for x in range(n)]
+        assert d_phi == [d[inv[n - 1 - x]] for x in range(n)]
+        assert sorted(d_phi) == sorted(d)
+
     def test_sampled_candidates_of_k4_b2(self):
         # 80,640 candidates per strategy: too many to build each one
         rng = random.Random(32)
@@ -727,7 +825,8 @@ class TestFloor:
         survivors = _levels.survivors
 
         def spy(t, j, roots, floor, *args):
-            seen.append(floor)
+            if floor:
+                seen.append(floor)
             return survivors(t, j, roots, floor, *args)
 
         monkeypatch.setattr(_levels, "survivors", spy)
@@ -761,27 +860,32 @@ class TestFloor:
     def test_k7_block_drops_every_shift_below_the_winner(self, monkeypatch):
         # the engine scans the 78 orbit minima of the 720 q1; the 12
         # shifts j = 9..20 after the first hold girth 6 at best, the
-        # running best: none of their candidates is scored exactly. They
-        # come in the batches (9, 10), (11, 12, 13, 15) and (16, ..., 24),
-        # each scored at shift 1 on 78 rows per shift, and only the last
-        # batch, which holds j = 22, has candidates above 6, none of them
-        # at a shift before 22
+        # running best. They come in the batches (9, 10), (11, 12, 13,
+        # 15) and (16, ..., 24), each scored at shift 1 on 78 rows per
+        # shift, and only the last batch, which holds j = 22, has
+        # candidates above 6, none of them at a shift before 22. The
+        # cascade leaves each batch few enough candidates for one exact
+        # call (49 roots each), and none of the first two batches' is
+        # above 6
         exact = []
         shift_girths = _levels.shift_girths
 
         def spy(t, j, roots, scratch=None, rows=None):
-            exact.append((j, t.shape[1], None if rows is None else rows.tolist()))
-            return shift_girths(t, j, roots, scratch, rows)
+            girths = shift_girths(t, j, roots, scratch, rows)
+            exact.append((j, t.shape[1], None if rows is None else rows.tolist(), girths.tolist()))
+            return girths
 
         monkeypatch.setattr(_levels, "shift_girths", spy)
         result = search_r3(SearchConfig(k=7))
         assert (result.best_girth, result.witness_j) == (8, 22)
-        assert exact[:3] == [(8, 78, list(range(78))), (1, 2 * 78, []), (1, 4 * 78, [])]
-        j, rows, scored = exact[3]
-        assert (j, rows, len(exact)) == (1, 8 * 78, 4)
+        assert [call[:2] for call in exact] == [(8, 78), (1, 2 * 78), (1, 4 * 78), (1, 8 * 78)]
+        assert exact[0][2] == list(range(78))
+        assert all(len(rows) * 49 <= _levels.CHUNK_ROOTS for _, _, rows, _ in exact[1:]), exact
+        assert all(g <= 6 for _, _, _, girths in exact[1:3] for g in girths), exact[1:3]
+        _, _, scored, girths = exact[3]
         # candidate c is row c % 78 of the batch's shift c // 78, and
         # j = 22 is its sixth
-        shifts = [c // 78 for c in scored]
+        shifts = [c // 78 for c, g in zip(scored, girths) if g > 6]
         assert min(shifts) == 5 and 0 < shifts.count(5) < 78
 
     @pytest.mark.parametrize("workers", [1, 2])
