@@ -15,13 +15,15 @@ comparison of the underlying matrices.
 Serialization: the alist format standard in LDPC tooling (column-major
 index lists, see `write_alist`), DIMACS edge format (square matrices
 only: left vertices 1..m, right m+1..2m), and a dense 0/1 text grid for
-debugging.
+debugging. A DIMACS file in `write_dimacs`'s own layout is read in one
+pass over its tokens, and any other layout line by line, with the same
+errors.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .perm import Permutation, _frozen, compose, identity, inverse
@@ -279,13 +281,16 @@ def _labels(n: int) -> list[str]:
 
 
 def _int_fields(line: str, lineno: int) -> list[int]:
-    out = []
-    for tok in line.split():
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise MalformedAlist(lineno, f"non-integer field {tok!r}") from None
-    return out
+    fields = line.split()
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        for tok in fields:  # the first field int() refuses, for the message
+            try:
+                int(tok)
+            except ValueError:
+                raise MalformedAlist(lineno, f"non-integer field {tok!r}") from None
+        raise
 
 
 def _index_list(line: str, lineno: int, bound: int, declared: int, what: str) -> list[int]:
@@ -303,19 +308,22 @@ def _index_list(line: str, lineno: int, bound: int, declared: int, what: str) ->
     return [v - 1 for v in entries]
 
 
-def _index_block(lines: list[str], first: int, bound: int, degrees: list[int], what: str) -> list[list[int]]:
+def _index_block(
+    lines: list[str], first: int, index: dict[str, int], degrees: list[int], what: str
+) -> list[list[int]]:
     """The 0-based index lists on lines first, first + 1, ... (1-based numbers).
 
-    A block whose every token is a plain label 1..bound, with the
-    declared count per line and no repeats, is read in bulk. Anything
-    else (zero padding, a token such as "+3" or "07", or a fault) sends
-    the block through `_index_list` line by line, which reads what the
-    bulk pass skips and raises the first fault in file order.
+    `index` maps each plain label "1".."bound" to its 0-based index. A
+    block whose every token is such a label, with the declared count
+    per line and no repeats, is read in bulk. Anything else (zero
+    padding, a token such as "+3" or "07", or a fault) sends the block
+    through `_index_list` line by line, which reads what the bulk pass
+    skips and raises the first fault in file order.
     """
     block = lines[first - 1 : first - 1 + len(degrees)]
-    index = {label: v for v, label in enumerate(_labels(bound))}.__getitem__
+    bound = len(index)
     try:
-        lists = [list(map(index, ln.split())) for ln in block]
+        lists = [list(map(index.__getitem__, ln.split())) for ln in block]
     except KeyError:
         pass
     else:
@@ -355,8 +363,10 @@ def read_alist(text: str) -> BinaryMatrix:
     if len(lines) < 4 + n_cols + n_rows:
         raise MalformedAlist(len(lines) + 1, f"truncated: expected {4 + n_cols + n_rows} lines")
 
-    col_lists = _index_block(lines, 5, n_rows, col_degrees, "row")
-    row_lists = _index_block(lines, 5 + n_cols, n_cols, row_degrees, "column")
+    row_index = dict(zip(_labels(n_rows), range(n_rows)))
+    col_index = row_index if n_cols == n_rows else dict(zip(_labels(n_cols), range(n_cols)))
+    col_lists = _index_block(lines, 5, row_index, col_degrees, "row")
+    row_lists = _index_block(lines, 5 + n_cols, col_index, row_degrees, "column")
     if max(col_degrees, default=0) != max_col or max(row_degrees, default=0) != max_row:
         raise NotRegular(
             f"declared maxima {max_col}/{max_row} differ from actual "
@@ -379,7 +389,11 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
     has one, and otherwise a shortest augmenting path, found
     breadth-first over alternating edges, so the chain length costs no
     stack. (The first free column is what that search would find at
-    depth 1.) The constituent order is the greedy extraction order,
+    depth 1.) Only r - 1 matchings are grown: the 1-regular remainder is
+    itself a permutation matrix, and the r-th matching would give each
+    row its one column, free since no other row holds it; so the last
+    constituent is read off as each row's one remaining column. The
+    constituent order is the greedy extraction order,
     which need not be the order some original BTU was built with.
     Raises DecompositionFailed for non-square, irregular or all-zero
     matrices.
@@ -399,7 +413,7 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
         raise DecompositionFailed("matrix has no ones")
     remaining = list(map(list, mat.rows))
     perms = []
-    for _ in range(r):
+    for _ in range(r - 1):
         match_of_col = [-1] * m  # col -> row
         image = [-1] * m  # row -> col
         for row in range(m):
@@ -413,6 +427,7 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
         perms.append(Permutation(image))
         for row in range(m):
             remaining[row].remove(image[row])
+    perms.append(Permutation([row[0] for row in remaining]))  # the 1-regular remainder
     return Btu(tuple(perms))
 
 
@@ -458,12 +473,13 @@ def write_dimacs(x: "Btu | BinaryMatrix") -> str:
     m = mat.n_rows
     if mat.n_cols != m:
         raise ValueError(f"DIMACS needs a square matrix, got {mat.n_rows}x{mat.n_cols}")
-    label = _labels(2 * m)
-    lines = [f"p edge {2 * m} {sum(map(len, mat.rows))}"]
-    for i, row in enumerate(mat.rows):
-        head = f"e {label[i]} "
-        lines.extend([head + label[m + c] for c in row])
-    return "\n".join(lines) + "\n"
+    rows = mat.rows
+    cols = list(chain.from_iterable(rows))  # the column of each edge, in output order
+    n_edges = len(cols)
+    ends = cols * 2  # edge by edge, its left vertex and its right vertex
+    ends[0::2] = chain.from_iterable(map(repeat, range(1, m + 1), map(len, rows)))
+    ends[1::2] = map(list(range(m + 1, 2 * m + 1)).__getitem__, cols)
+    return f"p edge {2 * m} {n_edges}\n" + ("e %d %d\n" * n_edges) % tuple(ends)
 
 
 def read_dimacs(text: str) -> BinaryMatrix:
@@ -473,7 +489,58 @@ def read_dimacs(text: str) -> BinaryMatrix:
     vertex count 2m >= 2 with every edge joining 1..m to m+1..2m, each edge
     listed once (in either orientation). Anything else, a non-integer
     field included, raises MalformedDimacs.
+
+    The layout `write_dimacs` emits is read in one pass over
+    `text.split()`; any other text goes to the line reader
+    `_read_dimacs_lines`, so every error and line number is the line
+    reader's. The pass takes the text when, with E the declared edge
+    count: there are 4 + 3E tokens, "p edge 2m E" with m <= E in plain
+    digits first; the tokens 5, 8, ... are labels 1..m and the tokens
+    6, 9, ... labels m+1..2m; "\\ne " occurs E times; `splitlines` gives
+    E + 1 lines; and no edge repeats. Then each record is one line: the
+    E "\\ne " start E distinct lines with the token "e", none of them
+    line 1; as only the tokens 4, 7, ... can be "e", these starts are
+    exactly those E tokens, in order; and as there are E + 1 lines in
+    all, line 1 holds the 4 header tokens and every other line one edge
+    record "e u v". The line reader reads the same records and, as they
+    join left to right once each, the same matrix.
     """
+    mat = _read_dimacs_bulk(text)
+    return _read_dimacs_lines(text) if mat is None else mat
+
+
+def _read_dimacs_bulk(text: str) -> BinaryMatrix | None:
+    # `read_dimacs`'s one pass; None where the text is not in its layout
+    tokens = text.split()
+    n_edges = len(tokens) // 3 - 1
+    if not (
+        tokens[:2] == ["p", "edge"]
+        and len(tokens) % 3 == 1
+        and tokens[3] == str(n_edges)
+        and text.count("\ne ") == n_edges
+        and len(text.splitlines()) == n_edges + 1
+    ):
+        return None
+    try:
+        m = int(tokens[2]) // 2
+        # m <= E keeps the label tables below the text's size
+        if not 1 <= m <= n_edges or tokens[2] != str(2 * m):
+            return None
+        label = _labels(2 * m)
+        left = dict(zip(label[:m], range(m))).__getitem__
+        right = dict(zip(label[m:], range(m))).__getitem__
+        rows: list[set[int]] = [set() for _ in range(m)]
+        for u, v in zip(map(left, tokens[5::3]), map(right, tokens[6::3])):
+            rows[u].add(v)
+    except (KeyError, ValueError):  # a label that is not one, or a vertex count that int() refuses
+        return None
+    if sum(map(len, rows)) != n_edges:  # an edge repeats
+        return None
+    return _trusted_matrix(m, m, tuple(map(tuple, map(sorted, rows))))
+
+
+def _read_dimacs_lines(text: str) -> BinaryMatrix:
+    # `read_dimacs` record by record, for any layout
     n_vertices = None
     problem_line = 0
     edges: dict[tuple[int, int], int] = {}  # (low, high) endpoint -> line

@@ -68,6 +68,33 @@ def random_btu(rng: random.Random, m: int, r: int) -> Btu:
     return Btu(perms)
 
 
+# Table 1 winners (j, q1 image, 0-based) under interleaved scaling
+TABLE_1_WINNERS = {5: (7, (4, 2, 3, 0, 1)), 6: (7, (1, 3, 5, 2, 0, 4)), 7: (10, (2, 4, 6, 1, 5, 0, 3))}
+
+
+def table_1_winner(k: int) -> Btu:
+    j, q1 = TABLE_1_WINNERS[k]
+    return construct_candidate(Permutation(q1), j, SearchConfig(k=k))
+
+
+def seeded_lift(base: Btu, L: int, rng: random.Random) -> Btu:
+    """Random L-lift (i, a) -> (p(i), a + v mod L), a voltage v per edge,
+    then a random relabeling of rows and columns."""
+    n = base.m * L
+    lifted = []
+    for p in base.perms:
+        img = [0] * n
+        for i, pi in enumerate(p.image):
+            v = rng.randrange(L)
+            for a in range(L):
+                img[i * L + a] = pi * L + (a + v) % L
+        lifted.append(Permutation(img))
+    row, col = list(range(n)), list(range(n))
+    rng.shuffle(row)
+    rng.shuffle(col)
+    return Btu(lifted).relabel(Permutation(row), Permutation(col))
+
+
 def candidate_space(cfg: SearchConfig):
     """All (q1, j) pairs of a search, in scan (= tie-break) order."""
     lower = cfg.b * cfg.k if cfg.j_range_filter else 0

@@ -14,6 +14,8 @@ from girthmax.btu import (
     MalformedAlist,
     MalformedDimacs,
     NotRegular,
+    _read_dimacs_bulk,
+    _read_dimacs_lines,
     btu_from_matrix,
     read_alist,
     read_dense,
@@ -25,9 +27,8 @@ from girthmax.btu import (
 )
 from girthmax.girth import girth_oracle
 from girthmax.perm import Permutation, circulant, identity, relative_cycle_type
-from girthmax.search import SearchConfig, construct_candidate
 
-from conftest import random_btu, round_trips, run_python
+from conftest import random_btu, round_trips, run_python, seeded_lift, table_1_winner
 
 HEAWOOD = Btu([circulant(7, 0), circulant(7, 1), circulant(7, 3)])
 ALL_ONES_3 = Btu([identity(3), circulant(3, 1), circulant(3, 2)])
@@ -418,10 +419,9 @@ class TestAlistFaultOrder:
         assert read_alist(text) == ALL_ONES_3.matrix()
 
 
-# Table 1 winners (j, q1 image, 0-based) under interleaved scaling, and the
-# constituents btu_from_matrix recovers from their matrices, in extraction
-# order. The greedy matcher's choices decide this order.
-TABLE_1_WINNERS = {5: (7, (4, 2, 3, 0, 1)), 6: (7, (1, 3, 5, 2, 0, 4)), 7: (10, (2, 4, 6, 1, 5, 0, 3))}
+# The constituents btu_from_matrix recovers from the matrices of the Table 1
+# winners (conftest.TABLE_1_WINNERS), in extraction order. The greedy
+# matcher's choices decide this order.
 RECOVERED = {
     5: (
         tuple(range(25)),
@@ -447,30 +447,13 @@ RECOVERED = {
 RECOVERED_LIFTS = {
     (5, 2, 11): "954e8c5caffbcf0d0caf73f2c71174c37db53e29eff61b633c84903b1591e3ae",
     (6, 3, 12): "f9c238bbfd2efea7c2a43533383cf931bf91b4b72e8ebcd3eeffec5910d0f0a0",
+    (7, 11, 13): "d2ccdc97476008de784510dd6a0480e67b7298223960de231ba7848cd2eb8271",  # m = 539
 }
-
-
-def table_1_winner(k: int) -> Btu:
-    j, q1 = TABLE_1_WINNERS[k]
-    return construct_candidate(Permutation(q1), j, SearchConfig(k=k))
-
-
-def seeded_lift(base: Btu, L: int, rng: random.Random) -> Btu:
-    """Random L-lift (i, a) -> (p(i), a + v mod L), a voltage v per edge,
-    then a random relabeling of rows and columns."""
-    n = base.m * L
-    lifted = []
-    for p in base.perms:
-        img = [0] * n
-        for i, pi in enumerate(p.image):
-            v = rng.randrange(L)
-            for a in range(L):
-                img[i * L + a] = pi * L + (a + v) % L
-        lifted.append(Permutation(img))
-    row, col = list(range(n)), list(range(n))
-    rng.shuffle(row)
-    rng.shuffle(col)
-    return Btu(lifted).relabel(Permutation(row), Permutation(col))
+# (k, L, seed, r) -> the same for the lift of the winner's first r constituents
+RECOVERED_PREFIX_LIFTS = {
+    (7, 11, 13, 1): "3ec59bb81bedf14782729115d2ee35d051c71257690f83d0f79bb90a27cd5671",
+    (7, 11, 13, 2): "85d943155ee721d421d812d5e546f9056bfa1092a1760a2631f8d86b5ea03100",
+}
 
 
 class TestRecoveryOrder:
@@ -486,6 +469,15 @@ class TestRecoveryOrder:
         assert same_matrix(rec, lifted)
         images = [list(p.image) for p in rec.perms]
         assert hashlib.sha256(repr(images).encode()).hexdigest() == RECOVERED_LIFTS[(k, L, seed)]
+
+    @pytest.mark.parametrize("k, L, seed, r", list(RECOVERED_PREFIX_LIFTS))
+    def test_seeded_lifts_of_fewer_constituents(self, k, L, seed, r):
+        # r = 1 grows no matching, r = 2 one before the remainder
+        lifted = seeded_lift(Btu(table_1_winner(k).perms[:r]), L, random.Random(seed))
+        rec = btu_from_matrix(lifted.matrix())
+        assert rec.r == r and same_matrix(rec, lifted)
+        images = [list(p.image) for p in rec.perms]
+        assert hashlib.sha256(repr(images).encode()).hexdigest() == RECOVERED_PREFIX_LIFTS[(k, L, seed, r)]
 
 
 class TestDimacs:
@@ -547,6 +539,105 @@ class TestDimacs:
         for text in ("c neg\np edge -4 0\n", "c neg\np edge 6 -1\n"):
             with pytest.raises(MalformedDimacs, match="line 2: negative count"):
                 read_dimacs(text)
+
+
+class TestDimacsBulkPath:
+    """`read_dimacs` reads `write_dimacs`'s layout in one pass and any
+    other text with `_read_dimacs_lines`; on written and mutated texts
+    it must give the line reader's matrix, or its error."""
+
+    SEPARATORS = (" ", "  ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028")
+
+    @staticmethod
+    def _outcome(read, text):
+        try:
+            return read(text)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    def _mutate(self, rng, lines: list[str], m: int) -> list[str]:
+        # one mutation of the header and edge lines; the text's last "\n" is the caller's
+        kind = rng.choice((
+            "reversed", "comment", "blank", "duplicate", "sign", "zero", "joined", "shuffled",
+            "count", "vertices", "separator", "range", "dropped", "record", "non-integer",
+        ))
+        edges = [i for i, ln in enumerate(lines) if ln.startswith("e ") and len(ln.split()) == 3]
+        header = [i for i, ln in enumerate(lines) if ln.startswith("p edge ") and ln.split()[-1].isdigit()]
+        if kind == "comment":
+            lines.insert(rng.randint(0, len(lines)), rng.choice(("c", "c note", "c e 1 2", "comment")))
+        elif kind == "blank":
+            lines.insert(rng.randint(0, len(lines)), rng.choice(("", " ", "\t")))
+        elif kind == "shuffled":
+            body = lines[1:]
+            rng.shuffle(body)
+            lines[1:] = body
+        elif kind in ("count", "vertices") and header:
+            fields = lines[header[0]].split()
+            at = 3 if kind == "count" else 2
+            fields[at] = str(max(0, int(fields[at]) + rng.choice((-2, -1, 1, 2))))
+            lines[header[0]] = " ".join(fields)
+        elif kind == "joined" and len(lines) > 1:
+            i = rng.randrange(len(lines) - 1)
+            lines[i : i + 2] = [lines[i] + rng.choice(self.SEPARATORS[:3]) + lines[i + 1]]
+        elif edges and kind not in ("count", "vertices", "joined"):
+            i = rng.choice(edges)
+            fields = lines[i].split()
+            if kind == "reversed":
+                fields[1:] = fields[:0:-1]
+            elif kind == "duplicate":
+                lines.insert(rng.randint(1, len(lines)), rng.choice((lines[i], f"e {fields[2]} {fields[1]}")))
+            elif kind in ("sign", "zero", "non-integer"):
+                at = rng.randint(1, 2)
+                fields[at] = {"sign": "+", "zero": "0", "non-integer": "x"}[kind] + fields[at]
+            elif kind == "separator":  # a line break splits the record
+                fields[rng.randint(0, 1)] += rng.choice(self.SEPARATORS)
+            elif kind == "range":
+                fields[rng.randint(1, 2)] = str(rng.choice((0, m, m + 1, 2 * m + 1)))
+            elif kind == "dropped":
+                del lines[i]
+                return lines
+            elif kind == "record":
+                fields[0] = rng.choice(("p", "E", "ee", "c"))
+            lines[i] = " ".join(fields)
+        return lines
+
+    def test_written_layout_takes_the_bulk_path(self, rng):
+        for m in range(1, 10):
+            text = write_dimacs(random_btu(rng, m, rng.randint(1, min(3, m))))
+            mat = _read_dimacs_bulk(text)
+            assert mat is not None and mat == _read_dimacs_lines(text)
+
+    def test_mutated_texts_read_as_the_line_reader_reads_them(self, rng):
+        taken = 0
+        cases = 2000
+        for _ in range(cases):
+            m = rng.randint(1, 8)
+            lines = write_dimacs(random_btu(rng, m, rng.randint(1, min(3, m)))).splitlines()
+            for _ in range(rng.randint(0, 3)):
+                lines = self._mutate(rng, lines, m)
+            end = rng.choice(("\n", "\n", "", "\r\n"))
+            text = end.join(lines) + (end if rng.random() < 0.8 else "")
+            expected = self._outcome(_read_dimacs_lines, text)
+            assert self._outcome(read_dimacs, text) == expected, text
+            bulk = _read_dimacs_bulk(text)
+            if bulk is not None:
+                assert bulk == expected, text
+                taken += 1
+        # both paths are exercised
+        assert 0.05 * cases < taken < 0.95 * cases
+
+    def test_line_break_inside_a_record_is_the_line_readers(self):
+        # the tokens, the "\ne " and the "\n" counts fit the layout, but
+        # splitlines also breaks at a form feed, so record 3 is "e 2"
+        text = "p edge 6 2\ne 1 4\ne 2\x0c5\n"
+        assert _read_dimacs_bulk(text) is None
+        with pytest.raises(MalformedDimacs, match="line 3: bad edge line 'e 2'"):
+            read_dimacs(text)
+
+    def test_reversed_edge_reads_the_same_matrix(self):
+        text = write_dimacs(ALL_ONES_3).replace("e 2 5\n", "e 5 2\n")
+        assert _read_dimacs_bulk(text) is None
+        assert read_dimacs(text) == ALL_ONES_3.matrix()
 
 
 class TestDense:

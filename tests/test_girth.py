@@ -3,11 +3,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from girthmax.btu import BinaryMatrix, Btu
+from girthmax.btu import BinaryMatrix, Btu, read_alist, read_dimacs, write_alist, write_dimacs
 from girthmax.girth import TooLarge, girth_bfs, girth_oracle
 from girthmax.perm import circulant, identity, relative_cycle_type
 
-from conftest import networkx_girth, random_btu
+from conftest import networkx_girth, random_btu, seeded_lift, table_1_winner
 
 K33 = Btu([identity(3), circulant(3, 1), circulant(3, 2)]).matrix()
 HEAWOOD = Btu([circulant(7, 0), circulant(7, 1), circulant(7, 3)]).matrix()
@@ -99,6 +99,25 @@ class TestEnginesAgree:
             b = random_btu(rng, m, rng.randint(1, min(3, m)))
             v = girth_bfs(b.matrix()).value
             assert v == inf or (v % 2 == 0 and v >= 4)
+
+
+class TestReadBackLifts:
+    def test_girth_and_witness_match_networkx(self, rng):
+        # beyond the oracle's size guard: relabeled lifts of the Table 1
+        # winners, m = 50..300, read back from alist and from DIMACS as
+        # `girthmax girth --in` reads them
+        girths = set()
+        for i in range(30):
+            k = (5, 6, 7)[i % 3]
+            lifted = seeded_lift(table_1_winner(k), rng.randint(-(-50 // (k * k)), 300 // (k * k)), rng)
+            expected = networkx_girth(lifted)
+            for mat in (read_alist(write_alist(lifted)), read_dimacs(write_dimacs(lifted))):
+                assert mat == lifted.matrix()
+                res = girth_bfs(mat, want_witness=True)
+                assert res.value == expected
+                check_witness(mat, res.witness, expected)
+            girths.add(expected)
+        assert girths == {6, 8, 10}  # lifts can beat their bases (girth 6)
 
 
 class TestWitnesses:
