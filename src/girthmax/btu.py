@@ -15,15 +15,15 @@ comparison of the underlying matrices.
 Serialization: the alist format standard in LDPC tooling (column-major
 index lists, see `write_alist`), DIMACS edge format (square matrices
 only: left vertices 1..m, right m+1..2m), and a dense 0/1 text grid for
-debugging. A DIMACS file in `write_dimacs`'s own layout is read in one
-pass over its tokens, and any other layout line by line, with the same
-errors.
+debugging. A file in the writer's own layout is read in one pass (alist
+in one per index block, DIMACS in one over its tokens), and any other
+text line by line, with the same errors.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, count, islice, repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .perm import Permutation, _frozen, compose, identity, inverse
@@ -131,10 +131,6 @@ class BinaryMatrix:
             if r and (r[0] < 0 or r[-1] >= n_cols):
                 raise ValueError(f"row {i}: column index out of range")
         _freeze(self, n_rows=n_rows, n_cols=n_cols, rows=rws)
-
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """Per-column sorted row indices (the transpose view)."""
-        return tuple(map(tuple, _columns(self.rows, self.n_cols)))
 
     def to_bipartite(self) -> BinaryMatrix:
         # the matrix is its own graph; perfbench is the only caller outside the tests
@@ -262,17 +258,24 @@ def write_alist(x: "Btu | BinaryMatrix") -> str:
     """
     mat = _as_matrix(x)
     rows = mat.rows
-    cols = mat.columns()
+    cols = _columns(rows, mat.n_cols)
     label = _labels(max(mat.n_rows, mat.n_cols)).__getitem__
-    lines = [
-        f"{mat.n_cols} {mat.n_rows}",
-        f"{max(map(len, cols), default=0)} {max(map(len, rows), default=0)}",
-        " ".join(map(str, map(len, cols))),
-        " ".join(map(str, map(len, rows))),
-    ]
-    lines.extend(" ".join(map(label, col)) for col in cols)
-    lines.extend(" ".join(map(label, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    return (
+        f"{mat.n_cols} {mat.n_rows}\n"
+        f"{max(map(len, cols))} {max(map(len, rows))}\n"
+        + " ".join(map(str, map(len, cols))) + "\n"
+        + " ".join(map(str, map(len, rows))) + "\n"
+        + _index_lines(cols, label)
+        + _index_lines(rows, label)
+    )
+
+
+def _index_lines(lists: Sequence[Sequence[int]], label) -> str:
+    # one line of 1-based labels per list; one format for a block of one degree d >= 1
+    d = len(lists[0])
+    if d and set(map(len, lists)) == {d}:
+        return ("%s " * (d - 1) + "%s\n") * len(lists) % tuple(map(label, chain.from_iterable(lists)))
+    return "\n".join(map(" ".join, map(map, repeat(label), lists))) + "\n"
 
 
 def _labels(n: int) -> list[str]:
@@ -308,33 +311,6 @@ def _index_list(line: str, lineno: int, bound: int, declared: int, what: str) ->
     return [v - 1 for v in entries]
 
 
-def _index_block(
-    lines: list[str], first: int, index: dict[str, int], degrees: list[int], what: str
-) -> list[list[int]]:
-    """The 0-based index lists on lines first, first + 1, ... (1-based numbers).
-
-    `index` maps each plain label "1".."bound" to its 0-based index. A
-    block whose every token is such a label, with the declared count
-    per line and no repeats, is read in bulk. Anything else (zero
-    padding, a token such as "+3" or "07", or a fault) sends the block
-    through `_index_list` line by line, which reads what the bulk pass
-    skips and raises the first fault in file order.
-    """
-    block = lines[first - 1 : first - 1 + len(degrees)]
-    bound = len(index)
-    try:
-        lists = [list(map(index.__getitem__, ln.split())) for ln in block]
-    except KeyError:
-        pass
-    else:
-        if list(map(len, lists)) == degrees and list(map(len, map(set, lists))) == degrees:
-            return lists
-    return [
-        _index_list(ln, lineno, bound, declared, what)
-        for lineno, ln, declared in zip(range(first, first + len(block)), block, degrees)
-    ]
-
-
 def read_alist(text: str) -> BinaryMatrix:
     """Parse alist text into a BinaryMatrix.
 
@@ -342,6 +318,9 @@ def read_alist(text: str) -> BinaryMatrix:
     lists are ignored). Raises MalformedAlist for structural problems,
     NotRegular when an index list disagrees with its declared degree.
     Of several faulty index lines, the first in file order is reported.
+    The index lines of `write_alist`'s own layout are read in one pass
+    per block (`_read_alist_bulk`), and any other text line by line,
+    which raises every error.
     """
     lines = text.splitlines()
     if len(lines) < 4:
@@ -353,7 +332,6 @@ def read_alist(text: str) -> BinaryMatrix:
     maxima = _int_fields(lines[1], 2)
     if len(maxima) != 2:
         raise MalformedAlist(2, f"expected 'max_col_degree max_row_degree', got {lines[1]!r}")
-    max_col, max_row = maxima
     col_degrees = _int_fields(lines[2], 3)
     if len(col_degrees) != n_cols:
         raise MalformedAlist(3, f"expected {n_cols} column degrees, got {len(col_degrees)}")
@@ -362,21 +340,60 @@ def read_alist(text: str) -> BinaryMatrix:
         raise MalformedAlist(4, f"expected {n_rows} row degrees, got {len(row_degrees)}")
     if len(lines) < 4 + n_cols + n_rows:
         raise MalformedAlist(len(lines) + 1, f"truncated: expected {4 + n_cols + n_rows} lines")
-
-    row_index = dict(zip(_labels(n_rows), range(n_rows)))
-    col_index = row_index if n_cols == n_rows else dict(zip(_labels(n_cols), range(n_cols)))
-    col_lists = _index_block(lines, 5, row_index, col_degrees, "row")
-    row_lists = _index_block(lines, 5 + n_cols, col_index, row_degrees, "column")
-    if max(col_degrees, default=0) != max_col or max(row_degrees, default=0) != max_row:
-        raise NotRegular(
-            f"declared maxima {max_col}/{max_row} differ from actual "
-            f"{max(col_degrees, default=0)}/{max(row_degrees, default=0)}"
+    actual = [max(col_degrees), max(row_degrees)]
+    rows = _read_alist_bulk(lines, col_degrees, row_degrees) if maxima == actual else None
+    if rows is None:  # line by line
+        col_lists = list(map(_index_list, lines[4:], count(5), repeat(n_rows), col_degrees, repeat("row")))
+        row_lists = list(
+            map(_index_list, lines[4 + n_cols :], count(5 + n_cols), repeat(n_cols), row_degrees, repeat("column"))
         )
-    # both kinds of list are duplicate-free, so they describe one matrix
-    # exactly when each column list holds the rows that list the column
-    if list(map(sorted, col_lists)) != _columns(row_lists, n_cols):
-        raise MalformedAlist(5, "column lists and row lists describe different matrices")
-    return _trusted_matrix(n_rows, n_cols, tuple(map(tuple, map(sorted, row_lists))))
+        if maxima != actual:
+            raise NotRegular("declared maxima {}/{} differ from actual {}/{}".format(*maxima, *actual))
+        # both kinds of list are duplicate-free, so they describe one matrix
+        # exactly when each column list holds the rows that list the column
+        if list(map(sorted, col_lists)) != _columns(row_lists, n_cols):
+            raise MalformedAlist(5, "column lists and row lists describe different matrices")
+        rows = tuple(map(tuple, map(sorted, row_lists)))
+    return _trusted_matrix(n_rows, n_cols, rows)
+
+
+def _read_alist_bulk(lines: list[str], col_degrees: list[int], row_degrees: list[int]) -> tuple | None:
+    """The rows of `write_alist`'s layout in one pass per index block; else None.
+
+    Each block is joined with single spaces and split at them once, and
+    every piece must be a label "1".."bound": an empty piece, other
+    whitespace, "0", "+3" or "07" gives None. As no label holds a space,
+    each line then holds its space count + 1 labels, checked against its
+    degree. Taken as (row, column) pairs, the column lists give the rows
+    `_columns(cols, n_rows)`, each ascending; the text is taken when
+    they equal the file's rows and no row repeats a column. Then the
+    rows are ascending and duplicate-free, and so are the column lists
+    (a row repeated in column c would repeat c in that row); every index
+    is in range and every count declared. So the line reader passes
+    every line, finds the lists consistent, and returns these rows.
+    """
+    n_cols, n_rows = len(col_degrees), len(row_degrees)
+    label = _labels(max(n_rows, n_cols))
+    row_index = dict(zip(label, range(n_rows))).__getitem__
+    col_index = row_index if n_cols == n_rows else dict(zip(label, range(n_cols))).__getitem__
+    blocks = []
+    for first, degrees, index in ((4, col_degrees, row_index), (4 + n_cols, row_degrees, col_index)):
+        block = lines[first : first + len(degrees)]
+        try:
+            flat = list(map(index, " ".join(block).split(" ")))
+        except KeyError:
+            return None
+        d = degrees[0]
+        regular = degrees.count(d) == len(degrees)
+        spaces = [d - 1] * len(degrees) if regular else list(map((-1).__add__, degrees))
+        if list(map(str.count, block, repeat(" "))) != spaces:
+            return None
+        it = iter(flat)
+        blocks.append(tuple(zip(*[it] * d) if regular else map(tuple, map(islice, repeat(it), degrees))))
+    cols, rows = blocks
+    if tuple(map(tuple, _columns(cols, n_rows))) != rows or list(map(len, map(set, rows))) != row_degrees:
+        return None
+    return rows
 
 
 def btu_from_matrix(mat: BinaryMatrix) -> Btu:
@@ -412,6 +429,7 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
     if r == 0:
         raise DecompositionFailed("matrix has no ones")
     remaining = list(map(list, mat.rows))
+    via, seen = [0] * m, [-1] * m  # `_augment`'s scratch, shared by its searches
     perms = []
     for _ in range(r - 1):
         match_of_col = [-1] * m  # col -> row
@@ -423,7 +441,7 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
                     match_of_col[c] = row
                     break
             else:
-                _augment(row, remaining, match_of_col, image, len(perms))
+                _augment(row, remaining, match_of_col, image, via, seen, len(perms))
         perms.append(Permutation(image))
         for row in range(m):
             remaining[row].remove(image[row])
@@ -431,14 +449,18 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
     return Btu(tuple(perms))
 
 
-def _augment(row: int, remaining: list[list[int]], match_of_col: list[int], image: list[int], extraction: int) -> None:
-    # match the unmatched `row` along a shortest augmenting path
-    via: dict[int, int] = {}  # column -> the row it was reached from
+def _augment(
+    row: int, remaining: list, match_of_col: list, image: list, via: list, seen: list, extraction: int
+) -> None:
+    # match the unmatched `row` along a shortest augmenting path; a column
+    # reached from row x gets via[c] = x and this search's key in seen[c]
+    key = extraction * len(seen) + row  # a row searches once per extraction
     frontier = [row]
     free = -1
     for x in frontier:  # grows while it is walked: breadth-first
         for c in remaining[x]:
-            if c not in via:
+            if seen[c] != key:
+                seen[c] = key
                 via[c] = x
                 if match_of_col[c] == -1:
                     free = c

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from girthmax import btu
 from girthmax.btu import (
     BinaryMatrix,
     Btu,
@@ -419,6 +420,130 @@ class TestAlistFaultOrder:
         assert read_alist(text) == ALL_ONES_3.matrix()
 
 
+class TestAlistBulkPath:
+    """`read_alist` reads `write_alist`'s index lines in one pass per
+    block and any other text line by line; on written and mutated texts
+    it must give the line reader's matrix, or its error and line."""
+
+    @pytest.fixture
+    def read(self, monkeypatch):
+        """read(text, bulk) -> (matrix or (error type, message, line), whether the bulk pass took the text)."""
+        real = btu._read_alist_bulk
+        state = {}
+
+        def spy(*args):
+            state["rows"] = real(*args) if state["bulk"] else None
+            return state["rows"]
+
+        def read(text: str, bulk: bool = True):
+            state.update(bulk=bulk, rows=None)
+            try:
+                outcome = read_alist(text)
+            except ValueError as exc:
+                outcome = type(exc), str(exc), getattr(exc, "line", None)
+            return outcome, state["rows"] is not None
+
+        monkeypatch.setattr(btu, "_read_alist_bulk", spy)
+        return read
+
+    @staticmethod
+    def _matrix(rng) -> BinaryMatrix:
+        # a BTU's matrix, or an irregular one, possibly non-square or with an empty line
+        if rng.random() < 0.6:
+            m = rng.randint(1, 8)
+            return random_btu(rng, m, rng.randint(1, min(3, m))).matrix()
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+        low = 0 if rng.random() < 0.2 else 1
+        rows = [rng.sample(range(n_cols), rng.randint(low, n_cols)) for _ in range(n_rows)]
+        return BinaryMatrix(n_rows, n_cols, rows)
+
+    @staticmethod
+    def _mutate(rng, lines: list[str], bound: int) -> list[str]:
+        # one mutation; `bound` exceeds every index of either block
+        kind = rng.choice((
+            "zero", "sign", "tab", "double", "leading", "trailing", "blank", "crlf", "unsorted",
+            "duplicate", "range", "disagree", "swapped", "moved", "dropped", "degree", "maxima",
+        ))
+        i = rng.randrange(4, len(lines)) if len(lines) > 4 else 0
+        tokens = lines[i].split(" ")
+        j = rng.randrange(len(tokens))
+        if kind == "zero":
+            tokens.insert(rng.randint(0, len(tokens)), "0")
+        elif kind == "sign":
+            tokens[j] = rng.choice(("+", "0", "x")) + tokens[j]
+        elif kind in ("tab", "double"):
+            tokens[j] += "\t" if kind == "tab" else " "
+        elif kind in ("leading", "trailing"):
+            tokens = [""] + tokens if kind == "leading" else tokens + [""]
+        elif kind == "crlf":
+            tokens[-1] += "\r"
+        elif kind == "blank":
+            lines.insert(rng.randint(1, len(lines)), "")
+        elif kind == "unsorted":
+            rng.shuffle(tokens)
+        elif kind == "duplicate":
+            tokens[j] = rng.choice(tokens)
+        elif kind == "range":
+            tokens[j] = str(rng.choice((bound, bound + 1, -1)))
+        elif kind == "disagree":
+            tokens[j] = str(rng.randint(1, bound - 1))
+        elif kind == "swapped" and len(lines) > 5:
+            k = rng.randrange(4, len(lines))
+            lines[i], lines[k] = lines[k], lines[i]
+            return lines
+        elif kind == "moved" and i + 1 < len(lines):  # the last token to the start of the next line
+            lines[i + 1] = tokens.pop() + " " + lines[i + 1]
+        elif kind == "dropped":
+            del tokens[j]
+        elif kind in ("degree", "maxima"):
+            i = rng.choice((2, 3)) if kind == "degree" else 1
+            tokens = lines[i].split(" ")
+            j = rng.randrange(len(tokens))
+            if tokens[j].isdigit():  # an earlier mutation may have moved the line
+                tokens[j] = str(int(tokens[j]) + rng.choice((-1, 1)))
+        lines[i] = " ".join(tokens)
+        return lines
+
+    def test_written_layout_takes_the_bulk_path(self, rng, read):
+        for m in range(1, 10):
+            text = write_alist(random_btu(rng, m, rng.randint(1, min(3, m))))
+            assert read(text) == (read(text, bulk=False)[0], True)
+        # irregular and non-square, without an empty line
+        text = write_alist(BinaryMatrix(2, 3, [(0, 2), (1,)]))
+        assert read(text) == (read(text, bulk=False)[0], True)
+
+    def test_mutated_texts_read_as_the_line_reader_reads_them(self, rng, read):
+        taken = 0
+        cases = 2000
+        for _ in range(cases):
+            mat = self._matrix(rng)
+            lines = write_alist(mat).splitlines()
+            for _ in range(rng.randint(0, 3)):
+                lines = self._mutate(rng, lines, max(mat.n_rows, mat.n_cols) + 1)
+            end = rng.choice(("\n", "\n", "\r\n"))
+            text = end.join(lines) + end
+            outcome, bulk = read(text)
+            assert outcome == read(text, bulk=False)[0], text
+            taken += bulk
+        # both paths are exercised
+        assert 0.05 * cases < taken < 0.95 * cases
+
+    def test_tokens_moved_across_a_line_break_are_the_line_readers(self, read):
+        # the row block holds the same labels in the same order, but line 7
+        # holds one and line 8 two, where the row degrees declare two and one
+        text = write_alist(BinaryMatrix(2, 2, [(0, 1), (1,)]))
+        assert text.endswith("\n1 2\n2\n")
+        moved = text[: -len("1 2\n2\n")] + "1\n2 2\n"
+        message = "line 7: column list has 1 entries, degree declares 2"
+        assert read(moved) == ((NotRegular, message, None), False)
+
+    def test_a_repeat_in_both_blocks_is_the_line_readers(self, read):
+        # column 1 lists row 1 twice and row 1 column 1 twice: the blocks
+        # agree, so only the per-row repeat count keeps the bulk pass out
+        text = "1 1\n2 2\n2\n2\n1 1\n1 1\n"
+        assert read(text) == ((MalformedAlist, "line 5: duplicate row index", 5), False)
+
+
 # The constituents btu_from_matrix recovers from the matrices of the Table 1
 # winners (conftest.TABLE_1_WINNERS), in extraction order. The greedy
 # matcher's choices decide this order.
@@ -449,6 +574,13 @@ RECOVERED_LIFTS = {
     (6, 3, 12): "f9c238bbfd2efea7c2a43533383cf931bf91b4b72e8ebcd3eeffec5910d0f0a0",
     (7, 11, 13): "d2ccdc97476008de784510dd6a0480e67b7298223960de231ba7848cd2eb8271",  # m = 539
 }
+# (k, L, seed) of ten lifts with m = 100..1,000, the sizes perfbench's graph_io
+# decomposes, and one sha256 over the repr of each one's recovered images
+RECOVERED_LARGE_LIFTS = (
+    (5, 4, 1), (6, 4, 2), (7, 5, 3), (5, 12, 4), (6, 10, 5),
+    (7, 9, 6), (5, 24, 7), (6, 20, 8), (7, 17, 9), (5, 40, 10),
+)
+RECOVERED_LARGE_SHA256 = "b4e01cd1e31fc2b67c4fbf1f888be3e9d064b73dabc3bda719886a1d3556ba6e"
 # (k, L, seed, r) -> the same for the lift of the winner's first r constituents
 RECOVERED_PREFIX_LIFTS = {
     (7, 11, 13, 1): "3ec59bb81bedf14782729115d2ee35d051c71257690f83d0f79bb90a27cd5671",
@@ -469,6 +601,15 @@ class TestRecoveryOrder:
         assert same_matrix(rec, lifted)
         images = [list(p.image) for p in rec.perms]
         assert hashlib.sha256(repr(images).encode()).hexdigest() == RECOVERED_LIFTS[(k, L, seed)]
+
+    def test_large_seeded_lifts(self):
+        digest = hashlib.sha256()
+        for k, L, seed in RECOVERED_LARGE_LIFTS:
+            lifted = seeded_lift(table_1_winner(k), L, random.Random(seed))
+            rec = btu_from_matrix(lifted.matrix())
+            assert same_matrix(rec, lifted)
+            digest.update(repr([list(p.image) for p in rec.perms]).encode())
+        assert digest.hexdigest() == RECOVERED_LARGE_SHA256
 
     @pytest.mark.parametrize("k, L, seed, r", list(RECOVERED_PREFIX_LIFTS))
     def test_seeded_lifts_of_fewer_constituents(self, k, L, seed, r):
