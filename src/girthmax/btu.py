@@ -15,9 +15,10 @@ comparison of the underlying matrices.
 Serialization: the alist format standard in LDPC tooling (column-major
 index lists, see `write_alist`), DIMACS edge format (square matrices
 only: left vertices 1..m, right m+1..2m), and a dense 0/1 text grid for
-debugging. A file in the writer's own layout is read in one pass (alist
-in one per index block, DIMACS in one over its tokens), and any other
-text line by line, with the same errors.
+debugging. Alist index lines of plain labels are read in one pass per
+block, whatever whitespace parts them, and a DIMACS file in the
+writer's own layout in one pass over its tokens; any other text is read
+line by line, with the same errors.
 """
 
 from __future__ import annotations
@@ -318,9 +319,9 @@ def read_alist(text: str) -> BinaryMatrix:
     lists are ignored). Raises MalformedAlist for structural problems,
     NotRegular when an index list disagrees with its declared degree.
     Of several faulty index lines, the first in file order is reported.
-    The index lines of `write_alist`'s own layout are read in one pass
-    per block (`_read_alist_bulk`), and any other text line by line,
-    which raises every error.
+    Index lines that hold only plain labels, whatever whitespace parts
+    them, are read in one pass per block (`_read_alist_bulk`), and any
+    other text line by line, which raises every error.
     """
     lines = text.splitlines()
     if len(lines) < 4:
@@ -358,38 +359,36 @@ def read_alist(text: str) -> BinaryMatrix:
 
 
 def _read_alist_bulk(lines: list[str], col_degrees: list[int], row_degrees: list[int]) -> tuple | None:
-    """The rows of `write_alist`'s layout in one pass per index block; else None.
+    """The rows of an alist text whose index lines hold only labels; else None.
 
-    Each block is joined with single spaces and split at them once, and
-    every piece must be a label "1".."bound": an empty piece, other
-    whitespace, "0", "+3" or "07" gives None. As no label holds a space,
-    each line then holds its space count + 1 labels, checked against its
-    degree. Taken as (row, column) pairs, the column lists give the rows
-    `_columns(cols, n_rows)`, each ascending; the text is taken when
-    they equal the file's rows and no row repeats a column. Then the
-    rows are ascending and duplicate-free, and so are the column lists
-    (a row repeated in column c would repeat c in that row); every index
-    is in range and every count declared. So the line reader passes
-    every line, finds the lists consistent, and returns these rows.
+    Each index line is split at whitespace, as the line reader splits
+    it, and must hold its declared count of pieces, each a label
+    "1".."bound": a "0", "+3", "07" or "x" gives None. Taken as (row,
+    column) pairs, the column lists give the rows `_columns(cols,
+    n_rows)`, each ascending; the text is taken when they equal the
+    file's rows and no row repeats a column. Then the rows are ascending
+    and duplicate-free, and the column lists are duplicate-free (a row
+    repeated in column c would repeat c in that row) and hold the same
+    pairs; every index is in range and every count declared. So the line
+    reader passes every line, finds the lists consistent, and returns
+    these rows.
     """
     n_cols, n_rows = len(col_degrees), len(row_degrees)
     label = _labels(max(n_rows, n_cols))
     row_index = dict(zip(label, range(n_rows))).__getitem__
     col_index = row_index if n_cols == n_rows else dict(zip(label, range(n_cols))).__getitem__
     blocks = []
-    for first, degrees, index in ((4, col_degrees, row_index), (4 + n_cols, row_degrees, col_index)):
-        block = lines[first : first + len(degrees)]
-        try:
-            flat = list(map(index, " ".join(block).split(" ")))
-        except KeyError:
-            return None
-        d = degrees[0]
-        regular = degrees.count(d) == len(degrees)
-        spaces = [d - 1] * len(degrees) if regular else list(map((-1).__add__, degrees))
-        if list(map(str.count, block, repeat(" "))) != spaces:
-            return None
-        it = iter(flat)
-        blocks.append(tuple(zip(*[it] * d) if regular else map(tuple, map(islice, repeat(it), degrees))))
+    try:
+        for first, degrees, index in ((4, col_degrees, row_index), (4 + n_cols, row_degrees, col_index)):
+            fields = list(map(str.split, lines[first : first + len(degrees)]))
+            if list(map(len, fields)) != degrees:
+                return None
+            it = map(index, chain.from_iterable(fields))
+            d = degrees[0]
+            regular = degrees.count(d) == len(degrees)
+            blocks.append(tuple(zip(*[it] * d) if regular else map(tuple, map(islice, repeat(it), degrees))))
+    except KeyError:
+        return None
     cols, rows = blocks
     if tuple(map(tuple, _columns(cols, n_rows))) != rows or list(map(len, map(set, rows))) != row_degrees:
         return None

@@ -421,9 +421,10 @@ class TestAlistFaultOrder:
 
 
 class TestAlistBulkPath:
-    """`read_alist` reads `write_alist`'s index lines in one pass per
-    block and any other text line by line; on written and mutated texts
-    it must give the line reader's matrix, or its error and line."""
+    """`read_alist` reads index lines of plain labels in one pass per
+    block, whatever whitespace parts them, and any other text line by
+    line; on written and mutated texts it must give the line reader's
+    matrix, or its error and line."""
 
     @pytest.fixture
     def read(self, monkeypatch):
@@ -511,6 +512,20 @@ class TestAlistBulkPath:
         # irregular and non-square, without an empty line
         text = write_alist(BinaryMatrix(2, 3, [(0, 2), (1,)]))
         assert read(text) == (read(text, bulk=False)[0], True)
+
+    def test_other_layouts_take_the_bulk_path(self, rng, read):
+        # layouts of other alist writers: space-padded, tab-separated, CRLF
+        for m in range(1, 10):
+            lines = write_alist(random_btu(rng, m, rng.randint(1, min(3, m)))).splitlines()
+            for prefix, space, suffix in ((" ", " ", " "), ("", "  ", ""), ("", " ", "\r"), ("\t", "\t", "")):
+                index_lines = [prefix + line.replace(" ", space) + suffix for line in lines[4:]]
+                text = "\n".join(lines[:4] + index_lines) + "\n"
+                assert read(text) == (read(text, bulk=False)[0], True), text
+        # a descending column line: the line reader sorts column lists
+        text = write_alist(BinaryMatrix(2, 2, [(0, 1), (0,)]))
+        assert text.startswith("2 2\n2 2\n2 1\n2 1\n1 2\n")
+        flipped = text.replace("\n1 2\n", "\n2 1\n", 1)
+        assert read(flipped) == (BinaryMatrix(2, 2, [(0, 1), (0,)]), True)
 
     def test_mutated_texts_read_as_the_line_reader_reads_them(self, rng, read):
         taken = 0
