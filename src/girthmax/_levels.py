@@ -1,9 +1,9 @@
 """Level engine of the search: the exact girth of many candidates at once.
 
 `search` makes two calls: `setup` builds a search's q1 rows, the
-engine's tables of them and its batch limit, and `batch_bests` returns
+engine's tables of them and its batch limits, and `batch_bests` returns
 each shift's best (girth, row) above a floor on a range of those rows.
-The tables are (t, roots, scratch): t is one (2, rows, m) array whose
+The tables are (t, roots, scratch, cap): t is one (2, rows, m) array whose
 t[0, i] is the image row of p1 for q1 row i and t[1, i] that of p1^-1
 (`images`), and every function below takes that one array. `search`
 does not read the tables, so a change of them, or of the roots, stays
@@ -23,10 +23,11 @@ test, `root_count` the roots that suffice, and the scaling is
 `perm._scale_map`.
 `shift_girths` scores one shift exactly. `survivors` drops the
 candidates that one root proves to have a girth no larger than a floor,
-until the rest fit in one chunk, and scores those exactly, with 0 for a
-girth at or below the floor; so `batch_bests` makes one exact call per
-batch, and once the survivors fit in a chunk, no group walks them to
-the floor first. `relabeled`
+until the rest fit in one chunk, and scores those exactly, up to the
+search's girth ceiling (`setup` proves the cap), with 0 for a girth at
+or below the floor; so `batch_bests` makes one exact call per batch,
+and once the survivors fit in a chunk, no group walks them to the floor
+first. `relabeled`
 turns the candidates of several shifts into candidates of shift 1, by
 the relabeling x -> x * j^-1 mod m, so that a batch is scored as one
 shift of stacked rows. Each of them proves its claim in its docstring.
@@ -261,18 +262,32 @@ def root_count(n: int, k: int, strategy: ScalingStrategy) -> int:
     return n if strategy is ScalingStrategy.INTERLEAVED else n * k
 
 
-def setup(n: int, k: int, strategy: ScalingStrategy):
-    """(q_rows, tables, most) of a search: its q1 rows, the tables that `batch_bests` reads, and a batch limit.
+def setup(n: int, k: int, strategy: ScalingStrategy, ceiling: int):
+    """(q_rows, tables, least, most) of a search: its q1 rows, the tables that `batch_bests` reads, and two batch limits.
 
     The q1 rows are the `orbit_minima` of `cycle_rows(n)`. The tables
-    are (t, roots, scratch): the `images` table of those rows, the
-    `root_count` and the `Scratch` that every batch of the search
-    reuses. Past `most` shifts, one root of a batch fills a chunk, so a
-    larger batch saves no call.
+    are (t, roots, scratch, cap): the `images` table of those rows, the
+    `root_count`, the `Scratch` that every batch of the search reuses,
+    and the level cap = ceiling // 2 - 1 of every exact call, where
+    `ceiling` is a proven bound on the girth of every candidate of the
+    search. `least` is the number of shifts whose candidates, from
+    every root, fit one chunk, or 1 if one shift's do not: a batch of
+    that many is then one exact call whatever its floor (`survivors`
+    runs no cascade on it). Past `most` shifts, one root of a batch
+    fills a chunk, so a larger batch saves no call.
+
+    Proof that the cap keeps the exact calls exact. A candidate whose
+    walks from the roots do not meet by level cap has girth > 2 * cap
+    (`chunk_girths`), and the ceiling proves girth <= ceiling. Girths
+    are even, so its girth is 2 * (ceiling // 2) = 2 * cap + 2, the
+    value that `chunk_girths` gives it. The other candidates meet by
+    level cap and get their girth, or 0 for a double edge, which meets
+    at level 1 (a cap below 1 stops no walk).
     """
     q_rows = orbit_minima(cycle_rows(n), strategy)
-    tables = images(q_rows, k, strategy), root_count(n, k, strategy), Scratch()
-    return q_rows, tables, max(1, CHUNK_ROOTS // len(q_rows))
+    roots = root_count(n, k, strategy)
+    tables = images(q_rows, k, strategy), roots, Scratch(), ceiling // 2 - 1
+    return q_rows, tables, max(1, CHUNK_ROOTS // (len(q_rows) * roots)), max(1, CHUNK_ROOTS // len(q_rows))
 
 
 def relabeled(t, js):
@@ -424,21 +439,22 @@ def _girths(t, j: int, rows, roots, scratch: Scratch, cap: int | None = None):
     return np.concatenate(girths) if girths else np.zeros(0, np.int32)
 
 
-def shift_girths(t, j: int, roots: int, scratch: Scratch | None = None, rows=None):
+def shift_girths(t, j: int, roots: int, scratch: Scratch | None = None, rows=None, cap: int | None = None):
     """Girth of each candidate (t[:, i], I, C_j), i in `rows` (default every row of t); 0 if incompatible.
 
     t is a table as `images` builds it, or a range of its rows. Walks
     start at the left vertices 0..roots-1, which must meet every
     shortest cycle and double edge (`root_count` proves which do). Pass
     one `scratch` to every shift of a search, so that its work arrays
-    are allocated once.
+    are allocated once. With a `cap`, a girth above 2 * cap reads
+    2 * cap + 2 (`chunk_girths`); `setup` proves which cap stays exact.
     """
     rows = np.arange(t.shape[1]) if rows is None else rows
     scratch = Scratch() if scratch is None else scratch
-    return _girths(t, j, rows, np.arange(roots), scratch)
+    return _girths(t, j, rows, np.arange(roots), scratch, cap)
 
 
-def survivors(t, j: int, roots: int, floor: int, scratch: Scratch | None = None):
+def survivors(t, j: int, roots: int, floor: int, scratch: Scratch | None = None, cap: int | None = None):
     """(rows, girths): candidates (t[:, i], I, C_j) of a table t, among them every one whose girth exceeds `floor`.
 
     `rows` ascends, and girths[r] is the girth of candidate rows[r] if
@@ -447,9 +463,9 @@ def survivors(t, j: int, roots: int, floor: int, scratch: Scratch | None = None)
     double in size (0, then 1-2, then 3-6, ...) and that fill at least
     one chunk of `CHUNK_ROOTS` pairs with the candidates still alive,
     since a smaller call costs about as much. Each group walks those
-    candidates up to level cap = max(1, floor // 2), and a candidate is
+    candidates up to level depth = max(1, floor // 2), and a candidate is
     dropped as soon as the walks from one root meet. Proof. A meeting
-    at level 1 is a double edge, and one at a level 1 < L <= cap shows
+    at level 1 is a double edge, and one at a level 1 < L <= depth shows
     girth <= 2L <= floor (`chunk_girths`); either way the candidate
     does not beat the floor. The first groups are small because, below
     the best girth found so far, most candidates close a short cycle
@@ -457,27 +473,28 @@ def survivors(t, j: int, roots: int, floor: int, scratch: Scratch | None = None)
 
     The cascade stops once the candidates alive, times all the roots,
     fit in one chunk, or when every root is walked; the candidates
-    alive then are scored exactly from every root (`shift_girths`), in
-    one call when they fit, and their girths at or below the floor are
-    set to 0. Exact, since every candidate that beats the floor is
-    still alive, and its girth, from roots that meet every shortest
-    cycle (`root_count`), is the same whichever call computes it. So
-    the last groups are not walked to the cap and the survivors walked
+    alive then are scored exactly from every root (`shift_girths`,
+    which stops at level `cap`; `setup` proves its cap exact), in one
+    call when they fit, and their girths at or below the floor are set
+    to 0. Exact, since every candidate that beats the floor is still
+    alive, and its girth, from roots that meet every shortest cycle
+    (`root_count`), is the same whichever call computes it. So
+    the last groups are not walked to the depth and the survivors walked
     again from level 1: a candidate that the last group would drop
     meets in the exact call at the same level. At floor 0 there is no
     cascade, since it would drop only the incompatible candidates,
     which score 0.
     """
-    cap = max(1, floor // 2)
+    depth = max(1, floor // 2)
     scratch = Scratch() if scratch is None else scratch
     alive = np.arange(t.shape[1])
     start, size = 0, 1
     while floor and start < roots and len(alive) * roots > CHUNK_ROOTS:
         size = max(size, CHUNK_ROOTS // len(alive))
         group = np.arange(start, min(roots, start + size))
-        alive = alive[_girths(t, j, alive, group, scratch, cap) > 2 * cap]
+        alive = alive[_girths(t, j, alive, group, scratch, depth) > 2 * depth]
         start, size = start + size, 2 * size
-    girths = shift_girths(t, j, roots, scratch, rows=alive)
+    girths = shift_girths(t, j, roots, scratch, rows=alive, cap=cap)
     girths[girths <= floor] = 0
     return alive, girths
 
@@ -485,8 +502,9 @@ def survivors(t, j: int, roots: int, floor: int, scratch: Scratch | None = None)
 def batch_bests(tables, js, floor: int, lo: int, hi: int) -> list[tuple[int, int]]:
     """Best (girth, row) of each shift j in `js` over the candidates (t[:, i], I, C_j), i in lo:hi, above `floor`.
 
-    `tables` are `setup`'s (t, roots, scratch), and the walks start at
-    the roots. The batch is scored into one table of girths, a row per
+    `tables` are `setup`'s (t, roots, scratch, cap), the walks start
+    at the roots, and the exact call stops at the cap. The batch is
+    scored into one table of girths, a row per
     shift and a column per candidate of the range, that reads 0 at or
     below the floor: the girths that `survivors` returns, put at their
     rows. A shift's best is the maximum of its row, at the row's first
@@ -494,11 +512,13 @@ def batch_bests(tables, js, floor: int, lo: int, hi: int) -> list[tuple[int, int
     no candidate above the floor gives girth 0. Several shifts are
     scored as one, at shift 1 on the rows of `relabeled`, whose stacked
     candidates fill the table row by row; one shift is scored on the
-    rows t[:, lo:hi] as they are.
+    rows t[:, lo:hi] as they are. When the batch's candidates, from
+    every root, fit one chunk (up to `setup`'s `least` shifts), the
+    batch is one exact call at any floor.
     """
-    t, roots, scratch = tables
+    t, roots, scratch, cap = tables
     # t is C-ordered, so t[:, lo:hi] is a view
     t, j = (relabeled(t[:, lo:hi], js), 1) if len(js) > 1 else (t[:, lo:hi], js[0])
     girths = np.zeros((len(js), hi - lo), np.int32)
-    girths.put(*survivors(t, j, roots, floor, scratch))
+    girths.put(*survivors(t, j, roots, floor, scratch, cap))
     return list(zip(girths.max(axis=1).tolist(), (girths.argmax(axis=1) + lo).tolist()))

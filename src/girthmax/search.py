@@ -27,15 +27,19 @@ merge goes shift by shift in ascending j and keeps the first strictly
 larger girth, and the report's counts come in closed form from
 `candidate_counts`. The merge stops at the first shift whose best girth
 meets `_girth_ceiling`, the proven bound on every candidate's girth
-(2*b*k, and the bipartite Moore bound on 2m vertices), and no later
-batch is started, in process or on the pool.
+(the bipartite Moore bound on 2m vertices), and no later batch is
+started, in process or on the pool. The level engine's exact calls also
+stop their walks at the ceiling (`_levels.setup` proves them exact).
 
-Batch sizes double (1, 2, 4, ...), up to the limit of `_levels.setup`
-on the level engine and 1 on `_scan`, and go back to 1 whenever the
-best girth is one step (2) below the ceiling, since any survivor then
-ends the search and the later shifts of a batch would be scored for
-nothing. Every range, in process or on the pool, is one `_task` call,
-which hands it to the search's scorer:
+Batch sizes start at `least`, the number of shifts whose candidates
+one exact call of the level engine holds, double up to `most`, the
+limit past which a larger batch saves no call (both from
+`_levels.setup` on the level engine, both 1 on `_scan`), and go back to
+`least` whenever the best girth is one step (2) below the ceiling,
+since any survivor then ends the search and the shifts of a batch
+after it would be scored for nothing, beyond those that ride in the
+same exact call. Every range, in process or on the pool, is one `_task`
+call, which hands it to the search's scorer:
 
 * `_levels.batch_bests`, the level engine, for searches of at least
   `_LEVEL_MIN_CANDIDATES` candidates, every k >= 5 among them. The
@@ -262,8 +266,8 @@ _LEVEL_MIN_CANDIDATES = 100
 # Searches whose shifts hold at least this many scanned q1 rows run on a
 # pool of cfg.worker_count processes, smaller ones in process. A batch of
 # shifts is what the pool splits, one range of its rows per worker, and
-# every search that reaches the pool has so many rows that the batch
-# limit of `_levels.setup` is 1, so its batches are single shifts. The
+# every search that reaches the pool has so many rows that both batch
+# limits of `_levels.setup` are 1, so its batches are single shifts. The
 # rows are the q1 that the search scans: the orbit minima on the level
 # engine, every q1 on `_scan`. Measured as search_r3's elapsed time, each
 # search in a fresh interpreter, medians of 16 alternating pairs (8 for
@@ -287,12 +291,16 @@ def _girth_ceiling(cfg: SearchConfig) -> int:
     Proof. A compatible candidate is 3-regular and bipartite on 2m
     vertices. By the bipartite Moore bound (`bounds.moore_bipartite`),
     girth g needs at least 2(2^(g/2) - 1) vertices, so 2^(g/2) <= m + 1
-    and g <= 2*((m + 1).bit_length() - 1). And p1 = scale_up(q1, k) is k
-    disjoint (b*k)-cycles, each of which closes a cycle of length 2*b*k
-    with the identity constituent. The Moore bound is written out here
-    to keep the import of `bounds` off the search path.
+    and g <= 2*((m + 1).bit_length() - 1). The Moore bound is written
+    out here to keep the import of `bounds` off the search path.
+
+    The cycles of length 2*b*k that p1 = scale_up(q1, k), k disjoint
+    (b*k)-cycles, closes with the identity constituent give no smaller
+    bound. With x = b*k >= 2 and b >= 1, m + 1 = b*k^2 + 1 <= x^2 + 1
+    < 2^(x + 1), so (m + 1).bit_length() - 1 = floor(log2(m + 1)) <= x,
+    and the Moore bound is at most 2*b*k.
     """
-    return min(2 * cfg.b * cfg.k, 2 * ((cfg.m + 1).bit_length() - 1))
+    return 2 * ((cfg.m + 1).bit_length() - 1)
 
 
 def search_r3(
@@ -321,7 +329,8 @@ def search_r3(
     candidate has a larger girth, shifts are merged in ascending j and
     each returns its first q1 at the maximum, so that (j, q1) is the
     first maximum in tie-break order. A batch may score shifts after
-    that one, whose results are not read.
+    that one, whose results are not read: when the batch is one exact
+    call (`least` shifts), they cost that call little more.
 
     The shifts are scored in batches of consecutive shifts (the module
     docstring gives the sizes). Each batch is scored against a floor,
@@ -359,11 +368,11 @@ def search_r3(
     if total >= _LEVEL_MIN_CANDIDATES:
         from . import _levels
 
-        q1s, tables, most = _levels.setup(n, cfg.k, cfg.strategy)
+        q1s, tables, least, most = _levels.setup(n, cfg.k, cfg.strategy, ceiling)
         state = (_levels.batch_bests, tables)
     else:
         q1s = list(enumerate_k_cycles(n))
-        state, most = (_scan, q1s, cfg), 1
+        state, least, most = (_scan, q1s, cfg), 1, 1
     rows = len(q1s)
     workers = min(cfg.worker_count, rows) if rows >= _POOL_MIN_ROWS else 1
 
@@ -388,7 +397,7 @@ def search_r3(
 
         # batches, and the shifts within them, are merged in scan order,
         # which is the tie-break order
-        start, size, stop = 0, 1, False
+        start, size, stop = 0, least, False
         while not stop and start < len(scanned):
             batch = tuple(scanned[start : start + size])
             for done, (j, (g, q_idx)) in enumerate(zip(batch, score(batch, best_girth)), start + 1):
@@ -403,7 +412,7 @@ def search_r3(
                     break
             start += len(batch)
             # one step below the ceiling, any survivor ends the search
-            size = 1 if best_girth + 2 >= ceiling else min(2 * size, most)
+            size = least if best_girth + 2 >= ceiling else min(2 * size, most)
     return SearchResult(
         best_girth=best_girth,
         # a Permutation or a uint8 image row, read as Python ints

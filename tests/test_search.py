@@ -30,7 +30,7 @@ from girthmax.search import (
     valid_shifts,
 )
 
-from conftest import candidate_space, reference_girth, round_trips, run_python
+from conftest import TABLE_1_WINNERS, candidate_space, reference_girth, round_trips, run_python
 
 
 class TestValidShifts:
@@ -801,6 +801,68 @@ class TestGirthCeiling:
         assert (result.best_girth, result.witness_j) == (10, 10)
         assert scanned == [(8,), (9,), (10,)]
 
+    @pytest.fixture
+    def tasks(self, monkeypatch):
+        """The (shifts, floor, lo, hi) of every `_task` call of the searches, in order."""
+        calls = []
+        task = girthmax.search._task
+
+        def spy(*args):
+            calls.append(args[:4])
+            return task(*args)
+
+        monkeypatch.setattr(girthmax.search, "_task", spy)
+        return calls
+
+    def test_k6_scores_its_four_shifts_in_one_call(self, tasks):
+        # k = 6 interleaved scans 7, 11, 13 and 17 on 72 orbit-minimum
+        # rows from 6 roots, 4 * 72 * 6 = 1,728 (row, root) pairs, which
+        # fit one 4,096-pair chunk, so the first batch holds all four
+        result = search_r3(SearchConfig(k=6, strategy=ScalingStrategy.INTERLEAVED))
+        assert (result.best_girth, result.witness_j, result.witness_q1.image) == (8, *TABLE_1_WINNERS[6])
+        assert tasks == [((7, 11, 13, 17), 0, 0, 72)]
+
+    def test_k5_first_batch_holds_every_shift_and_stops_at_the_ceiling(self, tasks):
+        # k = 5 interleaved scores its 6 scanned shifts in one call, and
+        # the merge stops at j = 7, the first at the ceiling of 8: two
+        # progress calls, the second covering every candidate
+        seen = []
+        cfg = SearchConfig(k=5, strategy=ScalingStrategy.INTERLEAVED)
+        result = search_r3(cfg, progress=lambda *args: seen.append(args))
+        assert (result.best_girth, result.witness_j, result.witness_q1.image) == (8, *TABLE_1_WINNERS[5])
+        assert [js for js, *_ in tasks] == [(6, 7, 8, 9, 11, 12)]
+        total = sum(candidate_counts(cfg))
+        assert seen == [(2 * 24, total, 6), (total, total, 8)]
+
+    @pytest.mark.parametrize(
+        "k, b, strategy",
+        [(k, 1, ScalingStrategy.INTERLEAVED) for k in range(3, 9)]
+        + [(k, 1, ScalingStrategy.BLOCK) for k in range(3, 8)]
+        + [(k, 2, strategy) for k in (3, 4) for strategy in ScalingStrategy],
+    )
+    def test_exact_calls_capped_at_the_ceiling_are_exact(self, k, b, strategy):
+        # `_levels.setup` caps the exact calls at level ceiling // 2 - 1:
+        # for every q1 and every admissible shift, j filter on and off,
+        # the capped girths equal the uncapped ones, which checks
+        # `_girth_ceiling` on every candidate too. Those at the ceiling
+        # take the capped value 2 * cap + 2, as at interleaved k = 5,
+        # j = 7 and k = 7, j = 10
+        at_ceiling = set()
+        for j_filter in (True, False):
+            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+            _, t, roots = corpus(cfg)
+            ceiling = girthmax.search._girth_ceiling(cfg)
+            cap = ceiling // 2 - 1
+            for j, exact in engine_girths(cfg).items():
+                capped = _levels.shift_girths(t, j, roots, cap=cap)
+                assert capped.tolist() == exact.tolist(), (j_filter, j)
+                if (capped == 2 * cap + 2).any():
+                    at_ceiling.add(j)
+        if (k, b, strategy) == (5, 1, ScalingStrategy.INTERLEAVED):
+            assert 7 in at_ceiling
+        if (k, b, strategy) == (7, 1, ScalingStrategy.INTERLEAVED):
+            assert 10 in at_ceiling
+
 
 # the searches of TestLevelEngine and TestGirthCeiling, j filter on and off
 FLOOR_CONFIGS = [
@@ -819,17 +881,22 @@ FLOOR_CONFIGS = [
 class TestFloor:
     @pytest.fixture
     def floors(self, monkeypatch):
-        """Every search on the engine; the positive floors its shifts were scored against, in order."""
+        """Every search on the engine; the positive floors its shifts were scored against, in order, one per shift.
+
+        A batch of several shifts is one `batch_bests` call, and often
+        one `survivors` call, at one floor, so the floor is recorded
+        once for each shift of the batch.
+        """
         monkeypatch.setattr(girthmax.search, "_LEVEL_MIN_CANDIDATES", 0)
         seen = []
-        survivors = _levels.survivors
+        batch_bests = _levels.batch_bests
 
-        def spy(t, j, roots, floor, *args):
+        def spy(tables, js, floor, *args):
             if floor:
-                seen.append(floor)
-            return survivors(t, j, roots, floor, *args)
+                seen.extend([floor] * len(js))
+            return batch_bests(tables, js, floor, *args)
 
-        monkeypatch.setattr(_levels, "survivors", spy)
+        monkeypatch.setattr(_levels, "batch_bests", spy)
         return seen
 
     @staticmethod
@@ -870,8 +937,8 @@ class TestFloor:
         exact = []
         shift_girths = _levels.shift_girths
 
-        def spy(t, j, roots, scratch=None, rows=None):
-            girths = shift_girths(t, j, roots, scratch, rows)
+        def spy(t, j, roots, scratch=None, rows=None, cap=None):
+            girths = shift_girths(t, j, roots, scratch, rows, cap)
             exact.append((j, t.shape[1], None if rows is None else rows.tolist(), girths.tolist()))
             return girths
 
@@ -915,16 +982,18 @@ class TestFloor:
 
     def test_pool_submits_no_range_after_the_ceiling_shift(self, submitted, monkeypatch):
         # k = 5 interleaved meets its ceiling of 8 at j = 7, the second of
-        # its 6 scanned shifts, and k = 7 its ceiling of 10 at j = 10, the
-        # third of 15; each shift up to there is cut into 2 ranges, and
-        # after the first the best is one step below the ceiling, so
-        # every batch is one shift
+        # its 6 scanned shifts, whose 16 rows from 5 roots all fit one
+        # exact call, so its one batch holds all 6, cut into 2 ranges.
+        # k = 7 meets its ceiling of 10 at j = 10, the third of 15; its
+        # 384 rows from 7 roots need more than one call, so each shift up
+        # to there is cut into 2 ranges, and after the first the best is
+        # one step below the ceiling, so every batch is one shift
         monkeypatch.setattr(girthmax.search, "_POOL_MIN_ROWS", 0)
-        for k, ceiling, shifts in ((5, 8, [6, 7]), (7, 10, [8, 9, 10])):
+        for k, ceiling, witness_j, batches in ((5, 8, 7, [(6, 7, 8, 9, 11, 12)]), (7, 10, 10, [(8,), (9,), (10,)])):
             submitted.clear()
             result = search_r3(SearchConfig(k=k, strategy=ScalingStrategy.INTERLEAVED, worker_count=2))
-            assert (result.best_girth, result.witness_j) == (ceiling, shifts[-1]), k
-            assert [args[0] for args in submitted] == [(j,) for j in shifts for _ in range(2)], k
+            assert (result.best_girth, result.witness_j) == (ceiling, witness_j), k
+            assert [args[0] for args in submitted] == [js for js in batches for _ in range(2)], k
 
     @pytest.mark.parametrize(
         "k, b, engine", [(k, b, True) for k, b in ENGINE_SIZES] + [(3, 1, False), (4, 1, False)]
@@ -941,7 +1010,8 @@ class TestFloor:
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
             if engine:
                 t, roots = engine_inputs(cfg)
-                rows, state = t.shape[1], (_levels.batch_bests, (t, roots, _levels.Scratch()))
+                cap = girthmax.search._girth_ceiling(cfg) // 2 - 1
+                rows, state = t.shape[1], (_levels.batch_bests, (t, roots, _levels.Scratch(), cap))
             else:
                 q1s = list(enumerate_k_cycles(b * k))
                 rows, state = len(q1s), (girthmax.search._scan, q1s, cfg)
@@ -976,7 +1046,8 @@ class TestFloor:
         # 0. The rows are the orbit minima that the search scans, so k = 7
         # needs 1,170 (block) or 5,760 (interleaved) `girth_bfs` calls
         # rather than the 10,800 of every q1
-        q_rows, tables, _ = _levels.setup(cfg.b * cfg.k, cfg.k, cfg.strategy)
+        ceiling = girthmax.search._girth_ceiling(cfg)
+        q_rows, tables, _, _ = _levels.setup(cfg.b * cfg.k, cfg.k, cfg.strategy, ceiling)
         q1s = [Permutation(map(int, row)) for row in q_rows]
         shifts = [j for j in admissible(cfg) if 2 * j < cfg.m]
         references = {j: [reference_girth(q1, j, cfg) for q1 in q1s] for j in shifts}
