@@ -23,11 +23,12 @@ test, `root_count` the roots that suffice, and the scaling is
 `perm._scale_map`.
 `shift_girths` scores one shift exactly. `survivors` drops the
 candidates that one root proves to have a girth no larger than a floor,
-until the rest fit in one chunk, and scores those exactly, up to the
-search's girth ceiling (`setup` proves the cap), with 0 for a girth at
-or below the floor; so `batch_bests` makes one exact call per batch,
-and once the survivors fit in a chunk, no group walks them to the floor
-first. `relabeled`
+root 0 alone first at any positive floor and then groups that fill a
+chunk, until the rest fit in one chunk, and scores those exactly, up
+to the search's girth ceiling (`setup` proves the cap), with 0 for a
+girth at or below the floor; so `batch_bests` makes one exact call per
+batch, and once the survivors fit in a chunk, no later group walks
+them to the floor first. `relabeled`
 turns the candidates of several shifts into candidates of shift 1, by
 the relabeling x -> x * j^-1 mod m, so that a batch is scored as one
 shift of stacked rows. Each of them proves its claim in its docstring.
@@ -36,12 +37,14 @@ shift of stacked rows. Each of them proves its claim in its docstring.
 engine reads (`cycle_rows` builds `perm.enumerate_k_cycles`' rows the
 same way, in numpy), and `orbit_minima` keeps one q1 row of each class
 of q1 that give isomorphic graphs at every shift (`search` proves the
-relabelings and that the winner is kept). Under block scaling it tests
-every row against its 2n relabelings in one pass over the row's step
-sequence q1(x) - x mod n, which holds column 0 of each of them, and
-compares the full rows only for the relabelings that tie there (its
-docstring proves this). This module loads numpy;
-`search` imports it only for searches large enough to repay that
+relabelings and that the winner is kept), with the inverse of each
+kept row, which it needs for the relabeling phi and `images` scales
+into p1^-1; so a search inverts its q1 rows once. Under block scaling
+it tests every row against its 2n relabelings in one pass over the
+row's step sequence q1(x) - x mod n, which holds column 0 of each of
+them, and compares the full rows only for the relabelings that tie
+there (its docstring proves this). This module loads numpy; `search`
+imports it only for searches large enough to repay that
 (`search._LEVEL_MIN_CANDIDATES`).
 """
 
@@ -91,15 +94,33 @@ def cycle_rows(n: int):
     `perm.enumerate_k_cycles` builds its rows, in numpy: each arrangement
     s of 1..n-1 is the cycle 0 -> s[0] -> ... -> s[n-2] -> 0, so the
     rows are scattered from those cycles, then sorted lexicographically.
+    The arrangements come from `itertools.permutations` as one bytes
+    object, which is built only after the cycles' array is allocated:
+    rows that cannot fit raise OverflowError (beyond numpy's index
+    range) or MemoryError before any arrangement is generated. The
+    scatter goes one cycle position at a time, as in `_inverse_rows`,
+    through one index array of one entry per row, updated in place, and
+    the cycles are freed before the sort: at n = 10 that peaks near
+    13 MB, where a (rows, n) int64 index would take 29 MB.
     """
     count = math.factorial(n - 1)
-    tail = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(1, n))), np.uint8, count * (n - 1)
-    )
+    if count * n > np.iinfo(np.intp).max:
+        # numpy would refuse the shape with a ValueError
+        raise OverflowError(f"{n - 1}! * {n} bytes of {n}-point q1 rows exceed numpy's index range")
     cycles = np.zeros((count, n), np.uint8)
-    cycles[:, 1:] = tail.reshape(count, n - 1)
+    tails = bytes(itertools.chain.from_iterable(itertools.permutations(range(1, n))))
+    cycles[:, 1:] = np.frombuffer(tails, np.uint8).reshape(count, n - 1)
+    del tails
     rows = np.empty_like(cycles)
-    rows[np.arange(count)[:, None], cycles] = np.roll(cycles, -1, axis=1)
+    # rows[i, cycles[i, c]] = cycles[i, c + 1 mod n], through the flat
+    # index of row i's start plus cycles[i, c], updated in place
+    flat, index = rows.reshape(-1), np.arange(0, count * n, n)
+    for c in range(n):
+        index += cycles[:, c]
+        flat[index] = cycles[:, c + 1 - n]
+        index -= cycles[:, c]
+    # the sort's index and copy take the place of these
+    del cycles, index
     # lexsort sorts by its last key first
     return rows[np.lexsort(rows.T[::-1])]
 
@@ -144,8 +165,16 @@ def _not_less(pairs: int, columns, column):
     return kept
 
 
+def _inverse_from_phi(phi):
+    """The rows q^-1, C-ordered, of the columns phi[:, r] = phi(q_r) = rho q_r^-1 rho.
+
+    phi(q)(x) = n-1 - q^-1(n-1-x), so q^-1(y) = n-1 - phi(q)(n-1-y).
+    """
+    return np.ascontiguousarray(len(phi) - 1 - phi[::-1].T)
+
+
 def orbit_minima(rows, strategy: ScalingStrategy):
-    """The rows of `cycle_rows` that are lexicographically least in their orbit, in order.
+    """(q_rows, inverse_rows): the rows of `cycle_rows` least in their orbit (lexicographically), in order, and their inverses.
 
     The orbit of q is its images under the relabelings that keep the
     graph of (q, j) for every j (`search` proves them): q and
@@ -173,6 +202,14 @@ def orbit_minima(rows, strategy: ScalingStrategy):
     mod n in column i. phi(q) is built only for the rows that pass, and
     their tied images are compared with them from column 1 on
     (`_not_less`); a row is kept when no image is less.
+
+    phi needs q^-1 under either scaling, so the inverse rows are built
+    here, for every row (interleaved) or for the rows that pass
+    (block), and read back off phi(q) for the rows kept
+    (`_inverse_from_phi`): inverse_rows[r] maps q_rows[r, x] back to x.
+    `images` scales them into p1^-1. Neither path keeps a table of
+    inverses while it compares; block scaling reads phi(q) back from
+    the step table that it keeps.
     """
     count, n = rows.shape
     dtype = np.uint8 if 2 * n <= 256 else np.uint16
@@ -180,7 +217,8 @@ def orbit_minima(rows, strategy: ScalingStrategy):
     cols = np.ascontiguousarray(rows.T, dtype)
     if strategy is ScalingStrategy.INTERLEAVED:
         phi = np.ascontiguousarray(n - 1 - _inverse_rows(rows)[:, ::-1].T, dtype)
-        return rows[_not_less(count, range(n), lambda i, tied: (cols[i, tied], phi[i, tied]))]
+        kept = _not_less(count, range(n), lambda i, tied: (cols[i, tied], phi[i, tied]))
+        return rows[kept], _inverse_from_phi(phi[:, kept])
     # the least step of each row, d_q(x) = q(x) + (n - x) mod n
     least, step = cols[0].copy(), np.empty(count, dtype)
     for x in range(1, n):
@@ -213,38 +251,40 @@ def orbit_minima(rows, strategy: ScalingStrategy):
 
     kept = np.ones(len(passed), bool)
     kept[owner[~_not_less(len(owner), range(1, n), column)]] = False
-    return rows[passed[kept]]
+    # the first n rows of flat are the steps, whose columns from width / 2
+    # on give phi(q)(x) = step + x mod n
+    steps = flat[: n * width].reshape(n, width)[:, len(passed) :]
+    phi = _wrap(steps[:, kept] + np.arange(n, dtype=dtype)[:, None], n)
+    return rows[passed[kept]], _inverse_from_phi(phi)
 
 
-def images(q_rows, k: int, strategy: ScalingStrategy):
+def images(q_rows, inverse_rows, k: int, strategy: ScalingStrategy):
     """The table t of p1 = scale_up(q1, k, strategy) and p1^-1, a row of each per q1.
 
-    `q_rows` holds the q1 images, one row each (an array such as
-    `cycle_rows`' or a list of tuples). Returns a numpy array t of shape
-    (2, len(q_rows), m), uint8 while m <= 256, else uint16: t[0, i] is
-    the image row of p1 for q_rows[i], and t[1, i] that of p1^-1. The
-    rows apply `perm._scale_map`; since scale_up(q1)^-1 =
-    scale_up(q1^-1), t[1] scales the inverse q1 rows (`_inverse_rows`).
-    Each half is one `take` into t, which is C-ordered, so that a slice
-    t[:, lo:hi] of rows is a view whose halves are contiguous and
-    `chunk_girths` can gather on it without a copy; both halves are
-    scaled in place, so that no further (len(q_rows), m) temporary is
-    built.
+    `q_rows` holds the q1 images, one row each, and `inverse_rows` the
+    images of their inverses in the same order (arrays such as
+    `orbit_minima`'s pair, or lists of tuples). Returns a numpy array t
+    of shape (2, len(q_rows), m), uint8 while m <= 256, else uint16:
+    t[0, i] is the image row of p1 for q_rows[i], and t[1, i] that of
+    p1^-1. The rows apply `perm._scale_map`; since scale_up(q1)^-1 =
+    scale_up(q1^-1), t[1] scales the inverse q1 rows. Each half is one
+    `take` into t, which is C-ordered, so that a slice t[:, lo:hi] of
+    rows is a view whose halves are contiguous and `chunk_girths` can
+    gather on it without a copy; both halves are scaled in place (the
+    factor only under block scaling, where it is k), so that no further
+    (len(q_rows), m) temporary is built.
     """
     n = len(q_rows[0])
     dtype = np.uint8 if n * k <= 256 else np.uint16
-    q = np.asarray(q_rows, dtype)
     src, offset, factor = _scale_map(n, k, strategy)
-    # the inverse is built before t, so that its int64 index temporaries
-    # are freed before t is allocated
-    inverse, offset = _inverse_rows(q), np.array(offset, dtype)
-    t = np.empty((2, len(q), n * k), dtype)
-    # every index is in range; under the default mode, `take` would
-    # gather into a temporary and copy that into `out`
-    q.take(src, axis=1, out=t[0], mode="clip")
-    inverse.take(src, axis=1, out=t[1], mode="clip")
-    t *= factor
-    t += offset
+    t = np.empty((2, len(q_rows), n * k), dtype)
+    for half, rows in zip(t, (q_rows, inverse_rows)):
+        # every index is in range; under the default mode, `take` would
+        # gather into a temporary and copy that into `out`
+        np.asarray(rows, dtype).take(src, axis=1, out=half, mode="clip")
+    if factor != 1:
+        t *= factor
+    t += np.array(offset, dtype)
     return t
 
 
@@ -270,11 +310,14 @@ def setup(n: int, k: int, strategy: ScalingStrategy, ceiling: int):
     `root_count`, the `Scratch` that every batch of the search reuses,
     and the level cap = ceiling // 2 - 1 of every exact call, where
     `ceiling` is a proven bound on the girth of every candidate of the
-    search. `least` is the number of shifts whose candidates, from
-    every root, fit one chunk, or 1 if one shift's do not: a batch of
-    that many is then one exact call whatever its floor (`survivors`
-    runs no cascade on it). Past `most` shifts, one root of a batch
-    fills a chunk, so a larger batch saves no call.
+    search. The tables take the inverse rows that `orbit_minima`
+    returns with the q1 rows, so that the rows are inverted once.
+    `least` is the number of shifts whose candidates, from every root,
+    fit one chunk, or 1 if one shift's do not: a batch of that many is
+    then one exact call whatever its floor (above a positive floor,
+    `survivors` walks it from root 0 alone first, and no other group).
+    Past `most` shifts, one root of a batch fills a chunk, so a larger
+    batch saves no call.
 
     Proof that the cap keeps the exact calls exact. A candidate whose
     walks from the roots do not meet by level cap has girth > 2 * cap
@@ -284,9 +327,9 @@ def setup(n: int, k: int, strategy: ScalingStrategy, ceiling: int):
     level cap and get their girth, or 0 for a double edge, which meets
     at level 1 (a cap below 1 stops no walk).
     """
-    q_rows = orbit_minima(cycle_rows(n), strategy)
+    q_rows, inverse_rows = orbit_minima(cycle_rows(n), strategy)
     roots = root_count(n, k, strategy)
-    tables = images(q_rows, k, strategy), roots, Scratch(), ceiling // 2 - 1
+    tables = images(q_rows, inverse_rows, k, strategy), roots, Scratch(), ceiling // 2 - 1
     return q_rows, tables, max(1, CHUNK_ROOTS // (len(q_rows) * roots)), max(1, CHUNK_ROOTS // len(q_rows))
 
 
@@ -458,37 +501,46 @@ def survivors(t, j: int, roots: int, floor: int, scratch: Scratch | None = None,
     """(rows, girths): candidates (t[:, i], I, C_j) of a table t, among them every one whose girth exceeds `floor`.
 
     `rows` ascends, and girths[r] is the girth of candidate rows[r] if
-    that exceeds the floor, else 0. Above a positive floor, a cascade first drops
-    candidates: the roots 0..roots-1 are taken in groups that at least
-    double in size (0, then 1-2, then 3-6, ...) and that fill at least
-    one chunk of `CHUNK_ROOTS` pairs with the candidates still alive,
-    since a smaller call costs about as much. Each group walks those
-    candidates up to level depth = max(1, floor // 2), and a candidate is
-    dropped as soon as the walks from one root meet. Proof. A meeting
-    at level 1 is a double edge, and one at a level 1 < L <= depth shows
+    that exceeds the floor, else 0. Above a positive floor, a cascade
+    first drops candidates: the roots 0..roots-1 are taken in groups
+    that at least double in size (0, then 1-2, then 3-6, ...). The
+    first group is root 0 alone, whatever the number of candidates;
+    each later one also fills at least one chunk of `CHUNK_ROOTS` pairs
+    with the candidates still alive, since a smaller call costs about
+    as much. Each group walks those candidates up to level
+    depth = max(1, floor // 2), and a candidate is dropped as soon as
+    the walks from one root meet. Proof. A meeting at level 1 is a
+    double edge, and one at a level 1 < L <= depth shows
     girth <= 2L <= floor (`chunk_girths`); either way the candidate
-    does not beat the floor. The first groups are small because, below
-    the best girth found so far, most candidates close a short cycle
-    through root 0 already.
+    does not beat the floor. Root 0 goes alone because, below the best
+    girth found so far, most candidates close a short cycle through it
+    already (at interleaved k = 7, floor 8, it drops 383 of 384 rows
+    at j = 9): the prune-on-a-short-cycle rule of McKay, Myrvold and
+    Nadon, "Fast backtracking principles applied to find new cages"
+    (SODA 1998). So even candidates that would fit one exact call with
+    all their roots are first walked from root 0 only, and the exact
+    call then walks every root of the few left.
 
-    The cascade stops once the candidates alive, times all the roots,
-    fit in one chunk, or when every root is walked; the candidates
-    alive then are scored exactly from every root (`shift_girths`,
-    which stops at level `cap`; `setup` proves its cap exact), in one
-    call when they fit, and their girths at or below the floor are set
-    to 0. Exact, since every candidate that beats the floor is still
-    alive, and its girth, from roots that meet every shortest cycle
-    (`root_count`), is the same whichever call computes it. So
-    the last groups are not walked to the depth and the survivors walked
-    again from level 1: a candidate that the last group would drop
-    meets in the exact call at the same level. At floor 0 there is no
-    cascade, since it would drop only the incompatible candidates,
-    which score 0.
+    After root 0, the cascade stops once the candidates alive, times
+    all the roots, fit in one chunk, or when every root is walked; the
+    candidates alive then are scored exactly from every root
+    (`shift_girths`, which stops at level `cap`; `setup` proves its cap
+    exact), in one call when they fit, and their girths at or below the
+    floor are set to 0. Exact, since every candidate that beats the
+    floor is still alive, and its girth, from roots that meet every
+    shortest cycle (`root_count`), is the same whichever call computes
+    it. So the last groups are not walked to the depth and the
+    survivors walked again from level 1: a candidate that the last
+    group would drop meets in the exact call at the same level. At
+    floor 0 there is no cascade, since it would drop only the
+    incompatible candidates, which score 0.
     """
     depth = max(1, floor // 2)
     scratch = Scratch() if scratch is None else scratch
     alive = np.arange(t.shape[1])
-    start, size = 0, 1
+    if floor:
+        alive = alive[_girths(t, j, alive, np.arange(1), scratch, depth) > 2 * depth]
+    start, size = 1, 2
     while floor and start < roots and len(alive) * roots > CHUNK_ROOTS:
         size = max(size, CHUNK_ROOTS // len(alive))
         group = np.arange(start, min(roots, start + size))
@@ -514,7 +566,8 @@ def batch_bests(tables, js, floor: int, lo: int, hi: int) -> list[tuple[int, int
     candidates fill the table row by row; one shift is scored on the
     rows t[:, lo:hi] as they are. When the batch's candidates, from
     every root, fit one chunk (up to `setup`'s `least` shifts), the
-    batch is one exact call at any floor.
+    batch is one exact call at any floor, after one call from root 0
+    alone above a positive floor.
     """
     t, roots, scratch, cap = tables
     # t is C-ordered, so t[:, lo:hi] is a view

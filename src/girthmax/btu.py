@@ -230,12 +230,17 @@ def _as_matrix(x: "Btu | BinaryMatrix") -> BinaryMatrix:
     return x.matrix() if isinstance(x, Btu) else x
 
 
-# Matrices of objects that are already validated skip the validating
-# constructor: `rows` must be a tuple of sorted, duplicate-free tuples
-# of in-range indices.
+# Matrices and permutations of objects that are already validated skip
+# the validating constructor: `rows` must be a tuple of sorted,
+# duplicate-free tuples of in-range indices, and `image` a bijection of
+# 0..len(image)-1.
 
 def _trusted_matrix(n_rows: int, n_cols: int, rows: tuple) -> BinaryMatrix:
     return _freeze(object.__new__(BinaryMatrix), n_rows=n_rows, n_cols=n_cols, rows=rows)
+
+
+def _trusted_permutation(image: Iterable[int]) -> Permutation:
+    return _freeze(object.__new__(Permutation), image=tuple(image))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +368,9 @@ def _read_alist_bulk(lines: list[str], col_degrees: list[int], row_degrees: list
 
     Each index line is split at whitespace, as the line reader splits
     it, and must hold its declared count of pieces, each a label
-    "1".."bound": a "0", "+3", "07" or "x" gives None. Taken as (row,
+    "1".."bound": a "0", "+3", "07" or "x" gives None. A block whose
+    first line has the wrong count gives None before the rest of it is
+    split, so a zero-padded file costs one line's split. Taken as (row,
     column) pairs, the column lists give the rows `_columns(cols,
     n_rows)`, each ascending; the text is taken when they equal the
     file's rows and no row repeats a column. Then the rows are ascending
@@ -380,6 +387,9 @@ def _read_alist_bulk(lines: list[str], col_degrees: list[int], row_degrees: list
     blocks = []
     try:
         for first, degrees, index in ((4, col_degrees, row_index), (4 + n_cols, row_degrees, col_index)):
+            # a padded block (zeros after each list) shows on its first line
+            if len(lines[first].split()) != degrees[0]:
+                return None
             fields = list(map(str.split, lines[first : first + len(degrees)]))
             if list(map(len, fields)) != degrees:
                 return None
@@ -413,6 +423,14 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
     which need not be the order some original BTU was built with.
     Raises DecompositionFailed for non-square, irregular or all-zero
     matrices.
+
+    The constituents and the `Btu` skip their validating constructors,
+    whose checks cannot fail here. Each grown matching gives every row
+    one column and no column two rows, so it is a bijection of 0..m-1.
+    After r - 1 of them the remainder is 1-regular, so it is a
+    permutation too. Each extraction removes its ones from `remaining`,
+    so no two constituents share a position (they are compatible), all
+    act on m points, and r <= m, since a row holds r distinct columns.
     """
     m = mat.n_rows
     if mat.n_cols != m:
@@ -441,11 +459,11 @@ def btu_from_matrix(mat: BinaryMatrix) -> Btu:
                     break
             else:
                 _augment(row, remaining, match_of_col, image, via, seen, len(perms))
-        perms.append(Permutation(image))
+        perms.append(_trusted_permutation(image))
         for row in range(m):
             remaining[row].remove(image[row])
-    perms.append(Permutation([row[0] for row in remaining]))  # the 1-regular remainder
-    return Btu(tuple(perms))
+    perms.append(_trusted_permutation(row[0] for row in remaining))  # the 1-regular remainder
+    return _freeze(object.__new__(Btu), perms=tuple(perms))
 
 
 def _augment(

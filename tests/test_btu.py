@@ -626,6 +626,13 @@ class TestRecoveryOrder:
             digest.update(repr([list(p.image) for p in rec.perms]).encode())
         assert digest.hexdigest() == RECOVERED_LARGE_SHA256
 
+    def test_large_seeded_lifts_pass_the_validating_constructors(self):
+        # btu_from_matrix builds its constituents and its Btu unchecked;
+        # rebuilt through the checks, they are equal
+        for k, L, seed in RECOVERED_LARGE_LIFTS:
+            rec = btu_from_matrix(seeded_lift(table_1_winner(k), L, random.Random(seed)).matrix())
+            assert Btu([Permutation(p.image) for p in rec.perms]) == rec, (k, L, seed)
+
     @pytest.mark.parametrize("k, L, seed, r", list(RECOVERED_PREFIX_LIFTS))
     def test_seeded_lifts_of_fewer_constituents(self, k, L, seed, r):
         # r = 1 grows no matching, r = 2 one before the remainder

@@ -326,7 +326,7 @@ class TestSearchCommand:
         assert "--no-j-filter" in capsys.readouterr().err
 
     def test_q1_rows_too_large_exit_1(self, capsys):
-        # 29! * 29 image bytes overflow numpy's count before anything is allocated
+        # 29! * 30 bytes of q1 rows overflow numpy's index range before anything is allocated
         assert main(["search", "--k", "30", "--jobs", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: OverflowError: ")
 

@@ -87,7 +87,7 @@ def root_count(cfg: SearchConfig) -> int:
 
 
 def engine_girth(q1: Permutation, j: int, cfg: SearchConfig) -> int:
-    t = _levels.images([q1.image], cfg.k, cfg.strategy)
+    t = _levels.images([q1.image], [inverse(q1).image], cfg.k, cfg.strategy)
     return int(_levels.shift_girths(t, j, root_count(cfg))[0])
 
 
@@ -125,7 +125,7 @@ def corpus(cfg: SearchConfig) -> tuple:
     if cfg.j_range_filter:
         return corpus(dataclasses.replace(cfg, j_range_filter=False))
     q_rows = read_only(_levels.cycle_rows(cfg.b * cfg.k))
-    t = read_only(_levels.images(q_rows, cfg.k, cfg.strategy))
+    t = read_only(_levels.images(q_rows, q_rows.argsort(axis=1), cfg.k, cfg.strategy))
     return q_rows, t, root_count(cfg)
 
 
@@ -226,8 +226,7 @@ def config_id(cfg: SearchConfig) -> str:
 @functools.cache
 def relabel_inputs(cfg: SearchConfig) -> tuple:
     """(t, roots, shifts, T, G): the engine's table, every admissible shift, its relabeled table and the girths of this at shift 1."""
-    q_rows = _levels.orbit_minima(_levels.cycle_rows(cfg.b * cfg.k), cfg.strategy)
-    t = _levels.images(q_rows, cfg.k, cfg.strategy)
+    t = _levels.images(*_levels.orbit_minima(_levels.cycle_rows(cfg.b * cfg.k), cfg.strategy), cfg.k, cfg.strategy)
     roots, shifts = root_count(cfg), admissible(cfg)
     big = _levels.relabeled(t, shifts)
     return (t, roots, shifts, big, read_only(_levels.shift_girths(big, 1, roots)))
@@ -251,7 +250,7 @@ ORBIT_MINIMA_DIGESTS = [
 
 
 def orbit_minima_digest(n: int, strategy: ScalingStrategy) -> str:
-    rows = _levels.orbit_minima(_levels.cycle_rows(n), strategy)
+    rows = _levels.orbit_minima(_levels.cycle_rows(n), strategy)[0]
     assert rows.dtype == np.uint8 and rows.flags.c_contiguous
     return hashlib.sha256(rows.tobytes()).hexdigest()
 
@@ -400,11 +399,35 @@ class TestLevelEngine:
         assert [group for group, _ in exact] == [list(range(roots))], exact
         alive = exact[0][1]
         assert len(walked) == roots or alive * roots <= chunk_roots, (groups, alive)
-        # no group ran once the candidates fit in one chunk
-        assert all(rows * roots > chunk_roots for _, rows in groups), groups
+        # root 0 goes alone first, and no later group ran once the
+        # candidates fit in one chunk
+        assert groups[0][0] == [0], groups
+        assert all(rows * roots > chunk_roots for _, rows in groups[1:]), groups
         if chunk_roots == 1:
             assert walked == list(range(roots)), groups
             assert [len(g) for g, _ in groups[:-1]] == [2**i for i in range(len(groups) - 1)], groups
+
+    def test_root_0_goes_alone_first_even_when_every_root_fits_one_chunk(self, monkeypatch):
+        # interleaved k = 7 scans 384 rows from 7 roots, 2,688 (row, root)
+        # pairs: one chunk. At floor 8 and j = 9, root 0 alone drops all
+        # but one row, and the exact call walks that one from every root
+        strategy = ScalingStrategy.INTERLEAVED
+        t = _levels.images(*_levels.orbit_minima(_levels.cycle_rows(7), strategy), 7, strategy)
+        roots = _levels.root_count(7, 7, strategy)
+        assert t.shape[1] * roots <= _levels.CHUNK_ROOTS
+        want = _levels.shift_girths(t, 9, roots)
+        calls = []
+        girths = _levels._girths
+
+        def spy(t, j, rows, roots, scratch, cap=None):
+            calls.append((roots.tolist(), len(rows)))
+            return girths(t, j, rows, roots, scratch, cap)
+
+        monkeypatch.setattr(_levels, "_girths", spy)
+        rows, got = _levels.survivors(t, 9, roots, 8)
+        assert calls == [([0], 384), (list(range(7)), 1)], calls
+        assert got.tolist() == np.where(want[rows] > 8, want[rows], 0).tolist()
+        assert (np.delete(want, rows) <= 8).all()
 
     @pytest.mark.parametrize("cfg", RELABEL_CONFIGS, ids=config_id)
     def test_relabeled_rows_at_shift_1_have_the_girths_of_their_shifts(self, cfg):
@@ -468,20 +491,32 @@ class TestLevelEngine:
         # halves, which chunk_girths gathers on without a copy at every
         # level; the pool's row ranges are such ranges
         for strategy in ScalingStrategy:
-            t = _levels.images(_levels.cycle_rows(5), 5, strategy)
+            rows = _levels.cycle_rows(5)
+            t = _levels.images(rows, rows.argsort(axis=1), 5, strategy)
             assert t.flags.c_contiguous and t.dtype == "uint8" and t.shape == (2, 24, 25), strategy
             for lo, hi in ((0, 24), (0, 12), (12, 24), (5, 6)):
                 part = t[:, lo:hi]
                 assert np.shares_memory(part, t) and np.shares_memory(part.reshape(2, -1), t), (strategy, lo, hi)
+
+    @pytest.mark.parametrize("strategy", ScalingStrategy)
+    def test_orbit_minima_come_with_their_inverses(self, strategy):
+        # the inverse rows that `orbit_minima` builds for phi(q) are the
+        # ones `images` scales into p1^-1
+        for n in range(3, 11):
+            rows, inverse_rows = _levels.orbit_minima(_levels.cycle_rows(n), strategy)
+            assert inverse_rows.dtype == rows.dtype and inverse_rows.shape == rows.shape, n
+            every = np.broadcast_to(np.arange(n), rows.shape)
+            assert (np.take_along_axis(inverse_rows, rows.astype(np.intp), axis=1) == every).all(), n
 
     def test_image_rows_invert(self):
         # t[1, r, t[0, r, x]] == x on the orbit minima that the engine
         # scans, and on random uint16 rows (k = 17, m = 289)
         rng = np.random.default_rng(17)
         cases = [(_levels.orbit_minima(_levels.cycle_rows(k), s), k, s) for k in range(5, 9) for s in ScalingStrategy]
-        cases += [(np.array([rng.permutation(17) for _ in range(20)]), 17, s) for s in ScalingStrategy]
-        for q_rows, k, strategy in cases:
-            t = _levels.images(q_rows, k, strategy)
+        random_rows = np.array([rng.permutation(17) for _ in range(20)])
+        cases += [((random_rows, random_rows.argsort(axis=1)), 17, s) for s in ScalingStrategy]
+        for (q_rows, inverse_rows), k, strategy in cases:
+            t = _levels.images(q_rows, inverse_rows, k, strategy)
             assert t.dtype == ("uint16" if k == 17 else "uint8"), (k, strategy)
             assert t.shape == (2, len(q_rows), k * k) and t.flags.c_contiguous, (k, strategy)
             every = np.broadcast_to(np.arange(k * k), t[0].shape)
@@ -561,6 +596,31 @@ class TestLevelEngine:
             rows = _levels.cycle_rows(n)
             assert rows.dtype == "uint8"
             assert rows.tolist() == [list(q1.image) for q1 in enumerate_k_cycles(n)], n
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm and relies on RLIMIT_AS")
+    def test_cycle_rows_too_large_fail_before_any_cycle_is_generated(self):
+        # 19! rows of 20 bytes: the rows' array is asked for first, so
+        # MemoryError comes at once. Generating the arrangements first
+        # would fill the address space up to the limit, 512 MiB above
+        # the interpreter's, and raise MemoryError only then
+        code = """
+import os, resource
+from girthmax import _levels
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + (512 << 20)
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    _levels.cycle_rows(20)
+except MemoryError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+        out = run_python(code)
+        assert out.returncode == 0, out.stderr
+        # KiB of peak RSS gained
+        assert 0 <= int(out.stdout) < 32 << 10, out.stdout
 
     def test_threshold_splits_table_1(self):
         # every search up to k = 4 (at most 48 candidates, j filter on or
@@ -686,7 +746,7 @@ class TestTransposeSymmetry:
                 orbits.append(orbit)
                 seen |= orbit
             assert seen == set(q1s)
-            got = [tuple(row) for row in _levels.orbit_minima(_levels.cycle_rows(n), strategy).tolist()]
+            got = [tuple(row) for row in _levels.orbit_minima(_levels.cycle_rows(n), strategy)[0].tolist()]
             assert got == sorted(min(orbit) for orbit in orbits), strategy
             assert len(got) < len(q1s) or n == 3, strategy
 
@@ -1281,7 +1341,7 @@ class TestPool:
         # b = 2, k = 5) runs on the pool
         block, interleaved = ScalingStrategy.BLOCK, ScalingStrategy.INTERLEAVED
         rows = {
-            (n, s): len(_levels.orbit_minima(_levels.cycle_rows(n), s))
+            (n, s): len(_levels.orbit_minima(_levels.cycle_rows(n), s)[0])
             for n in range(5, 11)
             for s in (block, interleaved)
         }
