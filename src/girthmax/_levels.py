@@ -3,7 +3,7 @@
 `search` makes two calls: `setup` builds a search's q1 rows, the
 engine's tables of them and its batch limits, and `batch_bests` returns
 each shift's best (girth, row) above a floor on a range of those rows.
-The tables are (t, roots, scratch, cap): t is one (2, rows, m) array whose
+The tables are (t, roots, cap): t is one (2, rows, m) array whose
 t[0, i] is the image row of p1 for q1 row i and t[1, i] that of p1^-1
 (`images`), and every function below takes that one array. `search`
 does not read the tables, so a change of them, or of the roots, stays
@@ -28,10 +28,10 @@ chunk, until the rest fit in one chunk, and scores those exactly, up
 to the search's girth ceiling (`setup` proves the cap), with 0 for a
 girth at or below the floor; so `batch_bests` makes one exact call per
 batch, and once the survivors fit in a chunk, no later group walks
-them to the floor first. `relabeled`
-turns the candidates of several shifts into candidates of shift 1, by
-the relabeling x -> x * j^-1 mod m, so that a batch is scored as one
-shift of stacked rows. Each of them proves its claim in its docstring.
+them to the floor first. `relabeled` turns the candidates of several
+shifts into candidates of shift 1, by the relabeling x -> x * j^-1
+mod m, so that a batch is scored as one shift of stacked rows. Each of
+them proves its claim in its docstring.
 
 `cycle_rows` and `images` build the q1 rows and the table t that the
 engine reads (`cycle_rows` builds `perm.enumerate_k_cycles`' rows the
@@ -59,32 +59,6 @@ from .perm import ScalingStrategy, _scale_map
 
 # (q1 row, root) pairs per `chunk_girths` call
 CHUNK_ROOTS = 4096
-
-
-class Scratch:
-    """Work arrays that `chunk_girths` reuses from level to level.
-
-    The level loop's two largest temporaries, the 64-bit vertex bits
-    before they are OR-reduced into masks and the gather indices, take
-    8 bytes per walk. Allocated afresh at every level, whether the
-    allocator handed them back to the system and faulted them in again
-    depended on what the process had allocated before: repeated k = 7
-    block searches took either about 21,000 page faults each, with a
-    sixth of their time in the kernel, or none. Here one flat buffer per
-    dtype grows to the largest size asked for and is kept, which leaves
-    about 140 faults per search in either case.
-    """
-
-    def __init__(self):
-        self._flat: dict = {}
-
-    def array(self, dtype, shape: tuple[int, ...]):
-        """An uninitialised array of `shape`, a view of the dtype's buffer."""
-        size = math.prod(shape)
-        flat = self._flat.get(dtype)
-        if flat is None or flat.size < size:
-            flat = self._flat[dtype] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
 
 
 def cycle_rows(n: int):
@@ -306,12 +280,12 @@ def setup(n: int, k: int, strategy: ScalingStrategy, ceiling: int):
     """(q_rows, tables, least, most) of a search: its q1 rows, the tables that `batch_bests` reads, and two batch limits.
 
     The q1 rows are the `orbit_minima` of `cycle_rows(n)`. The tables
-    are (t, roots, scratch, cap): the `images` table of those rows, the
-    `root_count`, the `Scratch` that every batch of the search reuses,
-    and the level cap = ceiling // 2 - 1 of every exact call, where
-    `ceiling` is a proven bound on the girth of every candidate of the
-    search. The tables take the inverse rows that `orbit_minima`
-    returns with the q1 rows, so that the rows are inverted once.
+    are (t, roots, cap): the `images` table of those rows, the
+    `root_count`, and the level cap = ceiling // 2 - 1 of every exact
+    call, where `ceiling` is a proven bound on the girth of every
+    candidate of the search. The tables take the inverse rows that
+    `orbit_minima` returns with the q1 rows, so that the rows are
+    inverted once.
     `least` is the number of shifts whose candidates, from every root,
     fit one chunk, or 1 if one shift's do not: a batch of that many is
     then one exact call whatever its floor (above a positive floor,
@@ -329,7 +303,7 @@ def setup(n: int, k: int, strategy: ScalingStrategy, ceiling: int):
     """
     q_rows, inverse_rows = orbit_minima(cycle_rows(n), strategy)
     roots = root_count(n, k, strategy)
-    tables = images(q_rows, inverse_rows, k, strategy), roots, Scratch(), ceiling // 2 - 1
+    tables = images(q_rows, inverse_rows, k, strategy), roots, ceiling // 2 - 1
     return q_rows, tables, max(1, CHUNK_ROOTS // (len(q_rows) * roots)), max(1, CHUNK_ROOTS // len(q_rows))
 
 
@@ -370,7 +344,7 @@ def relabeled(t, js):
     return out.reshape(2, -1, m)
 
 
-def chunk_girths(t, j: int, roots, scratch: Scratch, cap: int | None = None):
+def chunk_girths(t, j: int, roots, cap: int | None = None):
     """Girth of each candidate (t[:, i], I, C_j) of a chunk t of `images`' table; 0 if incompatible.
 
     Level L extends, from every root, the non-backtracking walks of
@@ -418,10 +392,9 @@ def chunk_girths(t, j: int, roots, scratch: Scratch, cap: int | None = None):
     def masks(walks):
         """Masks of shape (words, candidates, roots) of the vertices that `walks` end at."""
         walks = walks.reshape(-1, *walks.shape[-2:])
-        bits = scratch.array(np.uint64, walks.shape)
         out = np.empty((len(lows), *walks.shape[1:]), np.uint64)
         for word, low in zip(out, lows):
-            np.bitwise_or.reduce(np.left_shift(one, walks - low if low else walks, out=bits), axis=0, out=word)
+            np.bitwise_or.reduce(one << (walks - low if low else walks), axis=0, out=word)
         return out
 
     # w[label, walk, candidate, root], labels (p1, C_j, I)
@@ -458,7 +431,7 @@ def chunk_girths(t, j: int, roots, scratch: Scratch, cap: int | None = None):
         image, shift = (flat[0], fwd) if level % 2 == 0 else (flat[1], back)
         walks = w.shape[1]
         new = np.empty((3, 2 * walks, *w.shape[2:]), t.dtype)
-        index = np.add(w[1:].reshape(new.shape[1:]), starts, out=scratch.array(np.intp, new.shape[1:]))
+        index = w[1:].reshape(new.shape[1:]) + starts
         # every index is in range; under the default mode, `take` would
         # gather into a temporary and copy that into `out`
         image.take(index, out=new[0], mode="clip")
@@ -468,7 +441,7 @@ def chunk_girths(t, j: int, roots, scratch: Scratch, cap: int | None = None):
         level += 1
 
 
-def _girths(t, j: int, rows, roots, scratch: Scratch, cap: int | None = None):
+def _girths(t, j: int, rows, roots, cap: int | None = None):
     """`chunk_girths` of the candidates t[:, rows] from `roots`, in chunks of about `CHUNK_ROOTS` (row, root) pairs.
 
     `rows` ascends without repeats, so when it holds every row of t the
@@ -478,26 +451,24 @@ def _girths(t, j: int, rows, roots, scratch: Scratch, cap: int | None = None):
     step = max(1, CHUNK_ROOTS // len(roots))
     whole, starts = len(rows) == t.shape[1], range(0, len(rows), step)
     chunks = (t[:, i : i + step] if whole else t.take(rows[i : i + step], axis=1) for i in starts)
-    girths = [chunk_girths(c, j, roots, scratch, cap) for c in chunks]
+    girths = [chunk_girths(c, j, roots, cap) for c in chunks]
     return np.concatenate(girths) if girths else np.zeros(0, np.int32)
 
 
-def shift_girths(t, j: int, roots: int, scratch: Scratch | None = None, rows=None, cap: int | None = None):
+def shift_girths(t, j: int, roots: int, rows=None, cap: int | None = None):
     """Girth of each candidate (t[:, i], I, C_j), i in `rows` (default every row of t); 0 if incompatible.
 
     t is a table as `images` builds it, or a range of its rows. Walks
     start at the left vertices 0..roots-1, which must meet every
-    shortest cycle and double edge (`root_count` proves which do). Pass
-    one `scratch` to every shift of a search, so that its work arrays
-    are allocated once. With a `cap`, a girth above 2 * cap reads
-    2 * cap + 2 (`chunk_girths`); `setup` proves which cap stays exact.
+    shortest cycle and double edge (`root_count` proves which do). With
+    a `cap`, a girth above 2 * cap reads 2 * cap + 2 (`chunk_girths`);
+    `setup` proves which cap stays exact.
     """
     rows = np.arange(t.shape[1]) if rows is None else rows
-    scratch = Scratch() if scratch is None else scratch
-    return _girths(t, j, rows, np.arange(roots), scratch, cap)
+    return _girths(t, j, rows, np.arange(roots), cap)
 
 
-def survivors(t, j: int, roots: int, floor: int, scratch: Scratch | None = None, cap: int | None = None):
+def survivors(t, j: int, roots: int, floor: int, cap: int | None = None):
     """(rows, girths): candidates (t[:, i], I, C_j) of a table t, among them every one whose girth exceeds `floor`.
 
     `rows` ascends, and girths[r] is the girth of candidate rows[r] if
@@ -536,17 +507,16 @@ def survivors(t, j: int, roots: int, floor: int, scratch: Scratch | None = None,
     incompatible candidates, which score 0.
     """
     depth = max(1, floor // 2)
-    scratch = Scratch() if scratch is None else scratch
     alive = np.arange(t.shape[1])
     if floor:
-        alive = alive[_girths(t, j, alive, np.arange(1), scratch, depth) > 2 * depth]
+        alive = alive[_girths(t, j, alive, np.arange(1), depth) > 2 * depth]
     start, size = 1, 2
     while floor and start < roots and len(alive) * roots > CHUNK_ROOTS:
         size = max(size, CHUNK_ROOTS // len(alive))
         group = np.arange(start, min(roots, start + size))
-        alive = alive[_girths(t, j, alive, group, scratch, depth) > 2 * depth]
+        alive = alive[_girths(t, j, alive, group, depth) > 2 * depth]
         start, size = start + size, 2 * size
-    girths = shift_girths(t, j, roots, scratch, rows=alive, cap=cap)
+    girths = shift_girths(t, j, roots, rows=alive, cap=cap)
     girths[girths <= floor] = 0
     return alive, girths
 
@@ -554,10 +524,10 @@ def survivors(t, j: int, roots: int, floor: int, scratch: Scratch | None = None,
 def batch_bests(tables, js, floor: int, lo: int, hi: int) -> list[tuple[int, int]]:
     """Best (girth, row) of each shift j in `js` over the candidates (t[:, i], I, C_j), i in lo:hi, above `floor`.
 
-    `tables` are `setup`'s (t, roots, scratch, cap), the walks start
-    at the roots, and the exact call stops at the cap. The batch is
-    scored into one table of girths, a row per
-    shift and a column per candidate of the range, that reads 0 at or
+    `tables` are `setup`'s (t, roots, cap), the walks start at the
+    roots, and the exact call stops at the cap. The batch is scored
+    into one table of girths, a row per shift and a column per
+    candidate of the range, that reads 0 at or
     below the floor: the girths that `survivors` returns, put at their
     rows. A shift's best is the maximum of its row, at the row's first
     column that holds it, counted as a row of t from 0; so a shift with
@@ -569,9 +539,9 @@ def batch_bests(tables, js, floor: int, lo: int, hi: int) -> list[tuple[int, int
     batch is one exact call at any floor, after one call from root 0
     alone above a positive floor.
     """
-    t, roots, scratch, cap = tables
+    t, roots, cap = tables
     # t is C-ordered, so t[:, lo:hi] is a view
     t, j = (relabeled(t[:, lo:hi], js), 1) if len(js) > 1 else (t[:, lo:hi], js[0])
     girths = np.zeros((len(js), hi - lo), np.int32)
-    girths.put(*survivors(t, j, roots, floor, scratch, cap))
+    girths.put(*survivors(t, j, roots, floor, cap))
     return list(zip(girths.max(axis=1).tolist(), (girths.argmax(axis=1) + lo).tolist()))

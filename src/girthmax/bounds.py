@@ -36,7 +36,7 @@ the CLI prints; their output is byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import gcd, isqrt
+from math import gcd
 
 __all__ = [
     "FactorizationResult",
@@ -95,15 +95,21 @@ class BoundReport:
 
 
 def _iroot(m: int, e: int) -> int:
-    """Largest integer x with x**e <= m."""
-    if e == 2:
-        return isqrt(m)
-    x = round(m ** (1.0 / e))
-    while x**e > m:
-        x -= 1
-    while (x + 1) ** e <= m:
-        x += 1
-    return x
+    """Largest integer x with x**e <= m, for m >= 1, by Newton's method in integers.
+
+    Proof. It starts above the root r, at 2^ceil(bits / e) > m^(1/e)
+    for m < 2^bits. The step y = ((e-1)x + m // x^(e-1)) // e is the
+    floor of the mean of e-1 copies of x and m / x^(e-1). That mean is
+    below x when x > r, since then x^e > m, and at least m^(1/e) >= r
+    by the AM-GM inequality, so y >= r. So x falls strictly to r, and
+    the first step that does not fall starts at r.
+    """
+    x = 1 << -(-m.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + m // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
 
 
 def factorize_bk(m: int, r: int) -> FactorizationResult:

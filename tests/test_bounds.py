@@ -28,7 +28,7 @@ from girthmax.girth import girth_bfs
 from girthmax.perm import ScalingStrategy, circulant
 from girthmax.search import SearchConfig, construct_candidate, search_r3
 
-from conftest import networkx_girth
+from conftest import networkx_girth, run_python
 
 
 def is_prime(n):
@@ -47,6 +47,23 @@ class TestFactorization:
                 f = factorize_bk(m, r)
                 assert f.b * f.k ** (r - 1) == m
                 assert all(m % (kk ** (r - 1)) for kk in range(f.k + 1, m + 1))
+
+    def test_large_perfect_powers(self):
+        # beyond float range (7^1200) and float precision (10^300), the
+        # roots are exact and found at once; in a fresh interpreter, so
+        # that a root search which walks the float error one step at a
+        # time fails by timeout
+        code = """
+from girthmax.bounds import _iroot, factorize_bk
+for m in (10**300 - 1, 10**300, 10**300 + 1):
+    for e in range(2, 7):
+        x = _iroot(m, e)
+        assert x**e <= m < (x + 1) ** e, (m, e)
+assert factorize_bk(10**300, 4).k == 10**100
+assert factorize_bk(7**1200, 4).k == 7**400
+"""
+        out = run_python(code)
+        assert out.returncode == 0, out.stderr
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from girthmax.search import (
     SearchConfig,
     candidate_counts,
     construct_candidate,
+    report_dict,
     search_r3,
     valid_shifts,
 )
@@ -306,12 +307,11 @@ class TestLevelEngine:
     def test_capped_walks_mark_the_girths_up_to_twice_the_cap(self, k, b):
         # from every root: min(girth, 2 * cap + 2), so a candidate is
         # marked (<= 2 * cap) exactly when its girth is at most 2 * cap
-        scratch = _levels.Scratch()
         for strategy, j_filter in itertools.product(ScalingStrategy, (True, False)):
             cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
             t, roots = engine_inputs(cfg)
             for (j, want), cap in itertools.product(shift_references(cfg).items(), (1, 2, 3, 4, 5)):
-                got = _levels.chunk_girths(t, j, np.arange(roots), scratch, cap).tolist()
+                got = _levels.chunk_girths(t, j, np.arange(roots), cap).tolist()
                 assert got == [min(g, 2 * cap + 2) for g in want], (strategy, j, cap)
 
     @pytest.mark.parametrize("chunk_roots", [_levels.CHUNK_ROOTS, 64])
@@ -350,7 +350,6 @@ class TestLevelEngine:
         # block k = 7 and interleaved k = 8 split their roots and rows over
         # several groups and chunks at the default chunk size; the
         # survivors are checked against the engine's exact girths
-        scratch = _levels.Scratch()
         for k, strategy in ((7, ScalingStrategy.BLOCK), (8, ScalingStrategy.INTERLEAVED)):
             cfg = SearchConfig(k=k, strategy=strategy)
             t, roots = engine_inputs(cfg)
@@ -358,7 +357,7 @@ class TestLevelEngine:
                 girths = engine_girths(cfg)[j]
                 for floor in (6, 8):
                     want = np.flatnonzero(girths > floor)
-                    got, exact = _levels.survivors(t, j, roots, floor, scratch)
+                    got, exact = _levels.survivors(t, j, roots, floor)
                     assert got[exact > 0].tolist() == want.tolist(), (k, strategy, j, floor)
                     assert exact[exact > 0].tolist() == girths[want].tolist(), (k, strategy, j, floor)
                     assert exact.tolist() == np.where(girths[got] > floor, girths[got], 0).tolist()
@@ -386,9 +385,9 @@ class TestLevelEngine:
         groups, exact = [], []
         girths = _levels._girths
 
-        def spy(t, j, rows, roots, scratch, cap=None):
+        def spy(t, j, rows, roots, cap=None):
             (groups if cap else exact).append((roots.tolist(), len(rows)))
-            return girths(t, j, rows, roots, scratch, cap)
+            return girths(t, j, rows, roots, cap)
 
         monkeypatch.setattr(_levels, "_girths", spy)
         t, roots = engine_inputs(SearchConfig(k=k, strategy=strategy))
@@ -419,9 +418,9 @@ class TestLevelEngine:
         calls = []
         girths = _levels._girths
 
-        def spy(t, j, rows, roots, scratch, cap=None):
+        def spy(t, j, rows, roots, cap=None):
             calls.append((roots.tolist(), len(rows)))
-            return girths(t, j, rows, roots, scratch, cap)
+            return girths(t, j, rows, roots, cap)
 
         monkeypatch.setattr(_levels, "_girths", spy)
         rows, got = _levels.survivors(t, 9, roots, 8)
@@ -442,21 +441,19 @@ class TestLevelEngine:
         assert (np.take_along_axis(big[1], big[0].astype(np.intp), axis=1) == every).all()
         part = big[:, rows // 2 : rows + 1]
         assert np.shares_memory(part, big) and np.shares_memory(part.reshape(2, -1), big)
-        scratch = _levels.Scratch()
         got = big_girths.reshape(len(shifts), rows)
         for j, row in zip(shifts, got):
-            assert row.tolist() == _levels.shift_girths(t, j, roots, scratch).tolist(), j
+            assert row.tolist() == _levels.shift_girths(t, j, roots).tolist(), j
 
     @pytest.mark.parametrize("cfg", RELABEL_CONFIGS, ids=config_id)
     def test_relabeled_rows_keep_the_survivors(self, cfg):
         t, roots, shifts, big, _ = relabel_inputs(cfg)
-        scratch = _levels.Scratch()
         # the candidates above the floor, and their girths, whether each
         # shift is scored on its own or the batch as one shift
         for floor in (4, 6, 8):
-            kept = [_levels.survivors(t, j, roots, floor, scratch) for j in shifts]
+            kept = [_levels.survivors(t, j, roots, floor) for j in shifts]
             want = {s * t.shape[1] + i: g for s, (rows, exact) in enumerate(kept) for i, g in zip(rows, exact) if g}
-            rows, exact = _levels.survivors(big, 1, roots, floor, scratch)
+            rows, exact = _levels.survivors(big, 1, roots, floor)
             assert {i: g for i, g in zip(rows.tolist(), exact.tolist()) if g} == want, floor
 
     @pytest.mark.parametrize(
@@ -565,16 +562,15 @@ class TestLevelEngine:
         # one to five 64-vertex mask words, uint8 walks up to m = 256 and
         # uint16 above; from every left vertex the engine is exact, and
         # capped it gives min(girth, 2 * cap + 2)
-        scratch = _levels.Scratch()
         girths = set()
         for m in (63, 64, 65, 128, 129, 255, 256, 257, 300):
             rng = np.random.default_rng(m)
             for j in (1, m // 2, int(rng.integers(2, m - 1))):
                 t = engine_rows(affine_rows(rng, m, 3, j) + [rng.permutation(m) for _ in range(2)], m)
                 want = [row_girth(row, j) for row in t[0].tolist()]
-                assert _levels.shift_girths(t, j, m, scratch).tolist() == want, (m, j)
+                assert _levels.shift_girths(t, j, m).tolist() == want, (m, j)
                 for cap in (1, 2, 3, 4):
-                    got = _levels.chunk_girths(t, j, np.arange(m), scratch, cap).tolist()
+                    got = _levels.chunk_girths(t, j, np.arange(m), cap).tolist()
                     assert got == [min(g, 2 * cap + 2) for g in want], (m, j, cap)
                 girths.update(want)
         assert {0, 4, 6, 8, 10} <= girths, girths
@@ -586,7 +582,7 @@ class TestLevelEngine:
         rng = np.random.default_rng(8)
         m, j, cap = 60_000, 12_345, 8
         t = engine_rows([rng.permutation(m) for _ in range(40)], m)
-        got = _levels.chunk_girths(t, j, np.array([0]), _levels.Scratch(), cap).tolist()
+        got = _levels.chunk_girths(t, j, np.array([0]), cap).tolist()
         want = [walk_girth(row, inv, j, 0, cap) for row, inv in zip(t[0].tolist(), t[1].tolist())]
         assert got == want
         assert want.count(2 * cap + 2) >= 5, want
@@ -997,8 +993,8 @@ class TestFloor:
         exact = []
         shift_girths = _levels.shift_girths
 
-        def spy(t, j, roots, scratch=None, rows=None, cap=None):
-            girths = shift_girths(t, j, roots, scratch, rows, cap)
+        def spy(t, j, roots, rows=None, cap=None):
+            girths = shift_girths(t, j, roots, rows, cap)
             exact.append((j, t.shape[1], None if rows is None else rows.tolist(), girths.tolist()))
             return girths
 
@@ -1071,7 +1067,7 @@ class TestFloor:
             if engine:
                 t, roots = engine_inputs(cfg)
                 cap = girthmax.search._girth_ceiling(cfg) // 2 - 1
-                rows, state = t.shape[1], (_levels.batch_bests, (t, roots, _levels.Scratch(), cap))
+                rows, state = t.shape[1], (_levels.batch_bests, (t, roots, cap))
             else:
                 q1s = list(enumerate_k_cycles(b * k))
                 rows, state = len(q1s), (girthmax.search._scan, q1s, cfg)
@@ -1241,6 +1237,12 @@ class TestSearchSmall:
                 assert girth_bfs(b.matrix()).value <= 2 * cfg.b * cfg.k
 
 
+# SHA-256 of the records of `test_search_answers_are_pinned`, one line
+# per search: a change of any winner, count, report field or progress
+# call moves it
+SEARCH_ANSWERS_DIGEST = "7ccf51264b4d8c1d51f0c0a8f16afc6eb62c192373fba49823038472db24123e"
+
+
 class TestDeterminism:
     def test_worker_count_invariance(self, monkeypatch):
         monkeypatch.setattr(girthmax.search, "_POOL_MIN_ROWS", 0)
@@ -1258,6 +1260,26 @@ class TestDeterminism:
             if base is None:
                 base = snapshot
             assert snapshot == base
+
+    def test_search_answers_are_pinned(self):
+        # b = 1, k = 2..8 and b = 2, k = 2..4, under both scalings, with
+        # the j filter on and off: the report without its time and every
+        # progress call, or the NoValidShift raised; a mismatch prints each
+        # search's record, so that the search that moved can be named
+        records = []
+        for (k, b), strategy, j_filter in itertools.product(
+            [(k, 1) for k in range(2, 9)] + [(k, 2) for k in range(2, 5)], ScalingStrategy, (True, False)
+        ):
+            cfg = SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+            calls = []
+            try:
+                report = report_dict(cfg, search_r3(cfg, progress=lambda *args: calls.append(args)))
+                del report["elapsed_ms"]
+            except NoValidShift as error:
+                report = (type(error).__name__, str(error))
+            records.append(repr((report, calls)))
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert digest == SEARCH_ANSWERS_DIGEST, "\n".join(records)
 
     def test_tie_break_is_smallest_j_then_lex_q1(self):
         # the witness is the first candidate in (j ascending, q1 lex)
