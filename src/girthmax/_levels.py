@@ -3,11 +3,11 @@
 `search` makes two calls: `setup` builds a search's q1 rows, the
 engine's tables of them and its batch limits, and `batch_bests` returns
 each shift's best (girth, row) above a floor on a range of those rows.
-The tables are (t, roots, cap): t is one (2, rows, m) array whose
-t[0, i] is the image row of p1 for q1 row i and t[1, i] that of p1^-1
-(`images`), and every function below takes that one array. `search`
-does not read the tables, so a change of them, or of the roots, stays
-here.
+The tables are (t, roots, cap, firsts): t is one (2, rows, m) array
+whose t[0, i] is the image row of p1 for q1 row i and t[1, i] that of
+p1^-1 (`images`), and every function below takes that one array.
+`search` does not read the tables, so a change of them, or of the
+roots, stays here.
 
 `chunk_girths` extends the non-backtracking walks from a set of roots
 level by level, as numpy gathers shared by a chunk of q1 rows, and a
@@ -20,7 +20,13 @@ This reads girth off closed non-backtracking walks, the view of
 Fossorier, "Quasi-cyclic LDPC codes from circulant permutation
 matrices" (IEEE Trans. IT 50(8), 2004). `chunk_girths` proves the level
 test, `root_count` the roots that suffice, and the scaling is
-`perm._scale_map`.
+`perm._scale_map`. Each shift has a first meeting level
+(`first_level`, a function of j among the tables), below which the net
+shift of a short closed walk proves that no walks meet: 3 (no cycle
+shorter than 6) under block scaling with k >= 3, 2 (no double edge)
+under interleaved scaling with the j filter, and 3 there when j and 2j
+are far enough from 0 mod m. Below it the walks are extended without
+masks or meeting tests; from it on nothing changes.
 `shift_girths` scores one shift exactly. `survivors` drops the
 candidates that one root proves to have a girth no larger than a floor,
 root 0 alone first at any positive floor and then groups that fill a
@@ -50,6 +56,7 @@ imports it only for searches large enough to repay that
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -276,16 +283,57 @@ def root_count(n: int, k: int, strategy: ScalingStrategy) -> int:
     return n if strategy is ScalingStrategy.INTERLEAVED else n * k
 
 
+def first_level(n: int, k: int, strategy: ScalingStrategy, j: int) -> int:
+    """The first meeting level of shift j, m = n*k: below it no walks of `chunk_girths` meet.
+
+    It is a level L such that every candidate
+    (scale_up(q1, k, strategy), I, C_j), q1 a single n-cycle and j
+    coprime to m, has no double edge when L >= 2 and no cycle of length
+    4 when L >= 3. Then two walks from one root never meet below level
+    L, since a meeting at level l shows a cycle of length <= 2l, or a
+    double edge at l = 1 (`chunk_girths`). Write dist(x) for the
+    distance of x from 0 mod m. The levels are: block scaling, 2, and 3
+    for k >= 3; interleaved scaling, 1 when dist(j) < n, else 2, and 3
+    when also n >= 3, dist(j) > 2(n-1) and dist(2j) > 2(n-1). The j
+    filter (j > n) always gives interleaved level 2 or more.
+
+    Proof. A double edge or 4-cycle is a closed non-backtracking walk of
+    length 2 or 4, whose steps alternate sides. A C_j step adds j from
+    the left side and subtracts it from the right. Consecutive edges of
+    a cycle, also the last and the first, differ in label, so such a
+    walk holds at most two C_j steps, and two of them start on the same
+    side and have the same sign. With no C_j step it alternates
+    p1 and I, and closes only on a fixed point or a 2-cycle of p1, whose
+    cycles have length n (n >= 2 always, n >= 3 for a 4-cycle). Block
+    scaling: p1(u*k + o) = q1(u)*k + o and I keep x mod k, and j mod k =
+    c has gcd(c, k) = 1, so one C_j step (net +-c mod k) never closes,
+    and two of one sign (+-2c) close only when k | 2, i.e. k = 2.
+    Interleaved scaling: p1 moves x = i + t*n to q1(i) + t*n, by
+    q1(i) - i in [-(n-1), n-1], and a walk of length <= 4 holds at most
+    two p1 steps, one if it is a double edge (I and C_j alone close only
+    when j = 0). So a closure with one C_j step needs dist(j) <= 2(n-1),
+    or dist(j) <= n-1 for a double edge, and one with two needs
+    dist(2j) <= 2(n-1). This is the net shift of a short closed walk
+    (Fossorier, 2004; the voltage graphs of Gross and Tucker, "Topological
+    Graph Theory", 1987, ch. 2).
+    """
+    if strategy is ScalingStrategy.BLOCK:
+        return 3 if k >= 3 else 2
+    m = n * k
+    near = min(j % m, -j % m), min(2 * j % m, -2 * j % m)
+    return 1 if near[0] < n else 3 if n >= 3 and min(near) > 2 * (n - 1) else 2
+
+
 def setup(n: int, k: int, strategy: ScalingStrategy, ceiling: int):
     """(q_rows, tables, least, most) of a search: its q1 rows, the tables that `batch_bests` reads, and two batch limits.
 
     The q1 rows are the `orbit_minima` of `cycle_rows(n)`. The tables
-    are (t, roots, cap): the `images` table of those rows, the
-    `root_count`, and the level cap = ceiling // 2 - 1 of every exact
-    call, where `ceiling` is a proven bound on the girth of every
-    candidate of the search. The tables take the inverse rows that
-    `orbit_minima` returns with the q1 rows, so that the rows are
-    inverted once.
+    are (t, roots, cap, firsts): the `images` table of those rows, the
+    `root_count`, the level cap = ceiling // 2 - 1 of every exact call,
+    where `ceiling` is a proven bound on the girth of every candidate of
+    the search, and `firsts`, which gives the `first_level` of shift j
+    as firsts(j). The tables take the inverse rows that `orbit_minima`
+    returns with the q1 rows, so that the rows are inverted once.
     `least` is the number of shifts whose candidates, from every root,
     fit one chunk, or 1 if one shift's do not: a batch of that many is
     then one exact call whatever its floor (above a positive floor,
@@ -303,7 +351,8 @@ def setup(n: int, k: int, strategy: ScalingStrategy, ceiling: int):
     """
     q_rows, inverse_rows = orbit_minima(cycle_rows(n), strategy)
     roots = root_count(n, k, strategy)
-    tables = images(q_rows, inverse_rows, k, strategy), roots, ceiling // 2 - 1
+    firsts = functools.partial(first_level, n, k, strategy)
+    tables = images(q_rows, inverse_rows, k, strategy), roots, ceiling // 2 - 1, firsts
     return q_rows, tables, max(1, CHUNK_ROOTS // (len(q_rows) * roots)), max(1, CHUNK_ROOTS // len(q_rows))
 
 
@@ -344,7 +393,7 @@ def relabeled(t, js):
     return out.reshape(2, -1, m)
 
 
-def chunk_girths(t, j: int, roots, cap: int | None = None):
+def chunk_girths(t, j: int, roots, cap: int | None = None, first: int = 1):
     """Girth of each candidate (t[:, i], I, C_j) of a chunk t of `images`' table; 0 if incompatible.
 
     Level L extends, from every root, the non-backtracking walks of
@@ -380,9 +429,18 @@ def chunk_girths(t, j: int, roots, cap: int | None = None):
     that meet every shortest cycle and double edge the result is
     min(girth, 2 * cap + 2); over any roots, a result r <= 2 * cap
     proves girth <= r, and incompatibility when r = 0.
+
+    `first`, at most the `first_level` of every candidate's shift, is
+    the first level tested: below it no two walks from one root meet, so
+    those levels only extend the walks, and masks are built from the
+    level before it on, whose masks are the first level's I walks'
+    masks. It is clamped to the cap, where the walks stop, so the
+    results are those at first = 1.
     """
     _, count, m = t.shape
     j %= m
+    if cap is not None:
+        first = min(first, cap)
     x = np.arange(m, dtype=t.dtype)
     fwd, back = np.concatenate((x[j:], x[:j])), np.concatenate((x[m - j :], x[: m - j]))
     one = np.uint64(1)
@@ -401,8 +459,10 @@ def chunk_girths(t, j: int, roots, cap: int | None = None):
     w = np.empty((3, 1, count, len(roots)), t.dtype)
     t[0].take(roots, axis=1, out=w[0, 0])
     w[1, 0], w[2, 0] = fwd[roots], roots
-    # the I walks of level 1 end at the roots, whatever the candidate
-    held, mask = masks(w[2, :, :1]), masks(w[:2])
+    # the I walks of level 1 end at the roots, whatever the candidate;
+    # a level builds its masks when it or the next one is tested
+    held = masks(w[2, :, :1]) if first <= 1 else None
+    mask = masks(w[:2]) if first <= 2 else None
     girths = np.zeros(count, np.int32)
     alive = np.arange(count)
     # row starts in the flat halves of t, whose rows are never dropped
@@ -410,23 +470,25 @@ def chunk_girths(t, j: int, roots, cap: int | None = None):
     flat = t.reshape(2, -1)
     level = 1
     while True:
-        counts = np.bitwise_count(mask | held)
-        # one word counts at most 64 bits; several are summed in int32,
-        # since from level 8 on a root has 384 walks or more
-        distinct = counts[0] if len(counts) == 1 else counts.sum(axis=0, dtype=np.int32)
-        met = distinct.min(axis=1) < 3 << (level - 1)
-        done = np.count_nonzero(met)
-        if done and level > 1:
-            girths[alive[met]] = 2 * level
-        if done == len(met):
-            return girths
-        if level == cap:
-            girths[alive[~met]] = 2 * cap + 2
-            return girths
-        if done:
-            keep = ~met
-            alive, starts = alive[keep], starts[keep]
-            w, mask = np.compress(keep, w, axis=2), np.compress(keep, mask, axis=1)
+        # first <= cap, so the cap's level is tested
+        if level >= first:
+            counts = np.bitwise_count(mask | held)
+            # one word counts at most 64 bits; several are summed in int32,
+            # since from level 8 on a root has 384 walks or more
+            distinct = counts[0] if len(counts) == 1 else counts.sum(axis=0, dtype=np.int32)
+            met = distinct.min(axis=1) < 3 << (level - 1)
+            done = np.count_nonzero(met)
+            if done and level > 1:
+                girths[alive[met]] = 2 * level
+            if done == len(met):
+                return girths
+            if level == cap:
+                girths[alive[~met]] = 2 * cap + 2
+                return girths
+            if done:
+                keep = ~met
+                alive, starts = alive[keep], starts[keep]
+                w, mask = np.compress(keep, w, axis=2), np.compress(keep, mask, axis=1)
         # after an even level the walks sit on left vertices
         image, shift = (flat[0], fwd) if level % 2 == 0 else (flat[1], back)
         walks = w.shape[1]
@@ -437,11 +499,11 @@ def chunk_girths(t, j: int, roots, cap: int | None = None):
         image.take(index, out=new[0], mode="clip")
         shift.take(w[::2], out=new[1].reshape(w[::2].shape), mode="clip")
         new[2] = w[:2].reshape(new.shape[1:])
-        w, held, mask = new, mask, masks(new[:2])
         level += 1
+        w, held, mask = new, mask, masks(new[:2]) if level + 1 >= first else None
 
 
-def _girths(t, j: int, rows, roots, cap: int | None = None):
+def _girths(t, j: int, rows, roots, cap: int | None = None, first: int = 1):
     """`chunk_girths` of the candidates t[:, rows] from `roots`, in chunks of about `CHUNK_ROOTS` (row, root) pairs.
 
     `rows` ascends without repeats, so when it holds every row of t the
@@ -451,24 +513,25 @@ def _girths(t, j: int, rows, roots, cap: int | None = None):
     step = max(1, CHUNK_ROOTS // len(roots))
     whole, starts = len(rows) == t.shape[1], range(0, len(rows), step)
     chunks = (t[:, i : i + step] if whole else t.take(rows[i : i + step], axis=1) for i in starts)
-    girths = [chunk_girths(c, j, roots, cap) for c in chunks]
+    girths = [chunk_girths(c, j, roots, cap, first) for c in chunks]
     return np.concatenate(girths) if girths else np.zeros(0, np.int32)
 
 
-def shift_girths(t, j: int, roots: int, rows=None, cap: int | None = None):
+def shift_girths(t, j: int, roots: int, rows=None, cap: int | None = None, first: int = 1):
     """Girth of each candidate (t[:, i], I, C_j), i in `rows` (default every row of t); 0 if incompatible.
 
     t is a table as `images` builds it, or a range of its rows. Walks
     start at the left vertices 0..roots-1, which must meet every
     shortest cycle and double edge (`root_count` proves which do). With
     a `cap`, a girth above 2 * cap reads 2 * cap + 2 (`chunk_girths`);
-    `setup` proves which cap stays exact.
+    `setup` proves which cap stays exact. The walks are tested from
+    level `first` on (`chunk_girths`), which `first_level` proves.
     """
     rows = np.arange(t.shape[1]) if rows is None else rows
-    return _girths(t, j, rows, np.arange(roots), cap)
+    return _girths(t, j, rows, np.arange(roots), cap, first)
 
 
-def survivors(t, j: int, roots: int, floor: int, cap: int | None = None):
+def survivors(t, j: int, roots: int, floor: int, cap: int | None = None, first: int = 1):
     """(rows, girths): candidates (t[:, i], I, C_j) of a table t, among them every one whose girth exceeds `floor`.
 
     `rows` ascends, and girths[r] is the girth of candidate rows[r] if
@@ -504,19 +567,20 @@ def survivors(t, j: int, roots: int, floor: int, cap: int | None = None):
     survivors walked again from level 1: a candidate that the last
     group would drop meets in the exact call at the same level. At
     floor 0 there is no cascade, since it would drop only the
-    incompatible candidates, which score 0.
+    incompatible candidates, which score 0. Every call tests the walks
+    from level `first` on (`chunk_girths`), which `first_level` proves.
     """
     depth = max(1, floor // 2)
     alive = np.arange(t.shape[1])
     if floor:
-        alive = alive[_girths(t, j, alive, np.arange(1), depth) > 2 * depth]
+        alive = alive[_girths(t, j, alive, np.arange(1), depth, first) > 2 * depth]
     start, size = 1, 2
     while floor and start < roots and len(alive) * roots > CHUNK_ROOTS:
         size = max(size, CHUNK_ROOTS // len(alive))
         group = np.arange(start, min(roots, start + size))
-        alive = alive[_girths(t, j, alive, group, depth) > 2 * depth]
+        alive = alive[_girths(t, j, alive, group, depth, first) > 2 * depth]
         start, size = start + size, 2 * size
-    girths = shift_girths(t, j, roots, rows=alive, cap=cap)
+    girths = shift_girths(t, j, roots, rows=alive, cap=cap, first=first)
     girths[girths <= floor] = 0
     return alive, girths
 
@@ -524,8 +588,11 @@ def survivors(t, j: int, roots: int, floor: int, cap: int | None = None):
 def batch_bests(tables, js, floor: int, lo: int, hi: int) -> list[tuple[int, int]]:
     """Best (girth, row) of each shift j in `js` over the candidates (t[:, i], I, C_j), i in lo:hi, above `floor`.
 
-    `tables` are `setup`'s (t, roots, cap), the walks start at the
-    roots, and the exact call stops at the cap. The batch is scored
+    `tables` are `setup`'s (t, roots, cap, firsts), the walks start at
+    the roots, the exact call stops at the cap, and every call tests the
+    walks from the least first level of the batch's shifts on, which
+    holds for the relabeled candidates of every shift, since they are
+    isomorphic to those of their shift. The batch is scored
     into one table of girths, a row per shift and a column per
     candidate of the range, that reads 0 at or
     below the floor: the girths that `survivors` returns, put at their
@@ -539,9 +606,9 @@ def batch_bests(tables, js, floor: int, lo: int, hi: int) -> list[tuple[int, int
     batch is one exact call at any floor, after one call from root 0
     alone above a positive floor.
     """
-    t, roots, cap = tables
+    t, roots, cap, firsts = tables
     # t is C-ordered, so t[:, lo:hi] is a view
     t, j = (relabeled(t[:, lo:hi], js), 1) if len(js) > 1 else (t[:, lo:hi], js[0])
     girths = np.zeros((len(js), hi - lo), np.int32)
-    girths.put(*survivors(t, j, roots, floor, cap))
+    girths.put(*survivors(t, j, roots, floor, cap, min(map(firsts, js))))
     return list(zip(girths.max(axis=1).tolist(), (girths.argmax(axis=1) + lo).tolist()))

@@ -128,9 +128,9 @@ def factorize_bk(m: int, r: int) -> FactorizationResult:
 def gmax_upper(m: int, r: int) -> int:
     """Claimed ceiling on attainable girth of an (m, r) BTU: 2k - 2.
 
-    k comes from factorize_bk; girth is even and the claim is the strict
-    inequality girth < 2k, hence the largest even value 2k - 2. This is
-    a claim about the search family, not a proven universal graph
+    k is the (r-1)th root of m; girth is even and the claim is the
+    strict inequality girth < 2k, hence the largest even value 2k - 2.
+    This is a claim about the search family, not a proven universal graph
     invariant; it is reported with direction "claimed". There is no
     (m, r) BTU with r > m, so that query is an error too.
 
@@ -143,17 +143,23 @@ def gmax_upper(m: int, r: int) -> int:
     family's own ceiling is 2bk, and at m = 32 = 2*4^2, r = 3, the
     search (k = 4, b = 2) finds girth 8 > 2k - 2 = 6 under both
     scalings, e.g. interleaved q1 = (1, 3, 5, 2, 7, 4, 0, 6), j = 9.
+    b = 1 exactly when m is a perfect (r-1)th power, which `_iroot`
+    tests at once; `factorize_bk` would scan about m^(1/(r-1)) values of
+    k when m is far from such a power.
     """
     if r < 3:
         raise ValueError("the girth ceiling is only claimed for r >= 3")
     if r > m:
         raise ValueError(f"no ({m}, {r}) BTU exists: r = {r} exceeds m = {m}")
-    f = factorize_bk(m, r)
-    if f.k <= 3:
-        raise ValueError(f"the girth ceiling is only claimed for k >= 4; m = {m} = {f.b}*{f.k}^{r - 1}")
-    if f.b > 1:
-        raise ValueError(f"the girth ceiling is only claimed for b = 1; m = {m} = {f.b}*{f.k}^{r - 1}")
-    return 2 * f.k - 2
+    e = r - 1
+    k = _iroot(m, e)
+    if k**e != m:
+        raise ValueError(
+            f"the girth ceiling is only claimed for b = 1, m = k^{e} with k >= 4; m = {m} is not k^{e} for any integer k"
+        )
+    if k <= 3:
+        raise ValueError(f"the girth ceiling is only claimed for k >= 4; m = {m} = 1*{k}^{e}")
+    return 2 * k - 2
 
 
 def gmax_report(m: int, r: int) -> BoundReport:

@@ -62,6 +62,8 @@ BLOCK_WINNERS = {
     6: (6, 7, (1, 2, 3, 4, 5, 0), 960),
     7: (8, 22, (1, 2, 5, 6, 0, 3, 4), 21_600),
     8: (8, 25, (1, 2, 3, 6, 7, 0, 4, 5), 120_960),
+    9: (8, 10, (1, 4, 0, 5, 3, 8, 7, 2, 6), 1_693_440),
+    10: (10, 21, (1, 2, 9, 0, 7, 8, 5, 6, 3, 4), 11_612_160),
 }
 
 _search_cache: dict[tuple[int, ScalingStrategy, int], object] = {}
@@ -153,7 +155,7 @@ def test_criterion_3_winner_girth_matches_networkx(k):
     )
 
 
-@pytest.mark.parametrize("k", [5, 6, 7, 8])
+@pytest.mark.parametrize("k", sorted(BLOCK_WINNERS))
 def test_criterion_3_pinned_block_witness(k):
     result = run_search(k, ScalingStrategy.BLOCK)
     got = (result.best_girth, result.witness_j, result.witness_q1.image, result.candidates_evaluated)
@@ -165,15 +167,16 @@ def test_criterion_3_pinned_block_witness(k):
 
 
 def test_criterion_3_block_winner_girth_matches_networkx():
-    # rebuilt from the cached k = 8 block search
-    result = run_search(8, ScalingStrategy.BLOCK)
-    winner = construct_candidate(result.witness_q1, result.witness_j, SearchConfig(k=8))
-    theirs = networkx_girth(winner)
-    verdict(
-        "3 block winner girth k=8 equals networkx",
-        theirs == result.best_girth == BLOCK_WINNERS[8][0],
-        f"networkx {theirs}, search {result.best_girth}",
-    )
+    # rebuilt from the cached block searches
+    for k in (8, 9, 10):
+        result = run_search(k, ScalingStrategy.BLOCK)
+        winner = construct_candidate(result.witness_q1, result.witness_j, SearchConfig(k=k))
+        theirs = networkx_girth(winner)
+        verdict(
+            f"3 block winner girth k={k} equals networkx",
+            theirs == result.best_girth == BLOCK_WINNERS[k][0],
+            f"networkx {theirs}, search {result.best_girth}",
+        )
 
 
 def test_criterion_3_pinned_witness_b2_k5():

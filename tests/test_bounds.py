@@ -113,8 +113,21 @@ class TestGmax:
             winner = construct_candidate(result.witness_q1, result.witness_j, cfg)
             assert result.best_girth == networkx_girth(winner) == 8 > 2 * factorize_bk(32, 3).k - 2
         for query in (gmax_upper, gmax_report):
-            with pytest.raises(ValueError, match=r"b = 1; m = 32 = 2\*4\^2"):
+            with pytest.raises(ValueError, match=r"b = 1, m = k\^2 with k >= 4; m = 32 is not k\^2 for any integer k"):
                 query(32, 3)
+
+    def test_rejects_b_above_1_at_once(self):
+        # 10^18 + 1 is no square, so b > 1, and the error comes without a
+        # factorization, which scans k down from 10^9 one step at a time;
+        # in a fresh interpreter, so that such a scan fails by timeout
+        code = """
+from girthmax.cli import main
+assert main(["bounds", "--gmax", str(10**18 + 1), "3"]) == 1
+"""
+        out = run_python(code)
+        assert out.returncode == 0, out.stderr
+        want = f"b = 1, m = k^2 with k >= 4; m = {10**18 + 1} is not k^2 for any integer k"
+        assert want in out.stderr, out.stderr
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_ceiling_holds_over_the_search(self, k):

@@ -120,7 +120,8 @@ class TestBoundsCommand:
         assert main(["bounds", "--gmax", "32", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: ValueError: the girth ceiling is only claimed for b = 1; m = 32 = 2*4^2" in captured.err
+        want = "the girth ceiling is only claimed for b = 1, m = k^2 with k >= 4; m = 32 is not k^2 for any integer k"
+        assert f"error: ValueError: {want}" in captured.err
 
     def test_gmax_rejects_r_above_m(self, capsys):
         assert main(["bounds", "--gmax", "1", "3"]) == 1

@@ -161,6 +161,21 @@ def engine_inputs(cfg: SearchConfig) -> tuple:
 
 ENGINE_SIZES = [(3, 1), (4, 1), (5, 1), (6, 1), (3, 2)]
 
+# (k, b) of the first meeting level's checks
+FIRST_LEVEL_SIZES = [(k, 1) for k in range(3, 8)] + [(2, 2), (3, 2), (2, 3), (2, 4)]
+
+
+def first_level_configs(k: int, b: int) -> list[SearchConfig]:
+    """The searches of (k, b), both scalings, j filter on and off, that have an admissible shift.
+
+    The j filter leaves a shift only when m = b*k^2 exceeds 2*b*k, i.e. k > 2.
+    """
+    return [
+        SearchConfig(k=k, b=b, strategy=strategy, j_range_filter=j_filter)
+        for strategy, j_filter in itertools.product(ScalingStrategy, (True, False))
+        if not j_filter or k > 2
+    ]
+
 
 def engine_rows(rows, m: int):
     """The engine's table t of permutation rows of size m: the rows in t[0], their inverses in t[1], in its dtype."""
@@ -314,6 +329,41 @@ class TestLevelEngine:
                 got = _levels.chunk_girths(t, j, np.arange(roots), cap).tolist()
                 assert got == [min(g, 2 * cap + 2) for g in want], (strategy, j, cap)
 
+    def test_first_level_bounds_every_girth(self):
+        # every q1 of every admissible shift, j filter on and off: the
+        # exact girth from level 1, a double edge counted as 2, is at
+        # least twice the shift's first level, and each level is met
+        # with equality by some candidate
+        met = set()
+        for cfg in (cfg for k, b in FIRST_LEVEL_SIZES for cfg in first_level_configs(k, b)):
+            for j, girths in engine_girths(cfg).items():
+                level = _levels.first_level(cfg.b * cfg.k, cfg.k, cfg.strategy, j)
+                shortest = int(np.where(girths == 0, 2, girths).min())
+                assert shortest >= 2 * level, (cfg, j, level, shortest)
+                if shortest == 2 * level:
+                    met.add(level)
+        assert met == {1, 2, 3}
+
+    @pytest.mark.parametrize("k, b", FIRST_LEVEL_SIZES)
+    def test_first_level_keeps_every_result(self, k, b):
+        # the survivors and the capped girths tested from the shift's
+        # first level on are those tested from level 1, at floor 0 and
+        # every even floor from 4 to two below the ceiling, and at every
+        # cap up to the search's, below the first level too; from level
+        # 1, capped girths are min(girth, 2 * cap + 2)
+        for cfg in first_level_configs(k, b):
+            t, roots = engine_inputs(cfg)
+            ceiling = girthmax.search._girth_ceiling(cfg)
+            for j, exact in engine_girths(cfg).items():
+                level = _levels.first_level(b * k, k, cfg.strategy, j)
+                for cap in range(1, ceiling // 2):
+                    got = _levels.shift_girths(t, j, roots, cap=cap, first=level)
+                    assert got.tolist() == np.minimum(exact, 2 * cap + 2).tolist(), (cfg, j, cap)
+                for floor in (0, *range(4, ceiling - 1, 2)):
+                    got = _levels.survivors(t, j, roots, floor, ceiling // 2 - 1, level)
+                    want = _levels.survivors(t, j, roots, floor, ceiling // 2 - 1)
+                    assert [a.tolist() for a in got] == [a.tolist() for a in want], (cfg, j, floor)
+
     @pytest.mark.parametrize("chunk_roots", [_levels.CHUNK_ROOTS, 64])
     @pytest.mark.parametrize("k, b", ENGINE_SIZES)
     def test_survivors_are_the_candidates_above_the_floor(self, k, b, chunk_roots, monkeypatch):
@@ -385,9 +435,9 @@ class TestLevelEngine:
         groups, exact = [], []
         girths = _levels._girths
 
-        def spy(t, j, rows, roots, cap=None):
+        def spy(t, j, rows, roots, cap=None, first=1):
             (groups if cap else exact).append((roots.tolist(), len(rows)))
-            return girths(t, j, rows, roots, cap)
+            return girths(t, j, rows, roots, cap, first)
 
         monkeypatch.setattr(_levels, "_girths", spy)
         t, roots = engine_inputs(SearchConfig(k=k, strategy=strategy))
@@ -418,9 +468,9 @@ class TestLevelEngine:
         calls = []
         girths = _levels._girths
 
-        def spy(t, j, rows, roots, cap=None):
+        def spy(t, j, rows, roots, cap=None, first=1):
             calls.append((roots.tolist(), len(rows)))
-            return girths(t, j, rows, roots, cap)
+            return girths(t, j, rows, roots, cap, first)
 
         monkeypatch.setattr(_levels, "_girths", spy)
         rows, got = _levels.survivors(t, 9, roots, 8)
@@ -993,8 +1043,8 @@ class TestFloor:
         exact = []
         shift_girths = _levels.shift_girths
 
-        def spy(t, j, roots, rows=None, cap=None):
-            girths = shift_girths(t, j, roots, rows, cap)
+        def spy(t, j, roots, rows=None, cap=None, first=1):
+            girths = shift_girths(t, j, roots, rows, cap, first)
             exact.append((j, t.shape[1], None if rows is None else rows.tolist(), girths.tolist()))
             return girths
 
@@ -1067,7 +1117,8 @@ class TestFloor:
             if engine:
                 t, roots = engine_inputs(cfg)
                 cap = girthmax.search._girth_ceiling(cfg) // 2 - 1
-                rows, state = t.shape[1], (_levels.batch_bests, (t, roots, cap))
+                firsts = functools.partial(_levels.first_level, b * k, k, strategy)
+                rows, state = t.shape[1], (_levels.batch_bests, (t, roots, cap, firsts))
             else:
                 q1s = list(enumerate_k_cycles(b * k))
                 rows, state = len(q1s), (girthmax.search._scan, q1s, cfg)
